@@ -263,8 +263,16 @@ def _cmd_finetune(args) -> int:
     return 0
 
 
-def _score_proposal_set(params, config, vocab, query_ids, pset, region_store,
-                        context_store, img):
+def _load_scorer(args):
+    params, config, vocab = datastore.load_checkpoint(args.model)
+    stores = [datastore.load_feature_store(args.region_features),
+              datastore.load_feature_store(args.context_features)]
+    for store, name in zip(stores, ("region feature", "context feature")):
+        _check_feat_dim(config, store, name)
+    return (params, config, vocab, *stores)
+
+
+def _score_proposal_set(params, config, query_ids, pset, region_store, context_store, img):
     x_context = context_store.get(pset.image_id)
     requests = [ScoreRequest(query_ids, region_store.get(key), x_context,
                              encode_spatial(box, img))
@@ -273,11 +281,7 @@ def _score_proposal_set(params, config, vocab, query_ids, pset, region_store,
 
 
 def _cmd_retrieve(args) -> int:
-    params, config, vocab = datastore.load_checkpoint(args.model)
-    region_store = datastore.load_feature_store(args.region_features)
-    context_store = datastore.load_feature_store(args.context_features)
-    _check_feat_dim(config, region_store, "region feature")
-    _check_feat_dim(config, context_store, "context feature")
+    params, config, vocab, region_store, context_store = _load_scorer(args)
     if args.top_k < 1:
         raise InputError(f"--top-k must be >= 1, got {args.top_k}")
     by_image = {p.image_id: p for p in datastore.load_proposals(args.proposals)}
@@ -288,8 +292,8 @@ def _cmd_retrieve(args) -> int:
     if not query_ids:
         raise InputError(f"query tokenizes to nothing: {args.query!r}")
     img = ImageSize(args.width, args.height)
-    scores = _score_proposal_set(params, config, vocab, query_ids, pset,
-                                 region_store, context_store, img)
+    scores = _score_proposal_set(params, config, query_ids, pset, region_store,
+                                 context_store, img)
     order = evalmetrics.rank_candidates(scores)
     ranked = [{"box": pset.boxes[i].as_list(), "region_key": pset.region_keys[i],
                "log_prob": scores[i]} for i in order[:args.top_k]]
@@ -298,57 +302,40 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    params, config, vocab = datastore.load_checkpoint(args.model)
+    params, config, vocab, region_store, context_store = _load_scorer(args)
     records = datastore.load_annotations(args.annotations)
-    region_store = datastore.load_feature_store(args.region_features)
-    context_store = datastore.load_feature_store(args.context_features)
-    _check_feat_dim(config, region_store, "region feature")
-    _check_feat_dim(config, context_store, "context feature")
 
     by_image: dict[str, list[datastore.AnnotationRecord]] = {}
     for rec in records:
         by_image.setdefault(rec.image_id, []).append(rec)
 
-    results = []
-    if args.scenario == "gt":
-        for image_id, recs in by_image.items():
-            img = ImageSize(recs[0].width, recs[0].height)
-            x_context = context_store.get(image_id)
-            cand_boxes = [r.box for r in recs]
-            cand_feats = [(region_store.get(r.region_key), encode_spatial(r.box, img))
-                          for r in recs]
-            for rec in recs:
-                for desc in rec.descriptions:
-                    query_ids = encode(vocab, desc)
-                    if not query_ids:
-                        raise InputError(f"query tokenizes to nothing: {desc!r}")
-                    requests = [ScoreRequest(query_ids, xb, x_context, sp)
-                                for xb, sp in cand_feats]
-                    scores = score_candidates(params, config, requests)
-                    results.append(evalmetrics.RankedResult.build(
-                        desc, image_id, cand_boxes, scores, rec.box))
-        report = evalmetrics.eval_gt_scenario(results)
-    else:
+    if args.scenario == "proposals":
         if not args.proposals:
             raise ConfigError("--proposals is required for the proposals scenario")
         by_pset = {p.image_id: p for p in datastore.load_proposals(args.proposals)}
-        for image_id, recs in by_image.items():
-            if image_id not in by_pset:
-                raise InputError(f"image {image_id!r} not present in proposals")
-            pset = by_pset[image_id]
-            if not pset.boxes:
-                raise InputError(f"image {image_id!r} has an empty proposal set")
-            img = ImageSize(recs[0].width, recs[0].height)
-            for rec in recs:
-                for desc in rec.descriptions:
-                    query_ids = encode(vocab, desc)
-                    if not query_ids:
-                        raise InputError(f"query tokenizes to nothing: {desc!r}")
-                    scores = _score_proposal_set(params, config, vocab, query_ids, pset,
-                                                 region_store, context_store, img)
-                    results.append(evalmetrics.RankedResult.build(
-                        desc, image_id, pset.boxes, scores, rec.box))
-        report = evalmetrics.eval_proposal_scenario(results)
+    results = []
+    for image_id, recs in by_image.items():
+        img = ImageSize(recs[0].width, recs[0].height)
+        if args.scenario == "gt":
+            cands = datastore.ProposalSet(image_id, [r.box for r in recs],
+                                          [r.region_key for r in recs])
+        elif image_id not in by_pset:
+            raise InputError(f"image {image_id!r} not present in proposals")
+        elif not by_pset[image_id].boxes:
+            raise InputError(f"image {image_id!r} has an empty proposal set")
+        else:
+            cands = by_pset[image_id]
+        for rec in recs:
+            for desc in rec.descriptions:
+                query_ids = encode(vocab, desc)
+                if not query_ids:
+                    raise InputError(f"query tokenizes to nothing: {desc!r}")
+                scores = _score_proposal_set(params, config, query_ids, cands, region_store,
+                                             context_store, img)
+                results.append(evalmetrics.RankedResult.build(
+                    desc, image_id, cands.boxes, scores, rec.box))
+    report = (evalmetrics.eval_gt_scenario(results) if args.scenario == "gt"
+              else evalmetrics.eval_proposal_scenario(results))
 
     if args.per_query:
         evalmetrics.write_per_query_csv(results, report.scenario, args.per_query)
@@ -357,11 +344,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    params, config, vocab = datastore.load_checkpoint(args.model)
-    region_store = datastore.load_feature_store(args.region_features)
-    context_store = datastore.load_feature_store(args.context_features)
-    _check_feat_dim(config, region_store, "region feature")
-    _check_feat_dim(config, context_store, "context feature")
+    params, config, vocab, region_store, context_store = _load_scorer(args)
     try:
         coords = [float(v) for v in args.box.split(",")]
     except ValueError:
@@ -414,10 +397,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ScrcError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ScrcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

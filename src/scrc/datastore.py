@@ -21,6 +21,7 @@ captions     {"image_id":str, "captions":[str,...]}
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,14 +93,17 @@ class _Cursor:
         self.off = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Move past n bytes; returns the offset they start at."""
         if self.off + n > len(self.buf):
             raise FormatError(
                 f"{self.what}: truncated at byte {self.off} "
                 f"(needed {n} more, have {len(self.buf) - self.off})")
-        out = self.buf[self.off:self.off + n]
         self.off += n
-        return out
+        return self.off - n
+
+    def take(self, n: int) -> bytes:
+        return self.buf[self.skip(n):self.off]  # skip() runs first and advances off
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -126,7 +130,7 @@ def load_feature_store(path) -> FeatureStore:
         key_off = cur.off
         (klen,) = cur.unpack("<H")
         key = cur.take(klen).decode("utf-8")
-        vec = np.frombuffer(cur.take(4 * dim), dtype="<f4").copy()
+        vec = np.frombuffer(cur.buf, "<f4", count=dim, offset=cur.skip(4 * dim)).copy()
         if key in store.entries:
             raise FormatError(f"feature store: duplicate key {key!r} at byte {key_off}")
         if not np.all(np.isfinite(vec)):
@@ -325,35 +329,35 @@ def load_checkpoint(path):
     except (TypeError, InputError) as e:
         raise FormatError(f"checkpoint: invalid header: {e}") from None
 
+    params = ScrcParams.zeros(config, dtype=np.float32)
+    expected = {t.name: t for t in params.tensors()}
     (count,) = cur.unpack("<I")
-    loaded: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
+    extra = []
     for _ in range(count):
         rec_off = cur.off
         (nlen,) = cur.unpack("<H")
         name = cur.take(nlen).decode("utf-8")
-        if name in loaded:
+        if name in seen:
             raise FormatError(f"checkpoint: duplicate tensor {name!r} at byte {rec_off}")
+        seen.add(name)
         (rank,) = cur.unpack("<B")
         dims = cur.unpack(f"<{rank}I")
-        n = 1
-        for d in dims:
-            n *= d
-        data = np.frombuffer(cur.take(4 * n), dtype="<f4").reshape(dims).copy()
-        loaded[name] = data
+        n = math.prod(dims)
+        data = np.frombuffer(cur.buf, "<f4", count=n, offset=cur.skip(4 * n)).reshape(dims)
+        t = expected.get(name)
+        if t is None:
+            extra.append(name)
+        elif dims != t.value.shape:
+            raise FormatError(
+                f"checkpoint: tensor {name!r} has shape {dims}, expected {t.value.shape}")
+        else:
+            t.value[...] = data
     cur.done()
 
-    params = ScrcParams.zeros(config, dtype=np.float32)
-    expected = {t.name: t for t in params.tensors()}
-    missing = set(expected) - set(loaded)
-    extra = set(loaded) - set(expected)
+    missing = set(expected) - seen
     if missing or extra:
         raise FormatError(
             f"checkpoint: tensor names do not match (missing {sorted(missing)}, "
             f"unexpected {sorted(extra)})")
-    for name, data in loaded.items():
-        t = expected[name]
-        if data.shape != t.value.shape:
-            raise FormatError(
-                f"checkpoint: tensor {name!r} has shape {data.shape}, expected {t.value.shape}")
-        t.value[...] = data
     return params, config, vocab

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, InputError, ShapeError
 from .geometry import SPATIAL_DIM
 from .nncore import (DEFAULT_INIT_RADIUS, LstmParams, LstmState, LstmStepCache,
-                     ParamTensor, log_softmax, lstm_step, lstm_step_backward)
+                     ParamTensor, init_uniform, log_softmax, lstm_step, lstm_step_backward)
 from .textproc import BOS_ID, EOS_ID
 
 _CONFIG_KEYS = ("vocab_size", "embed_dim", "hidden_dim", "feat_dim", "spatial_dim",
@@ -84,46 +84,32 @@ class ScrcConfig:
 class ScrcParams:
     """All learnable weights: embedding, three LSTM units, prediction head."""
 
-    def __init__(self, E: ParamTensor, lstm_language: LstmParams, lstm_local: LstmParams,
-                 lstm_global: LstmParams, W_local: ParamTensor, W_global: ParamTensor,
-                 r: ParamTensor):
-        self.E = E
-        self.lstm_language = lstm_language
-        self.lstm_local = lstm_local
-        self.lstm_global = lstm_global
-        self.W_local = W_local
-        self.W_global = W_global
-        self.r = r
+    def __init__(self, config: ScrcConfig, dtype=np.float32):
+        """All-zero parameters."""
+        V, H = config.vocab_size, config.hidden_dim
+        self.E = ParamTensor.zeros("E", (config.embed_dim, V), dtype)
+        self.lstm_language = LstmParams("lstm_language", H, config.embed_dim, dtype)
+        self.lstm_local = LstmParams("lstm_local", H, config.local_input_dim, dtype)
+        self.lstm_global = LstmParams("lstm_global", H, config.global_input_dim, dtype)
+        self.W_local = ParamTensor.zeros("W_local", (V, H), dtype)
+        self.W_global = ParamTensor.zeros("W_global", (V, H), dtype)
+        self.r = ParamTensor.zeros("r", (V,), dtype)
 
     @classmethod
     def init(cls, config: ScrcConfig, rng: np.random.Generator,
              radius: float = DEFAULT_INIT_RADIUS, dtype=np.float32) -> "ScrcParams":
         """Uniform weights, zero biases. Draw order: E, language unit, local
         unit, global unit, W_local, W_global (r is a bias, zero)."""
-        E = ParamTensor.uniform("E", (config.embed_dim, config.vocab_size), rng, radius, dtype)
-        lang = LstmParams.init("lstm_language", config.hidden_dim, config.embed_dim,
-                               rng, radius, dtype)
-        local = LstmParams.init("lstm_local", config.hidden_dim, config.local_input_dim,
-                                rng, radius, dtype)
-        glob = LstmParams.init("lstm_global", config.hidden_dim, config.global_input_dim,
-                               rng, radius, dtype)
-        W_local = ParamTensor.uniform("W_local", (config.vocab_size, config.hidden_dim),
-                                      rng, radius, dtype)
-        W_global = ParamTensor.uniform("W_global", (config.vocab_size, config.hidden_dim),
-                                       rng, radius, dtype)
-        r = ParamTensor.zeros("r", (config.vocab_size,), dtype)
-        return cls(E, lang, local, glob, W_local, W_global, r)
+        params = cls(config, dtype)
+        units = (params.lstm_language, params.lstm_local, params.lstm_global)
+        for t in ([params.E] + [w for unit in units for w in (unit.W_x, unit.W_h)]
+                  + [params.W_local, params.W_global]):
+            t.value[...] = init_uniform(rng, t.value.shape, radius, dtype)
+        return params
 
     @classmethod
     def zeros(cls, config: ScrcConfig, dtype=np.float32) -> "ScrcParams":
-        E = ParamTensor.zeros("E", (config.embed_dim, config.vocab_size), dtype)
-        lang = LstmParams.zeros("lstm_language", config.hidden_dim, config.embed_dim, dtype)
-        local = LstmParams.zeros("lstm_local", config.hidden_dim, config.local_input_dim, dtype)
-        glob = LstmParams.zeros("lstm_global", config.hidden_dim, config.global_input_dim, dtype)
-        W_local = ParamTensor.zeros("W_local", (config.vocab_size, config.hidden_dim), dtype)
-        W_global = ParamTensor.zeros("W_global", (config.vocab_size, config.hidden_dim), dtype)
-        r = ParamTensor.zeros("r", (config.vocab_size,), dtype)
-        return cls(E, lang, local, glob, W_local, W_global, r)
+        return cls(config, dtype)
 
     def tensors(self) -> list[ParamTensor]:
         return ([self.E] + self.lstm_language.tensors() + self.lstm_local.tensors()
@@ -172,10 +158,13 @@ class DecoderState:
     glob: LstmState
 
 
-def initial_state(config: ScrcConfig, dtype=np.float32) -> DecoderState:
-    return DecoderState(LstmState.zeros(config.hidden_dim, dtype),
-                        LstmState.zeros(config.hidden_dim, dtype),
-                        LstmState.zeros(config.hidden_dim, dtype))
+def initial_state(config: ScrcConfig, dtype=np.float32,
+                  columns: Optional[int] = None) -> DecoderState:
+    """All-zero (H,) vectors, or columns: `columns` local, one per other unit."""
+    H = config.hidden_dim
+    shared, local = ((H,), (H,)) if columns is None else ((H, 1), (H, columns))
+    return DecoderState(LstmState.zeros(shared, dtype), LstmState.zeros(local, dtype),
+                        LstmState.zeros(shared, dtype))
 
 
 def prepare_features(config: ScrcConfig, x_box, x_context, x_spatial,
@@ -195,14 +184,8 @@ def prepare_features(config: ScrcConfig, x_box, x_context, x_spatial,
     need_global = not config.mask_context
     box = coerce(x_box, config.feat_dim, "x_box", need_local)
     ctx = coerce(x_context, config.feat_dim, "x_context", need_global)
-    if config.mask_spatial or x_spatial is None:
-        if need_local and not config.mask_spatial and x_spatial is None:
-            raise InputError("x_spatial is required in this mode")
-        sp = np.zeros(config.spatial_dim, dtype=dtype)
-    else:
-        sp = np.asarray(x_spatial, dtype=dtype)
-        if sp.shape != (config.spatial_dim,):
-            raise ShapeError(f"x_spatial: expected shape ({config.spatial_dim},), got {sp.shape}")
+    sp = (np.zeros(config.spatial_dim, dtype=dtype) if config.mask_spatial
+          else coerce(x_spatial, config.spatial_dim, "x_spatial", need_local))
     return PreparedFeatures(box, sp, ctx)
 
 
@@ -219,36 +202,59 @@ class StepRecord:
 class ForwardTrace:
     """Per-step caches of one scoring pass, sufficient for backprop."""
 
-    inputs: list[int]
     targets: list[int]
-    feats: PreparedFeatures
     steps: list[StepRecord]
     log_prob: float
 
 
-def _step(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
-          state: DecoderState, feats: PreparedFeatures):
+def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures):
+    """The local and global units' fixed inputs, and r shaped like a column of
+    logits. Vectors keep the raw inputs, which the backprop caches need;
+    columns hold each unit's input projection plus bias (None if skipped)."""
+    local_in = np.concatenate([feats.x_box, feats.x_spatial])
+    if feats.x_context.ndim == 1:
+        return local_in, feats.x_context, params.r.value
+    H = config.hidden_dim
+    local = glob = None
+    if not config.caption_mode:
+        unit = params.lstm_local
+        local = unit.W_x.value[:, H:] @ local_in + unit.b.value[:, None]
+    if not config.mask_context:
+        unit = params.lstm_global
+        glob = unit.W_x.value[:, H:] @ feats.x_context + unit.b.value[:, None]
+    return local, glob, params.r.value[:, None]
+
+
+def _unit_step(unit: LstmParams, h_lang: np.ndarray, prev: LstmState, fixed: np.ndarray):
+    """Step a local or global unit, whose input is [h_lang, fixed part]."""
+    if h_lang.ndim == 1:
+        return lstm_step(unit, np.concatenate([h_lang, fixed]), prev)
+    return lstm_step(unit, h_lang, prev, fixed)
+
+
+def _advance(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
+             state: DecoderState, fixed: tuple):
+    """The decoder core's step: logits, new state and unit caches. On
+    columns, the language and global units run one per query or beam and
+    the local unit one per candidate or beam; logits are (V, columns)."""
+    fixed_local, fixed_glob, r = fixed
     lang, cache_lang = lstm_step(params.lstm_language, x_word, state.lang)
     local, cache_local = state.local, None
     glob, cache_glob = state.glob, None
-    if not config.caption_mode:
-        x_local = np.concatenate([lang.h, feats.x_box, feats.x_spatial])
-        local, cache_local = lstm_step(params.lstm_local, x_local, state.local)
+    logits = r.copy()
     if not config.mask_context:
-        x_glob = np.concatenate([lang.h, feats.x_context])
-        glob, cache_glob = lstm_step(params.lstm_global, x_glob, state.glob)
-    logits = params.r.value.copy()
+        glob, cache_glob = _unit_step(params.lstm_global, lang.h, state.glob, fixed_glob)
+        logits = params.W_global.value @ glob.h + logits
     if not config.caption_mode:
-        logits += params.W_local.value @ local.h
-    if not config.mask_context:
-        logits += params.W_global.value @ glob.h
-    return logits, DecoderState(lang, local, glob), cache_lang, cache_local, cache_glob
+        local, cache_local = _unit_step(params.lstm_local, lang.h, state.local, fixed_local)
+        logits = params.W_local.value @ local.h + logits
+    return logits, DecoderState(lang, local, glob), (cache_lang, cache_local, cache_glob)
 
 
 def step_logits(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
                 state: DecoderState, feats: PreparedFeatures):
     """Advance one step: next-word logits and the updated decoder state."""
-    logits, new_state, *_ = _step(params, config, x_word, state, feats)
+    logits, new_state, _ = _advance(params, config, x_word, state, _fix(params, config, feats))
     return logits, new_state
 
 
@@ -262,25 +268,34 @@ def _check_query(config: ScrcConfig, query: Sequence[int]) -> list[int]:
     return ids
 
 
+def _decode(params: ScrcParams, config: ScrcConfig, query: list[int],
+            feats: PreparedFeatures, keep_trace: bool):
+    """Sum the target log-probs of <bos> + query in float64; returns (sum,
+    step records). feats are vectors, or columns for N candidates (x_context
+    (dim, 1)): the sum is then (N,), or (1,) if no unit reads the box."""
+    columns = feats.x_box.shape[1] if feats.x_box.ndim == 2 else None
+    fixed = _fix(params, config, feats)
+    state = initial_state(config, params.dtype, columns)
+    steps: list[StepRecord] = []
+    total = np.float64(0.0)
+    for w_in, w_tgt in zip([BOS_ID] + query, query + [EOS_ID]):
+        x_word = params.E.value[:, w_in if columns is None else [w_in]]
+        logits, state, caches = _advance(params, config, x_word, state, fixed)
+        logp = log_softmax(logits)
+        total = total + logp[w_tgt]
+        if keep_trace:
+            steps.append(StepRecord(w_in, *caches, np.exp(logp)))
+    return total, steps
+
+
 def _forward(params: ScrcParams, config: ScrcConfig, request: ScoreRequest,
              keep_trace: bool) -> ForwardTrace:
     params.check_config(config)
     query = _check_query(config, request.query)
     feats = prepare_features(config, request.x_box, request.x_context, request.x_spatial,
                              dtype=params.dtype)
-    inputs = [BOS_ID] + query
-    targets = query + [EOS_ID]
-    state = initial_state(config, params.dtype)
-    steps: list[StepRecord] = []
-    total = 0.0
-    for w_in, w_tgt in zip(inputs, targets):
-        x_word = params.E.value[:, w_in].copy()
-        logits, state, c_lang, c_local, c_glob = _step(params, config, x_word, state, feats)
-        logp = log_softmax(logits)
-        total += float(logp[w_tgt])
-        if keep_trace:
-            steps.append(StepRecord(w_in, c_lang, c_local, c_glob, np.exp(logp)))
-    return ForwardTrace(inputs, targets, feats, steps, total)
+    total, steps = _decode(params, config, query, feats, keep_trace)
+    return ForwardTrace(query + [EOS_ID], steps, float(total))
 
 
 def sequence_log_prob(params: ScrcParams, config: ScrcConfig, request: ScoreRequest) -> float:
@@ -295,17 +310,34 @@ def forward_trace(params: ScrcParams, config: ScrcConfig, request: ScoreRequest)
 
 def score_candidates(params: ScrcParams, config: ScrcConfig,
                      requests: Sequence[ScoreRequest]) -> list[float]:
-    """Score each request independently; output order matches input order."""
+    """Score each request; output order matches input order. Per group of
+    requests sharing query and context, the language and global units and
+    the W_global h_global + r term run once, and the local unit and W_local
+    head run on all the group's candidates as one matrix product per step.
+    """
     if not requests:
         raise InputError("empty candidate list")
-    scores = []
+    params.check_config(config)
+    groups: dict[tuple, list[tuple[int, PreparedFeatures]]] = {}
     for idx, req in enumerate(requests):
         try:
-            scores.append(sequence_log_prob(params, config, req))
-        except ShapeError as e:
-            raise ShapeError(f"candidate {idx}: {e}") from e
-        except InputError as e:
-            raise InputError(f"candidate {idx}: {e}") from e
+            query = _check_query(config, req.query)
+            feats = prepare_features(config, req.x_box, req.x_context, req.x_spatial,
+                                     dtype=params.dtype)
+        except (ShapeError, InputError) as e:
+            raise type(e)(f"candidate {idx}: {e}") from e
+        groups.setdefault((tuple(query), feats.x_context.tobytes()), []).append((idx, feats))
+
+    scores = [0.0] * len(requests)
+    for (query, _), members in groups.items():
+        # a lone candidate runs as vectors, exactly as sequence_log_prob does
+        feats = members[0][1] if len(members) == 1 else PreparedFeatures(
+            np.stack([f.x_box for _, f in members], axis=1),
+            np.stack([f.x_spatial for _, f in members], axis=1),
+            members[0][1].x_context[:, None])
+        total, _ = _decode(params, config, list(query), feats, keep_trace=False)
+        for (idx, _), score in zip(members, np.broadcast_to(total, (len(members),))):
+            scores[idx] = float(score)
     return scores
 
 
@@ -322,10 +354,9 @@ def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,
     if not trace.steps or len(trace.steps) != len(trace.targets):
         raise ContractError("trace lacks per-step caches; use forward_trace")
     hidden = config.hidden_dim
-    zeros = np.zeros(hidden, dtype=params.dtype)
-    dh_lang_next, dc_lang_next = zeros.copy(), zeros.copy()
-    dh_local_next, dc_local_next = zeros.copy(), zeros.copy()
-    dh_glob_next, dc_glob_next = zeros.copy(), zeros.copy()
+    zeros = np.zeros(hidden, dtype=params.dtype)  # only ever read
+    dh_lang_next = dc_lang_next = dh_local_next = dc_local_next = zeros
+    dh_glob_next = dc_glob_next = zeros
 
     for t in reversed(range(len(trace.steps))):
         rec = trace.steps[t]
@@ -354,14 +385,6 @@ def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,
         params.E.grad[:, rec.input_id] += dx_lang
 
 
-@dataclass
-class _Beam:
-    tokens: tuple[int, ...]
-    log_prob: float
-    state: DecoderState
-    next_logp: np.ndarray
-
-
 def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_context,
                          x_spatial, beam_width: int, max_len: int):
     """Beam-search for the most likely token sequence given the features.
@@ -370,6 +393,9 @@ def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_contex
     max_len are forced to take it), so all scores are directly comparable
     with sequence scoring. Ties break toward the lexicographically smaller
     token-id sequence. Returns (token ids, log-probability).
+
+    Live beams advance as one batch; each round sorts only the extensions
+    at or above the beam_width-th best, which hold all a full sort would pick.
     """
     if beam_width < 1:
         raise InputError(f"beam_width must be >= 1, got {beam_width}")
@@ -377,32 +403,31 @@ def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_contex
         raise InputError(f"max_len must be >= 1, got {max_len}")
     params.check_config(config)
     feats = prepare_features(config, x_box, x_context, x_spatial, dtype=params.dtype)
-    state = initial_state(config, params.dtype)
-    logits, state = step_logits(params, config, params.E.value[:, BOS_ID].copy(), state, feats)
-    live = [_Beam((), 0.0, state, log_softmax(logits))]
+    fixed = _fix(params, config, PreparedFeatures(feats.x_box[:, None], feats.x_spatial[:, None],
+                                                  feats.x_context[:, None]))
+    state = initial_state(config, params.dtype, columns=1)
+    content = np.array([t for t in range(config.vocab_size) if t != BOS_ID])
+    beams = [(0.0, (), 0, BOS_ID)]  # (log-prob, tokens, parent column, last token)
     finished: list[tuple[float, tuple[int, ...]]] = []
-
-    while live:
-        candidates = []  # (log_prob, tokens-after-choice, beam, chosen id)
-        for beam in live:
-            at_cap = len(beam.tokens) == max_len
-            for tid in range(config.vocab_size):
-                if tid == BOS_ID:
-                    continue
-                if at_cap and tid != EOS_ID:
-                    continue
-                toks = beam.tokens if tid == EOS_ID else beam.tokens + (tid,)
-                candidates.append((beam.log_prob + float(beam.next_logp[tid]),
-                                   toks, beam, tid))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for lp, toks, beam, tid in candidates[:beam_width]:
-            if tid == EOS_ID:
-                finished.append((lp, toks))
-            else:
-                logits, new_state = step_logits(
-                    params, config, params.E.value[:, tid].copy(), beam.state, feats)
-                live.append(_Beam(toks, lp, new_state, log_softmax(logits)))
+    while beams:
+        parents = [b[2] for b in beams]
+        state = DecoderState(*(LstmState(s.h[:, parents], s.c[:, parents])
+                               for s in (state.lang, state.local, state.glob)))
+        logits, state, _ = _advance(params, config, params.E.value[:, [b[3] for b in beams]],
+                                    state, fixed)
+        choices = content if len(beams[0][1]) < max_len else np.array([EOS_ID])
+        totals = (np.array([b[0] for b in beams])[:, None]
+                  + log_softmax(logits).T[:, choices]).ravel()
+        cut = totals.size - min(beam_width, totals.size)
+        kept = []
+        for flat in np.flatnonzero(totals >= np.partition(totals, cut)[cut]):
+            parent, col = divmod(int(flat), len(choices))
+            tid = int(choices[col])
+            toks = beams[parent][1] + (() if tid == EOS_ID else (tid,))
+            kept.append((float(totals[flat]), toks, parent, tid))
+        kept.sort(key=lambda c: (-c[0], c[1]))
+        finished += [c[:2] for c in kept[:beam_width] if c[3] == EOS_ID]
+        beams = [c for c in kept[:beam_width] if c[3] != EOS_ID]
 
     best_lp, best_toks = min(finished, key=lambda f: (-f[0], f[1]))
     return list(best_toks), best_lp

@@ -8,6 +8,7 @@ precision; gradient verification runs everything in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -50,11 +51,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-probabilities of a logit vector, or of each column of a (V, N) matrix."""
     logits = np.asarray(logits)
-    if logits.ndim != 1 or logits.size == 0:
-        raise ShapeError(f"log_softmax expects a non-empty vector, got shape {logits.shape}")
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    if logits.ndim not in (1, 2) or logits.shape[0] == 0:
+        raise ShapeError(
+            f"log_softmax expects a non-empty vector or (V, N) matrix, got shape {logits.shape}")
+    shifted = logits - logits.max(axis=0)
+    return shifted - np.log(np.exp(shifted).sum(axis=0))
 
 
 def init_uniform(rng: np.random.Generator, shape, radius: float = DEFAULT_INIT_RADIUS,
@@ -96,58 +99,46 @@ class LstmParams:
     Gate pre-activations are W_x. x_t + W_h. h_{t-1} + b_. for the input,
     forget, output and candidate (g) gates; the cell update is
     c_t = f * c_{t-1} + i * g and the output h_t = o * tanh(c_t).
+
+    The gates are stored fused along axis 0 in the order i, f, o, g: W_x
+    (4H, input), W_h (4H, H) and b (4H). The per-gate tensors W_xi ... b_g
+    that checkpoints name are row-block views of their values and grads.
     """
 
-    def __init__(self, W_xi, W_xf, W_xo, W_xg, W_hi, W_hf, W_ho, W_hg,
-                 b_i, b_f, b_o, b_g):
-        self.W_xi, self.W_xf, self.W_xo, self.W_xg = W_xi, W_xf, W_xo, W_xg
-        self.W_hi, self.W_hf, self.W_ho, self.W_hg = W_hi, W_hf, W_ho, W_hg
-        self.b_i, self.b_f, self.b_o, self.b_g = b_i, b_f, b_o, b_g
-        hidden, input_dim = W_xi.value.shape
-        for t in self.tensors():
-            leaf = t.name.rsplit(".", 1)[-1]
-            if leaf.startswith("W_x"):
-                expect = (hidden, input_dim)
-            elif leaf.startswith("W_h"):
-                expect = (hidden, hidden)
-            else:
-                expect = (hidden,)
-            if t.value.shape != expect:
-                raise ShapeError(f"{t.name}: expected shape {expect}, got {t.value.shape}")
+    def __init__(self, prefix: str, hidden_dim: int, input_dim: int, dtype=np.float32):
+        """All-zero parameters."""
+        gates = 4 * hidden_dim
+        self.W_x = ParamTensor.zeros(f"{prefix}.W_x", (gates, input_dim), dtype)
+        self.W_h = ParamTensor.zeros(f"{prefix}.W_h", (gates, hidden_dim), dtype)
+        self.b = ParamTensor.zeros(f"{prefix}.b", (gates,), dtype)
+        for k, gate in enumerate(GATE_NAMES):
+            rows = slice(k * hidden_dim, (k + 1) * hidden_dim)
+            for whole, name in ((self.W_x, f"W_x{gate}"), (self.W_h, f"W_h{gate}"),
+                                (self.b, f"b_{gate}")):
+                setattr(self, name, ParamTensor(f"{prefix}.{name}", whole.value[rows],
+                                                whole.grad[rows]))
 
     @classmethod
     def init(cls, prefix: str, hidden_dim: int, input_dim: int, rng: np.random.Generator,
              radius: float = DEFAULT_INIT_RADIUS, dtype=np.float32) -> "LstmParams":
         """Uniform(-radius, radius) weights, zero biases. Draw order is fixed:
         W_xi, W_xf, W_xo, W_xg, then W_hi, W_hf, W_ho, W_hg."""
-        def w(name, shape):
-            return ParamTensor.uniform(f"{prefix}.{name}", shape, rng, radius, dtype)
-
-        def b(name):
-            return ParamTensor.zeros(f"{prefix}.{name}", (hidden_dim,), dtype)
-
-        ws_x = [w(f"W_x{g}", (hidden_dim, input_dim)) for g in GATE_NAMES]
-        ws_h = [w(f"W_h{g}", (hidden_dim, hidden_dim)) for g in GATE_NAMES]
-        bs = [b(f"b_{g}") for g in GATE_NAMES]
-        return cls(*ws_x, *ws_h, *bs)
+        unit = cls(prefix, hidden_dim, input_dim, dtype)
+        for t in (unit.W_x, unit.W_h):
+            t.value[...] = init_uniform(rng, t.value.shape, radius, dtype)
+        return unit
 
     @classmethod
     def zeros(cls, prefix: str, hidden_dim: int, input_dim: int, dtype=np.float32) -> "LstmParams":
-        def z(name, shape):
-            return ParamTensor.zeros(f"{prefix}.{name}", shape, dtype)
-
-        ws_x = [z(f"W_x{g}", (hidden_dim, input_dim)) for g in GATE_NAMES]
-        ws_h = [z(f"W_h{g}", (hidden_dim, hidden_dim)) for g in GATE_NAMES]
-        bs = [z(f"b_{g}", (hidden_dim,)) for g in GATE_NAMES]
-        return cls(*ws_x, *ws_h, *bs)
+        return cls(prefix, hidden_dim, input_dim, dtype)
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_xi.value.shape[0]
+        return self.W_h.value.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.W_xi.value.shape[1]
+        return self.W_x.value.shape[1]
 
     def tensors(self) -> list[ParamTensor]:
         return [self.W_xi, self.W_xf, self.W_xo, self.W_xg,
@@ -181,17 +172,28 @@ class LstmStepCache:
     h: np.ndarray
 
 
-def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState):
-    """One forward step; returns the new state and the backprop cache."""
-    if x.shape != (params.input_dim,):
-        raise ShapeError(f"lstm input: expected ({params.input_dim},), got {x.shape}")
-    if prev.h.shape != (params.hidden_dim,) or prev.c.shape != (params.hidden_dim,):
+def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState,
+              x_proj: Optional[np.ndarray] = None):
+    """One forward step; returns the new state and the backprop cache.
+
+    x and the state are vectors, or columns ((input, N) and (H, N); one x
+    column broadcasts). With x_proj, x holds only the leading input columns
+    and x_proj the rest's precomputed W_x columns @ input + b, for inputs
+    fixed over a sequence; the cache then records only the leading columns.
+    """
+    hidden, input_dim = params.hidden_dim, params.input_dim
+    k = x.shape[0] if x.ndim else 0
+    if x.ndim not in (1, 2) or not (k == input_dim if x_proj is None else 0 < k < input_dim):
+        raise ShapeError(f"lstm input: expected ({input_dim},), got {x.shape}")
+    if prev.h.shape[:1] != (hidden,) or prev.h.ndim != x.ndim or prev.c.shape != prev.h.shape:
         raise ShapeError(
-            f"lstm state: expected ({params.hidden_dim},), got h {prev.h.shape} c {prev.c.shape}")
-    i = sigmoid(params.W_xi.value @ x + params.W_hi.value @ prev.h + params.b_i.value)
-    f = sigmoid(params.W_xf.value @ x + params.W_hf.value @ prev.h + params.b_f.value)
-    o = sigmoid(params.W_xo.value @ x + params.W_ho.value @ prev.h + params.b_o.value)
-    g = np.tanh(params.W_xg.value @ x + params.W_hg.value @ prev.h + params.b_g.value)
+            f"lstm state: expected ({hidden},), got h {prev.h.shape} c {prev.c.shape}")
+    pre = params.W_x.value[:, :k] @ x + params.W_h.value @ prev.h
+    if x_proj is None:
+        x_proj = params.b.value if pre.ndim == 1 else params.b.value[:, None]
+    pre += x_proj
+    i, f, o = np.split(sigmoid(pre[:3 * hidden]), 3)
+    g = np.tanh(pre[3 * hidden:])
     c = f * prev.c + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
@@ -201,12 +203,12 @@ def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState):
 
 def lstm_step_backward(params: LstmParams, cache: LstmStepCache,
                        dh: np.ndarray, dc: np.ndarray):
-    """Backpropagate one step.
+    """Backpropagate one step of a vector forward pass.
 
     dh and dc are the loss gradients flowing into h_t and c_t. Parameter
     gradients accumulate into params; returns (dx, dh_prev, dc_prev).
     """
-    hidden, input_dim = params.W_xi.value.shape
+    hidden, input_dim = params.hidden_dim, params.input_dim
     if cache.x.shape != (input_dim,) or cache.h_prev.shape != (hidden,):
         raise ContractError(
             f"cache (input {cache.x.shape}, hidden {cache.h_prev.shape}) does not match "
@@ -219,21 +221,12 @@ def lstm_step_backward(params: LstmParams, cache: LstmStepCache,
     i_pre = dc_total * cache.g * cache.i * (1.0 - cache.i)
     f_pre = dc_total * cache.c_prev * cache.f * (1.0 - cache.f)
     g_pre = dc_total * cache.i * (1.0 - cache.g ** 2)
-    dc_prev = dc_total * cache.f
+    pre = np.concatenate([i_pre, f_pre, o_pre, g_pre])
 
-    for pre, W_x, W_h, b in ((i_pre, params.W_xi, params.W_hi, params.b_i),
-                             (f_pre, params.W_xf, params.W_hf, params.b_f),
-                             (o_pre, params.W_xo, params.W_ho, params.b_o),
-                             (g_pre, params.W_xg, params.W_hg, params.b_g)):
-        W_x.grad += np.outer(pre, cache.x)
-        W_h.grad += np.outer(pre, cache.h_prev)
-        b.grad += pre
-
-    dx = (params.W_xi.value.T @ i_pre + params.W_xf.value.T @ f_pre
-          + params.W_xo.value.T @ o_pre + params.W_xg.value.T @ g_pre)
-    dh_prev = (params.W_hi.value.T @ i_pre + params.W_hf.value.T @ f_pre
-               + params.W_ho.value.T @ o_pre + params.W_hg.value.T @ g_pre)
-    return dx, dh_prev, dc_prev
+    params.W_x.grad += np.outer(pre, cache.x)
+    params.W_h.grad += np.outer(pre, cache.h_prev)
+    params.b.grad += pre
+    return params.W_x.value.T @ pre, params.W_h.value.T @ pre, dc_total * cache.f
 
 
 def global_grad_norm(params: list[ParamTensor]) -> float:

@@ -162,12 +162,10 @@ def transfer_weights(params: ScrcParams, config: ScrcConfig):
         raise ConfigError(
             f"cannot transfer: local input dim {local.input_dim} != "
             f"global input dim {shared} + {config.spatial_dim} spatial")
-    for name in ("i", "f", "o", "g"):
-        w_loc, w_glob = getattr(local, f"W_x{name}"), getattr(glob, f"W_x{name}")
-        w_loc.value[:, :shared] = w_glob.value
-        w_loc.value[:, shared:] = 0.0
-        getattr(local, f"W_h{name}").value[...] = getattr(glob, f"W_h{name}").value
-        getattr(local, f"b_{name}").value[...] = getattr(glob, f"b_{name}").value
+    local.W_x.value[:, :shared] = glob.W_x.value
+    local.W_x.value[:, shared:] = 0.0
+    local.W_h.value[...] = glob.W_h.value
+    local.b.value[...] = glob.b.value
     params.W_local.value[...] = params.W_global.value
 
 

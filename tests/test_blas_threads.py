@@ -1,0 +1,72 @@
+"""Determinism across BLAS thread counts, checked in subprocesses because
+OpenBLAS reads its thread count once, at load.
+
+Batched scoring multiplies matrices with many columns (GEMM), whose
+rounding OpenBLAS may change with the number of threads; so may the
+transposed matrix-vector products of the backward pass. At a fixed thread
+count every result is byte-identical from run to run; across thread counts
+scores agree to a relative 1e-5 and rank the candidates identically. The
+dims are large enough for OpenBLAS to split these products across threads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import scrc
+from scrc.evalmetrics import rank_candidates
+
+SCRIPT = r"""
+import hashlib, json
+import numpy as np
+from scrc.model import (ScoreRequest, ScrcConfig, ScrcParams, backward, forward_trace,
+                        score_candidates)
+from scrc.nncore import SgdOptimizer, make_rng
+
+dim = 512
+config = ScrcConfig(vocab_size=1000, embed_dim=dim, hidden_dim=dim, feat_dim=dim)
+rng = make_rng(5)
+params = ScrcParams.init(config, rng)
+ctx = rng.random(dim)
+query = [int(t) for t in rng.integers(3, config.vocab_size, size=6)]
+reqs = [ScoreRequest(query, rng.random(dim), ctx, rng.uniform(-1, 1, 8)) for _ in range(64)]
+scores = score_candidates(params, config, reqs)
+
+opt = SgdOptimizer(params.tensors(), lr=0.1)
+for req in reqs[:2]:
+    trace = forward_trace(params, config, req)
+    backward(params, config, trace, trace.targets, scale=0.5)
+opt.step()
+digest = hashlib.sha256(b"".join(t.value.tobytes() for t in params.tensors())).hexdigest()
+print(json.dumps({"scores": [s.hex() for s in scores], "trained": digest}))
+"""
+
+
+def run_with_threads(threads: int) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    src = str(Path(scrc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return {"1": run_with_threads(1), "2a": run_with_threads(2), "2b": run_with_threads(2)}
+
+
+def test_fixed_thread_count_is_byte_identical(runs):
+    assert runs["2a"] == runs["2b"]
+
+
+def test_thread_counts_agree_on_rankings(runs):
+    one = np.array([float.fromhex(s) for s in runs["1"]["scores"]])
+    two = np.array([float.fromhex(s) for s in runs["2a"]["scores"]])
+    assert rank_candidates(list(one)) == rank_candidates(list(two))
+    assert np.all(np.abs(one - two) <= 1e-5 * np.abs(one))
