@@ -8,6 +8,7 @@ command-line flags override config-file values override built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,17 +25,12 @@ from .train import (TrainConfig, finetune_retrieval, pretrain_captioning, transf
 
 GRADCHECK_THRESHOLD = 1e-4
 
-_CONFIG_TYPES = {
-    "embed_dim": int, "hidden_dim": int, "feat_dim": int, "min_count": int,
-    "lr": float, "momentum": float, "clip_norm": float,
-    "steps": int, "batch_size": int, "seed": int,
-    "mask_spatial": bool, "mask_context": bool,
-}
-
-_BASE_DEFAULTS = {
-    "embed_dim": 1000, "hidden_dim": 1000, "feat_dim": 1000, "min_count": 1,
-    "momentum": 0.9, "clip_norm": 10.0, "batch_size": 16, "seed": 0,
-    "mask_spatial": False, "mask_context": False,
+# key -> (type, default); lr and steps take their defaults from the phase
+_SETTINGS = {
+    "embed_dim": (int, 1000), "hidden_dim": (int, 1000), "feat_dim": (int, 1000),
+    "min_count": (int, 1), "lr": (float, None), "momentum": (float, 0.9),
+    "clip_norm": (float, 10.0), "steps": (int, None), "batch_size": (int, 16),
+    "seed": (int, 0), "mask_spatial": (bool, False), "mask_context": (bool, False),
 }
 
 _PHASE_DEFAULTS = {
@@ -53,15 +49,15 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     out = {}
     for key, value in raw.items():
-        if key not in _CONFIG_TYPES:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        want = _CONFIG_TYPES[key]
+        want = _SETTINGS[key][0]
         if want is bool:
             if not isinstance(value, bool):
                 raise ConfigError(f"{path}: key {key!r} must be a boolean")
@@ -78,14 +74,14 @@ def _load_config_file(path) -> dict:
 
 def _resolve_config(args, phase: str):
     """Merge defaults, config file and flags; returns (values, explicit keys)."""
-    values = dict(_BASE_DEFAULTS)
+    values = {key: default for key, (_, default) in _SETTINGS.items()}
     values.update(_PHASE_DEFAULTS[phase])
     explicit = set()
     if getattr(args, "config", None):
         file_vals = _load_config_file(args.config)
         values.update(file_vals)
         explicit.update(file_vals)
-    for key in _CONFIG_TYPES:
+    for key in _SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -93,10 +89,9 @@ def _resolve_config(args, phase: str):
     return values, explicit
 
 
-def _train_config(values: dict, phase: str) -> TrainConfig:
-    return TrainConfig(lr=values["lr"], steps=values["steps"], seed=values["seed"],
-                       batch_size=values["batch_size"], momentum=values["momentum"],
-                       clip_norm=values["clip_norm"], phase=phase)
+def _fields(cls, values: dict) -> dict:
+    """The settings that are fields of the dataclass cls."""
+    return {f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values}
 
 
 def _check_feat_dim(config: ScrcConfig, store: datastore.FeatureStore, name: str):
@@ -108,21 +103,12 @@ def _check_feat_dim(config: ScrcConfig, store: datastore.FeatureStore, name: str
 
 def _add_config_flags(p: argparse.ArgumentParser, masks: bool = False):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--feat-dim", dest="feat_dim", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seed", type=int)
-    if masks:
-        p.add_argument("--mask-spatial", dest="mask_spatial",
-                       action=argparse.BooleanOptionalAction, default=None)
-        p.add_argument("--mask-context", dest="mask_context",
-                       action=argparse.BooleanOptionalAction, default=None)
+    for key, (kind, _) in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is not bool:
+            p.add_argument(flag, type=kind)
+        elif masks:
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -199,13 +185,12 @@ def _cmd_pretrain(args) -> int:
     context_store = datastore.load_feature_store(args.context_features)
     vocab = build_vocab((c for rec in captions for c in rec.captions),
                         min_count=values["min_count"])
-    config = ScrcConfig(vocab_size=len(vocab), embed_dim=values["embed_dim"],
-                        hidden_dim=values["hidden_dim"], feat_dim=values["feat_dim"],
-                        caption_mode=True)
+    config = ScrcConfig(vocab_size=len(vocab), caption_mode=True,
+                        **{key: values[key] for key in _DIM_KEYS})
     _check_feat_dim(config, context_store, "context feature")
     params = ScrcParams.init(config, make_rng(values["seed"]))
     report = pretrain_captioning(params, config, captions, context_store, vocab,
-                                 _train_config(values, "pretrain"))
+                                 TrainConfig(phase="pretrain", **_fields(TrainConfig, values)))
     datastore.save_checkpoint(params, config, vocab, args.out)
     _emit(report.to_dict())
     return 0
@@ -233,10 +218,7 @@ def _cmd_finetune(args) -> int:
             raise ConfigError("--no-transfer-init and --in are mutually exclusive")
         vocab = build_vocab((d for rec in records for d in rec.descriptions),
                             min_count=values["min_count"])
-        config = ScrcConfig(vocab_size=len(vocab), embed_dim=values["embed_dim"],
-                            hidden_dim=values["hidden_dim"], feat_dim=values["feat_dim"],
-                            mask_spatial=values["mask_spatial"],
-                            mask_context=values["mask_context"])
+        config = ScrcConfig(vocab_size=len(vocab), **_fields(ScrcConfig, values))
         params = ScrcParams.init(config, make_rng(values["seed"]))
     else:
         if not args.input:
@@ -257,7 +239,7 @@ def _cmd_finetune(args) -> int:
     _check_feat_dim(config, context_store, "context feature")
     tuples = datastore.build_training_tuples(records, region_store, context_store, vocab)
     report = finetune_retrieval(params, config, tuples, region_store, context_store,
-                                _train_config(values, "finetune"))
+                                TrainConfig(phase="finetune", **_fields(TrainConfig, values)))
     datastore.save_checkpoint(params, config, vocab, args.out)
     _emit(report.to_dict())
     return 0

@@ -105,6 +105,14 @@ class _Cursor:
     def take(self, n: int) -> bytes:
         return self.buf[self.skip(n):self.off]  # skip() runs first and advances off
 
+    def text(self, n: int) -> str:
+        """The next n bytes decoded as UTF-8."""
+        off = self.off
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{self.what}: invalid UTF-8 at byte {off + e.start}") from None
+
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
@@ -129,7 +137,7 @@ def load_feature_store(path) -> FeatureStore:
     for _ in range(count):
         key_off = cur.off
         (klen,) = cur.unpack("<H")
-        key = cur.take(klen).decode("utf-8")
+        key = cur.text(klen)
         vec = np.frombuffer(cur.buf, "<f4", count=dim, offset=cur.skip(4 * dim)).copy()
         if key in store.entries:
             raise FormatError(f"feature store: duplicate key {key!r} at byte {key_off}")
@@ -164,8 +172,13 @@ class CaptionRecord:
 
 
 def _iter_jsonl(path):
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(
+                    f"{path}: line {lineno}: invalid UTF-8 at byte {e.start} of the line") from None
             if not line.strip():
                 continue
             try:
@@ -225,8 +238,13 @@ def load_annotations(path) -> list[AnnotationRecord]:
 
 def load_proposals(path, max_boxes: int = DEFAULT_MAX_PROPOSALS) -> list[ProposalSet]:
     sets = []
+    first_line: dict[str, int] = {}
     for lineno, obj in _iter_jsonl(path):
         image_id = _field(obj, "image_id", str, path, lineno)
+        if image_id in first_line:
+            raise FormatError(f"{path}: line {lineno}: duplicate image_id {image_id!r} "
+                              f"(first on line {first_line[image_id]})")
+        first_line[image_id] = lineno
         raw_boxes = _field(obj, "boxes", list, path, lineno)
         keys = _field(obj, "region_keys", list, path, lineno)
         if len(raw_boxes) != len(keys):
@@ -329,7 +347,7 @@ def load_checkpoint(path):
     except (TypeError, InputError) as e:
         raise FormatError(f"checkpoint: invalid header: {e}") from None
 
-    params = ScrcParams.zeros(config, dtype=np.float32)
+    params = ScrcParams(config, dtype=np.float32)
     expected = {t.name: t for t in params.tensors()}
     (count,) = cur.unpack("<I")
     seen: set[str] = set()
@@ -337,7 +355,7 @@ def load_checkpoint(path):
     for _ in range(count):
         rec_off = cur.off
         (nlen,) = cur.unpack("<H")
-        name = cur.take(nlen).decode("utf-8")
+        name = cur.text(nlen)
         if name in seen:
             raise FormatError(f"checkpoint: duplicate tensor {name!r} at byte {rec_off}")
         seen.add(name)

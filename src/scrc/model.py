@@ -107,10 +107,6 @@ class ScrcParams:
             t.value[...] = init_uniform(rng, t.value.shape, radius, dtype)
         return params
 
-    @classmethod
-    def zeros(cls, config: ScrcConfig, dtype=np.float32) -> "ScrcParams":
-        return cls(config, dtype)
-
     def tensors(self) -> list[ParamTensor]:
         return ([self.E] + self.lstm_language.tensors() + self.lstm_local.tensors()
                 + self.lstm_global.tensors() + [self.W_local, self.W_global, self.r])

@@ -16,8 +16,6 @@ from .errors import ConfigError, ContractError, ShapeError, TrainingError
 
 DEFAULT_INIT_RADIUS = 0.08
 
-GATE_NAMES = ("i", "f", "o", "g")
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator: one seed, one reproducible draw sequence."""
@@ -26,19 +24,9 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec shapes incompatible: {m.shape} @ {v.shape}")
-    return m @ v
-
-
 def sigmoid(x):
     # tanh-based form saturates cleanly instead of overflowing exp for |x| ~ 1e3
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x)))
-
-
-def tanh_act(x):
-    return np.tanh(x)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -84,11 +72,6 @@ class ParamTensor:
     def zeros(cls, name: str, shape, dtype=np.float32) -> "ParamTensor":
         return cls(name, np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
 
-    @classmethod
-    def uniform(cls, name: str, shape, rng: np.random.Generator,
-                radius: float = DEFAULT_INIT_RADIUS, dtype=np.float32) -> "ParamTensor":
-        return cls(name, init_uniform(rng, shape, radius, dtype), np.zeros(shape, dtype=dtype))
-
     def zero_grad(self):
         self.grad[...] = 0.0
 
@@ -111,7 +94,7 @@ class LstmParams:
         self.W_x = ParamTensor.zeros(f"{prefix}.W_x", (gates, input_dim), dtype)
         self.W_h = ParamTensor.zeros(f"{prefix}.W_h", (gates, hidden_dim), dtype)
         self.b = ParamTensor.zeros(f"{prefix}.b", (gates,), dtype)
-        for k, gate in enumerate(GATE_NAMES):
+        for k, gate in enumerate("ifog"):
             rows = slice(k * hidden_dim, (k + 1) * hidden_dim)
             for whole, name in ((self.W_x, f"W_x{gate}"), (self.W_h, f"W_h{gate}"),
                                 (self.b, f"b_{gate}")):
@@ -127,10 +110,6 @@ class LstmParams:
         for t in (unit.W_x, unit.W_h):
             t.value[...] = init_uniform(rng, t.value.shape, radius, dtype)
         return unit
-
-    @classmethod
-    def zeros(cls, prefix: str, hidden_dim: int, input_dim: int, dtype=np.float32) -> "LstmParams":
-        return cls(prefix, hidden_dim, input_dim, dtype)
 
     @property
     def hidden_dim(self) -> int:

@@ -1,12 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scrc.cli import main
-from scrc.datastore import load_checkpoint
+import scrc
+from scrc.cli import _build_parser, _load_config_file, main
+from scrc.datastore import load_checkpoint, load_feature_store
 from scrc.model import ScoreRequest, sequence_log_prob
 from scrc.nncore import make_rng
 
@@ -256,6 +262,25 @@ class TestRetrieve:
         assert code == 1
         assert "img99" in err
 
+    def test_invalid_utf8_feature_key_exit_1(self, synth_dir, finetuned, tmp_path):
+        dim = load_feature_store(synth_dir / "region_features.bin").dim
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"SCRCFEAT" + struct.pack("<IIIH", 1, dim, 1, 2) + b"\xff\xfe"
+                        + bytes(4 * dim))
+        args = self.retrieve_args(synth_dir, finetuned)
+        args[args.index("--region-features") + 1] = str(bad)
+        # a subprocess, so that an uncaught exception shows as a traceback on stderr
+        src = str(Path(scrc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from scrc.cli import main; sys.exit(main())",
+             *args], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "invalid UTF-8 at byte 22" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_single_candidate_top_1(self, synth_dir, finetuned, tmp_path):
         proposals = tmp_path / "one.jsonl"
         proposals.write_text(json.dumps({"image_id": "img00",
@@ -327,6 +352,55 @@ class TestGenerate:
                                 "--context-features",
                                 str(synth_dir / "context_features.bin")])
         assert code == 1
+
+
+class TestSettings:
+    def pretrain(self, synth_dir, tmp_path, settings, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads((synth_dir / "config.json").read_text()),
+                                   **settings}))
+        return run_cli(["pretrain", "--captions", str(synth_dir / "captions.jsonl"),
+                        "--context-features", str(synth_dir / "context_features.bin"),
+                        "--config", str(cfg), "--out", str(tmp_path / "o.ckpt"), *flags])
+
+    def test_flag_overrides_config_file(self, synth_dir, tmp_path):
+        code, out, err = self.pretrain(synth_dir, tmp_path, {"steps": 3}, "--steps", "2")
+        assert code == 0, err
+        assert json.loads(out)["steps"] == 2
+
+    def test_integer_accepted_for_float_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"momentum": 1}))
+        values = _load_config_file(cfg)
+        assert values == {"momentum": 1.0}
+        assert type(values["momentum"]) is float
+
+    @pytest.mark.parametrize("key, value", [("batch_size", 2.5), ("mask_spatial", 1)])
+    def test_wrong_type_names_key(self, synth_dir, tmp_path, key, value):
+        code, _, err = self.pretrain(synth_dir, tmp_path, {key: value})
+        assert code == 1
+        assert repr(key) in err
+
+    def test_invalid_utf8_config_exit_1(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        code, _, err = run_cli(["pretrain", "--captions", str(synth_dir / "captions.jsonl"),
+                                "--context-features", str(synth_dir / "context_features.bin"),
+                                "--config", str(cfg), "--out", str(tmp_path / "o.ckpt")])
+        assert code == 1
+        assert "invalid JSON" in err
+
+    def test_mask_flags_only_on_finetune(self):
+        parser = _build_parser()
+        args = parser.parse_args(["finetune", "--annotations", "a", "--region-features", "r",
+                                  "--context-features", "c", "--out", "o", "--mask-spatial",
+                                  "--no-mask-context"])
+        assert (args.mask_spatial, args.mask_context) == (True, False)
+        with pytest.raises(SystemExit) as exit_info, \
+                contextlib.redirect_stderr(io.StringIO()):
+            parser.parse_args(["pretrain", "--captions", "c", "--context-features", "c",
+                               "--out", "o", "--mask-spatial"])
+        assert exit_info.value.code == 2
 
 
 class TestGradcheck:

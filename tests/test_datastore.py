@@ -94,6 +94,13 @@ class TestFeatureStore:
         with pytest.raises(FormatError, match="duplicate key"):
             load_feature_store(path)
 
+    def test_invalid_utf8_key_names_offset(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"SCRCFEAT" + struct.pack("<IIIH", 1, 1, 1, 2) + b"\xff\xfe"
+                         + struct.pack("<f", 1.0))
+        with pytest.raises(FormatError, match="invalid UTF-8 at byte 22"):
+            load_feature_store(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "f.bin"
         save_feature_store(FeatureStore(2), path)
@@ -146,6 +153,14 @@ class TestAnnotations:
         with pytest.raises(FormatError, match="line 2"):
             load_annotations(path)
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [annotation_row()])
+        path.write_bytes(path.read_bytes() + json.dumps(annotation_row()).encode()[:-2]
+                         + b"\xff\"}\n")
+        with pytest.raises(FormatError, match="a.jsonl: line 2: invalid UTF-8"):
+            load_annotations(path)
+
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "a.jsonl"
         row = annotation_row()
@@ -177,6 +192,14 @@ class TestProposalsAndCaptions:
         write_jsonl(path, [{"image_id": "img1", "boxes": [[0, 0, 5, 5]],
                             "region_keys": ["a", "b"]}])
         with pytest.raises(FormatError, match="line 1"):
+            load_proposals(path)
+
+    def test_duplicate_image_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        row = {"image_id": "img1", "boxes": [[0, 0, 5, 5]], "region_keys": ["a"]}
+        write_jsonl(path, [row, dict(row, image_id="img2"), row])
+        with pytest.raises(FormatError, match=r"line 3: duplicate image_id 'img1' "
+                                              r"\(first on line 1\)"):
             load_proposals(path)
 
     def test_keeps_top_max_boxes(self, tmp_path):
@@ -314,6 +337,19 @@ class TestCheckpoint:
         data[count_off:count_off + 4] = struct.pack("<I", 9999)
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_invalid_utf8_tensor_name_names_offset(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        data = bytearray(path.read_bytes())
+        hlen = struct.unpack("<I", bytes(data[12:16]))[0]
+        name_off = 16 + hlen + 4 + 2  # tensor count, then the first name's length
+        assert data[name_off:name_off + 1] == b"E"
+        data[name_off] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"invalid UTF-8 at byte {name_off}"):
             load_checkpoint(path)
 
     def test_truncated_tensor_data(self, tmp_path):

@@ -131,7 +131,7 @@ class TestBatchedBeamSearch:
     @pytest.mark.parametrize("beam_width", (1, 3, 125))
     def test_all_ties_break_lexicographically(self, beam_width):
         config = small_config(vocab_size=5)
-        params = ScrcParams.zeros(config, dtype=np.float64)
+        params = ScrcParams(config, dtype=np.float64)
         args = (np.zeros(4), np.zeros(4), np.zeros(8))
         assert generate_description(params, config, *args, beam_width, 4) == \
             reference_beam_search(params, config, *args, beam_width, 4)

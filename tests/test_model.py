@@ -39,7 +39,7 @@ def manual_walk(params, config, feats, token_path):
 class TestStepLogits:
     def test_zero_params_uniform(self):
         config = tiny_config()
-        params = ScrcParams.zeros(config, dtype=np.float64)
+        params = ScrcParams(config, dtype=np.float64)
         feats = prepare_features(config, np.ones(3), np.ones(3), np.ones(8),
                                  dtype=np.float64)
         logits, _ = step_logits(params, config, np.zeros(3), initial_state(config, np.float64),
@@ -91,7 +91,7 @@ class TestStepLogits:
 
     def test_feature_shape_errors(self):
         config = tiny_config()
-        params = ScrcParams.zeros(config)
+        params = ScrcParams(config)
         with pytest.raises(ShapeError):
             sequence_log_prob(params, config,
                               ScoreRequest([3], np.zeros(5), np.zeros(3), np.zeros(8)))
@@ -100,7 +100,7 @@ class TestStepLogits:
 class TestSequenceLogProb:
     def test_zero_params_single_token(self):
         config = tiny_config()
-        params = ScrcParams.zeros(config, dtype=np.float64)
+        params = ScrcParams(config, dtype=np.float64)
         req = ScoreRequest([3], np.zeros(3), np.zeros(3), np.zeros(8))
         expected = 2.0 * math.log(1.0 / 6.0)  # word term plus <eos> term
         assert abs(sequence_log_prob(params, config, req) - expected) < 1e-12
@@ -134,14 +134,14 @@ class TestSequenceLogProb:
 
     def test_empty_query_rejected(self):
         config = tiny_config()
-        params = ScrcParams.zeros(config)
+        params = ScrcParams(config)
         with pytest.raises(InputError):
             sequence_log_prob(params, config, ScoreRequest([], np.zeros(3), np.zeros(3),
                                                            np.zeros(8)))
 
     def test_out_of_range_token_rejected(self):
         config = tiny_config()
-        params = ScrcParams.zeros(config)
+        params = ScrcParams(config)
         with pytest.raises(InputError):
             sequence_log_prob(params, config, ScoreRequest([17], np.zeros(3), np.zeros(3),
                                                            np.zeros(8)))
@@ -184,7 +184,7 @@ class TestScoreCandidates:
 
     def test_error_names_candidate_index(self):
         config = tiny_config()
-        params = ScrcParams.zeros(config)
+        params = ScrcParams(config)
         good = ScoreRequest([3], np.zeros(3), np.zeros(3), np.zeros(8))
         bad = ScoreRequest([], np.zeros(3), np.zeros(3), np.zeros(8))
         with pytest.raises(InputError, match="candidate 1"):
@@ -192,7 +192,7 @@ class TestScoreCandidates:
 
     def test_empty_list_rejected(self):
         with pytest.raises(InputError):
-            score_candidates(ScrcParams.zeros(tiny_config()), tiny_config(), [])
+            score_candidates(ScrcParams(tiny_config()), tiny_config(), [])
 
 
 def fd_max_rel_error(params, config, req, step=1e-5):
@@ -288,7 +288,7 @@ class TestBackward:
 
     def test_traceless_forward_rejected(self):
         config = tiny_config()
-        params = ScrcParams.zeros(config, dtype=np.float64)
+        params = ScrcParams(config, dtype=np.float64)
         req = ScoreRequest([3], np.zeros(3), np.zeros(3), np.zeros(8))
         from scrc.model import _forward
 
@@ -373,7 +373,7 @@ class TestGenerate:
 
     def test_zero_params_returns_empty(self):
         config = tiny_config(vocab_size=5)
-        params = ScrcParams.zeros(config, dtype=np.float64)
+        params = ScrcParams(config, dtype=np.float64)
         tokens, lp = generate_description(params, config, np.zeros(3), np.zeros(3),
                                           np.zeros(8), beam_width=3, max_len=4)
         assert tokens == []
@@ -405,7 +405,7 @@ class TestGenerate:
 
     def test_bad_args_rejected(self):
         config = tiny_config()
-        params = ScrcParams.zeros(config)
+        params = ScrcParams(config)
         with pytest.raises(InputError):
             generate_description(params, config, np.zeros(3), np.zeros(3), np.zeros(8),
                                  beam_width=0, max_len=3)
@@ -432,7 +432,7 @@ class TestConfig:
             ScrcConfig.from_dict(d)
 
     def test_params_config_mismatch(self):
-        params = ScrcParams.zeros(tiny_config())
+        params = ScrcParams(tiny_config())
         other = tiny_config(hidden_dim=9)
         with pytest.raises(ConfigError):
             sequence_log_prob(params, other,

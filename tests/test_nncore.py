@@ -6,37 +6,16 @@ import pytest
 from scrc.errors import ConfigError, ShapeError, TrainingError
 from scrc.nncore import (LstmParams, LstmState, ParamTensor, SgdOptimizer, global_grad_norm,
                          init_uniform, log_softmax, lstm_step, lstm_step_backward, make_rng,
-                         matvec, sigmoid, softmax, tanh_act)
+                         sigmoid, softmax)
 
 
 def rel_err(a, b, floor=1e-8):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-class TestMatvec:
-    def test_identity(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(matvec(np.eye(3), v), v)
-
-    def test_zeros(self):
-        assert np.array_equal(matvec(np.zeros((2, 3)), np.array([5.0, -1.0, 2.0])),
-                              np.zeros(2))
-
-    def test_hand_case(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose(matvec(m, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            matvec(np.zeros((2, 3)), np.zeros(2))
-
-
 class TestActivations:
     def test_sigmoid_symmetry(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
-
-    def test_tanh_zero(self):
-        assert tanh_act(np.array([0.0]))[0] == 0.0
 
     def test_sigmoid_closed_form(self):
         # sigmoid(ln 3) = 3 / (1 + 3)
@@ -47,9 +26,6 @@ class TestActivations:
         s = sigmoid(x)
         assert np.all(np.isfinite(s))
         assert np.all((s >= 0.0) & (s <= 1.0))
-        t = tanh_act(x)
-        assert np.all(np.isfinite(t))
-        assert np.all((t >= -1.0) & (t <= 1.0))
 
     def test_open_interval_for_moderate_inputs(self):
         # float64 tanh saturates to exactly +-1 near |x| = 19; below that the
@@ -57,8 +33,6 @@ class TestActivations:
         x = np.linspace(-30, 30, 301)
         s = sigmoid(x)
         assert np.all((s > 0.0) & (s < 1.0))
-        t = tanh_act(np.linspace(-18, 18, 301))
-        assert np.all((t > -1.0) & (t < 1.0))
 
 
 class TestSoftmax:
@@ -101,14 +75,14 @@ def tiny_lstm(hidden, input_dim, seed=0, radius=0.8):
 
 class TestLstmStep:
     def test_all_zero(self):
-        p = LstmParams.zeros("u", 3, 2, dtype=np.float64)
+        p = LstmParams("u", 3, 2, dtype=np.float64)
         st, _ = lstm_step(p, np.zeros(2), LstmState.zeros(3, np.float64))
         assert np.array_equal(st.h, np.zeros(3))
         assert np.array_equal(st.c, np.zeros(3))
 
     def test_candidate_bias_saturation(self):
         # zero weights, b_g = +20: i = f = o = 0.5, g ~ 1, c = 0.5, h = 0.5 tanh(0.5)
-        p = LstmParams.zeros("u", 2, 2, dtype=np.float64)
+        p = LstmParams("u", 2, 2, dtype=np.float64)
         p.b_g.value[...] = 20.0
         st, cache = lstm_step(p, np.zeros(2), LstmState.zeros(2, np.float64))
         assert np.allclose(cache.i, 0.5)
@@ -332,7 +306,8 @@ class TestSgd:
     def test_deterministic_updates(self):
         def run():
             rng = make_rng(77)
-            p = ParamTensor.uniform("p", (4, 4), rng, dtype=np.float32)
+            p = ParamTensor("p", init_uniform(rng, (4, 4), dtype=np.float32),
+                            np.zeros((4, 4), dtype=np.float32))
             opt = SgdOptimizer([p], lr=0.05, momentum=0.9, clip_norm=1.0)
             for k in range(20):
                 p.grad[...] = np.outer(np.arange(4) - k, np.ones(4)).astype(np.float32)

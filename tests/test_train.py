@@ -167,7 +167,7 @@ class TestTransfer:
         config = ScrcConfig(vocab_size=7, embed_dim=4, hidden_dim=6, feat_dim=5)
         params = ScrcParams.init(config, make_rng(5))
         bad = ScrcConfig(vocab_size=7, embed_dim=4, hidden_dim=6, feat_dim=5)
-        params.lstm_global = type(params.lstm_global).zeros("lstm_global", 6, 6 + 4)
+        params.lstm_global = type(params.lstm_global)("lstm_global", 6, 6 + 4)
         with pytest.raises(ConfigError):
             transfer_weights(params, bad)
 
