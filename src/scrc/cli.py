@@ -298,6 +298,11 @@ def _cmd_eval(args) -> int:
     results = []
     for image_id, recs in by_image.items():
         img = ImageSize(recs[0].width, recs[0].height)
+        for rec in recs[1:]:
+            if (rec.width, rec.height) != (img.width, img.height):
+                raise InputError(
+                    f"image {image_id!r}: annotation records disagree on its size, "
+                    f"{img.width:g}x{img.height:g} and {rec.width:g}x{rec.height:g}")
         if args.scenario == "gt":
             cands = datastore.ProposalSet(image_id, [r.box for r in recs],
                                           [r.region_key for r in recs])

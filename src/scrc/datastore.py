@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,8 +74,26 @@ class FeatureStore:
         return len(self.entries)
 
 
+@contextmanager
+def _atomic_write(path):
+    """A binary file that replaces path only once it is completely written:
+    a temp file in path's directory, moved into place by os.replace and
+    removed if writing fails."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_feature_store(store: FeatureStore, path):
-    with open(path, "wb") as f:
+    with _atomic_write(path) as f:
         f.write(FEATURE_MAGIC)
         f.write(struct.pack("<III", FORMAT_VERSION, store.dim, len(store.entries)))
         for key, vec in store.entries.items():
@@ -308,7 +328,7 @@ def save_checkpoint(params: ScrcParams, config: ScrcConfig, vocab: Vocabulary, p
               "vocab": list(vocab.tokens)}
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tensors = params.tensors()
-    with open(path, "wb") as f:
+    with _atomic_write(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", FORMAT_VERSION, len(hb)))
         f.write(hb)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (ScoreRequest, ScrcConfig, ScrcParams, backward, forward_trace,
-                    sequence_log_prob)
+from .model import ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch, sequence_log_prob
 from .nncore import make_rng
 
 DEFAULT_CHECK_CONFIG = ScrcConfig(vocab_size=12, embed_dim=6, hidden_dim=8, feat_dim=5)
@@ -50,10 +49,10 @@ def batch_loss(params: ScrcParams, config: ScrcConfig, requests) -> float:
 
 
 def accumulate_gradients(params: ScrcParams, config: ScrcConfig, requests):
+    """Analytic gradients of batch_loss: the requests run as one padded batch."""
     params.zero_grads()
-    for req in requests:
-        trace = forward_trace(params, config, req)
-        backward(params, config, trace, trace.targets)
+    trace = forward_batch(params, config, requests)
+    backward(params, config, trace, trace.targets)
 
 
 def finite_difference_check(config: ScrcConfig = DEFAULT_CHECK_CONFIG,

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, InputError, ShapeError
 from .geometry import SPATIAL_DIM
-from .nncore import (DEFAULT_INIT_RADIUS, LstmParams, LstmState, LstmStepCache,
-                     ParamTensor, init_uniform, log_softmax, lstm_step, lstm_step_backward)
+from .nncore import (DEFAULT_INIT_RADIUS, LstmParams, LstmState, LstmTrace, ParamTensor,
+                     feature_axis, init_uniform, log_softmax, lstm_bptt, lstm_step)
 from .textproc import BOS_ID, EOS_ID
 
 _CONFIG_KEYS = ("vocab_size", "embed_dim", "hidden_dim", "feat_dim", "spatial_dim",
@@ -154,11 +154,16 @@ class DecoderState:
     glob: LstmState
 
 
-def initial_state(config: ScrcConfig, dtype=np.float32,
-                  columns: Optional[int] = None) -> DecoderState:
-    """All-zero (H,) vectors, or columns: `columns` local, one per other unit."""
+def initial_state(config: ScrcConfig, dtype=np.float32, columns: Optional[int] = None,
+                  rows: Optional[int] = None) -> DecoderState:
+    """All-zero (H,) vectors; or columns: `columns` local, one per other
+    unit; or a (rows, H, 1) stack per unit."""
     H = config.hidden_dim
-    shared, local = ((H,), (H,)) if columns is None else ((H, 1), (H, columns))
+    shared = local = (H,)
+    if rows is not None:
+        shared = local = (rows, H, 1)
+    elif columns is not None:
+        shared, local = (H, 1), (H, columns)
     return DecoderState(LstmState.zeros(shared, dtype), LstmState.zeros(local, dtype),
                         LstmState.zeros(shared, dtype))
 
@@ -187,29 +192,49 @@ def prepare_features(config: ScrcConfig, x_box, x_context, x_spatial,
 
 @dataclass
 class StepRecord:
-    input_id: int
-    cache_lang: LstmStepCache
-    cache_local: Optional[LstmStepCache]
-    cache_glob: Optional[LstmStepCache]
-    probs: np.ndarray
+    """Each unit's state after one step of a trace (None for a skipped unit)."""
+
+    cache_lang: LstmState
+    cache_local: Optional[LstmState]
+    cache_glob: Optional[LstmState]
 
 
 @dataclass
 class ForwardTrace:
-    """Per-step caches of one scoring pass, sufficient for backprop."""
+    """One forward pass over B rows. Row b feeds ids[:-1, b] (<bos> and its
+    query) and predicts ids[1:, b] (its query and <eos>); ids is padded with
+    <eos> to T + 1 = the longest query length plus 2, and live (T, B) marks
+    each row's real steps. With caches, units holds the language, local and
+    global units' activations (None for a skipped unit), fixed each row's
+    [box, spatial] and context inputs, and probs (T, B, V) each step's
+    next-word distribution: enough for backprop."""
 
-    targets: list[int]
-    steps: list[StepRecord]
-    log_prob: float
+    targets: list[list[int]]
+    log_probs: np.ndarray
+    ids: np.ndarray
+    live: np.ndarray
+    units: Optional[tuple] = None
+    fixed: Optional[tuple] = None
+    probs: Optional[np.ndarray] = None
+
+    @property
+    def steps(self) -> list[StepRecord]:
+        """Per step, each unit's (B, H) state after it."""
+        h = [None if u is None else u.h() for u in self.units]
+        return [StepRecord(*(None if u is None else LstmState(hu[t + 1], u.c[t + 1])
+                             for u, hu in zip(self.units, h)))
+                for t in range(len(self.live))]
 
 
 def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures):
     """The local and global units' fixed inputs, and r shaped like a column of
-    logits. Vectors keep the raw inputs, which the backprop caches need;
-    columns hold each unit's input projection plus bias (None if skipped)."""
-    local_in = np.concatenate([feats.x_box, feats.x_spatial])
-    if feats.x_context.ndim == 1:
-        return local_in, feats.x_context, params.r.value
+    logits. Vectors and stacks keep the raw inputs, so that each unit gets
+    its whole input, as backprop needs; columns hold each unit's input
+    projection plus bias (None if skipped)."""
+    local_in = np.concatenate([feats.x_box, feats.x_spatial], axis=feature_axis(feats.x_box))
+    if feats.x_context.ndim != 2:
+        return (local_in, feats.x_context,
+                params.r.value if feats.x_context.ndim == 1 else params.r.value[:, None])
     H = config.hidden_dim
     local = glob = None
     if not config.caption_mode:
@@ -223,8 +248,8 @@ def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures):
 
 def _unit_step(unit: LstmParams, h_lang: np.ndarray, prev: LstmState, fixed: np.ndarray):
     """Step a local or global unit, whose input is [h_lang, fixed part]."""
-    if h_lang.ndim == 1:
-        return lstm_step(unit, np.concatenate([h_lang, fixed]), prev)
+    if h_lang.ndim != 2:
+        return lstm_step(unit, np.concatenate([h_lang, fixed], axis=feature_axis(h_lang)), prev)
     return lstm_step(unit, h_lang, prev, fixed)
 
 
@@ -232,7 +257,8 @@ def _advance(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
              state: DecoderState, fixed: tuple):
     """The decoder core's step: logits, new state and unit caches. On
     columns, the language and global units run one per query or beam and
-    the local unit one per candidate or beam; logits are (V, columns)."""
+    the local unit one per candidate or beam; logits are (V, columns). On
+    a stack, every unit runs once per item; logits are (B, V, 1)."""
     fixed_local, fixed_glob, r = fixed
     lang, cache_lang = lstm_step(params.lstm_language, x_word, state.lang)
     local, cache_local = state.local, None
@@ -264,40 +290,85 @@ def _check_query(config: ScrcConfig, query: Sequence[int]) -> list[int]:
     return ids
 
 
-def _decode(params: ScrcParams, config: ScrcConfig, query: list[int],
-            feats: PreparedFeatures, keep_trace: bool):
-    """Sum the target log-probs of <bos> + query in float64; returns (sum,
-    step records). feats are vectors, or columns for N candidates (x_context
-    (dim, 1)): the sum is then (N,), or (1,) if no unit reads the box."""
-    columns = feats.x_box.shape[1] if feats.x_box.ndim == 2 else None
+def _token_grid(queries: list[list[int]]):
+    """(T + 1, B) token ids, <bos> + query + <eos> down each column, padded
+    with <eos>; and the (T, B) mask of each row's real steps."""
+    lengths = np.array([len(q) + 1 for q in queries])
+    ids = np.full((lengths.max() + 1, len(queries)), EOS_ID)
+    ids[0] = BOS_ID
+    for b, q in enumerate(queries):
+        ids[1:len(q) + 1, b] = q
+    return ids, np.arange(len(ids) - 1)[:, None] < lengths
+
+
+def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
+            feats: PreparedFeatures, keep_trace: bool = False) -> ForwardTrace:
+    """Sum the target log-probs of <bos> + query + <eos> in float64, in step
+    order. feats are stacks (B, dim, 1), one row per query, the queries
+    padded to the longest and masked: every row's sum equals the vector
+    walk's bit for bit. Or feats are columns (dim, N) of N candidates for
+    one query, sharing x_context (dim, 1): the sum is then (N,), or (1,) if
+    no unit reads the box. Only stacks keep a trace's caches."""
+    stacked = feats.x_box.ndim == 3
+    ids, live = _token_grid(queries)
+    steps, rows = live.shape
     fixed = _fix(params, config, feats)
-    state = initial_state(config, params.dtype, columns)
-    steps: list[StepRecord] = []
+    state = (initial_state(config, params.dtype, rows=rows) if stacked
+             else initial_state(config, params.dtype, columns=feats.x_box.shape[1]))
+    units = probs = None
+    if keep_trace:
+        H, dtype = config.hidden_dim, params.dtype
+        units = tuple(None if skip else LstmTrace.zeros(steps, rows, H, dtype)
+                      for skip in (False, config.caption_mode, config.mask_context))
+        probs = np.zeros((steps, rows, config.vocab_size), dtype=dtype)
     total = np.float64(0.0)
-    for w_in, w_tgt in zip([BOS_ID] + query, query + [EOS_ID]):
-        x_word = params.E.value[:, w_in if columns is None else [w_in]]
+    every_row = np.arange(rows)
+    for t in range(steps):
+        x_word = params.E.value.T[ids[t], :, None] if stacked else params.E.value[:, ids[t]]
         logits, state, caches = _advance(params, config, x_word, state, fixed)
         logp = log_softmax(logits)
-        total = total + logp[w_tgt]
+        if stacked:
+            total = total + np.where(live[t], logp[every_row, ids[t + 1], 0], 0.0)
+        else:
+            total = total + logp[ids[t + 1, 0]]
         if keep_trace:
-            steps.append(StepRecord(w_in, *caches, np.exp(logp)))
-    return total, steps
+            for unit, cache in zip(units, caches):
+                if unit is not None:
+                    unit.record(t, cache)
+            probs[t] = np.exp(logp[:, :, 0])
+    fixed_rows = (fixed[0][:, :, 0], fixed[1][:, :, 0]) if keep_trace else None
+    return ForwardTrace([q + [EOS_ID] for q in queries], total, ids, live, units, fixed_rows,
+                        probs)
+
+
+def _rows(feats: Sequence[PreparedFeatures]) -> PreparedFeatures:
+    """B requests' features as (B, dim, 1) stacks."""
+    return PreparedFeatures(*(np.stack(v)[:, :, None]
+                              for v in zip(*(vars(f).values() for f in feats))))
+
+
+def forward_batch(params: ScrcParams, config: ScrcConfig, requests: Sequence[ScoreRequest],
+                  keep_trace: bool = True) -> ForwardTrace:
+    """One forward pass over the requests as (B, .) rows, with per-row log
+    probabilities equal to sequence_log_prob's bit for bit."""
+    if not requests:
+        raise InputError("empty batch")
+    params.check_config(config)
+    queries = [_check_query(config, r.query) for r in requests]
+    feats = [prepare_features(config, r.x_box, r.x_context, r.x_spatial, dtype=params.dtype)
+             for r in requests]
+    return _decode(params, config, queries, _rows(feats), keep_trace)
 
 
 def _forward(params: ScrcParams, config: ScrcConfig, request: ScoreRequest,
              keep_trace: bool) -> ForwardTrace:
-    params.check_config(config)
-    query = _check_query(config, request.query)
-    feats = prepare_features(config, request.x_box, request.x_context, request.x_spatial,
-                             dtype=params.dtype)
-    total, steps = _decode(params, config, query, feats, keep_trace)
-    return ForwardTrace(query + [EOS_ID], steps, float(total))
+    return forward_batch(params, config, [request], keep_trace)
 
 
 def sequence_log_prob(params: ScrcParams, config: ScrcConfig, request: ScoreRequest) -> float:
     """log p(query, <eos> | features): the sum over steps of the target
     word's log-probability, starting from the <bos> marker."""
-    return _forward(params, config, request, keep_trace=False).log_prob
+    return float(_forward(params, config, request, keep_trace=False).log_probs[0])
 
 
 def forward_trace(params: ScrcParams, config: ScrcConfig, request: ScoreRequest) -> ForwardTrace:
@@ -326,59 +397,69 @@ def score_candidates(params: ScrcParams, config: ScrcConfig,
 
     scores = [0.0] * len(requests)
     for (query, _), members in groups.items():
-        # a lone candidate runs as vectors, exactly as sequence_log_prob does
-        feats = members[0][1] if len(members) == 1 else PreparedFeatures(
+        # a lone candidate runs as a row, exactly as sequence_log_prob does
+        feats = _rows([members[0][1]]) if len(members) == 1 else PreparedFeatures(
             np.stack([f.x_box for _, f in members], axis=1),
             np.stack([f.x_spatial for _, f in members], axis=1),
             members[0][1].x_context[:, None])
-        total, _ = _decode(params, config, list(query), feats, keep_trace=False)
+        total = _decode(params, config, [list(query)], feats).log_probs
         for (idx, _), score in zip(members, np.broadcast_to(total, (len(members),))):
             scores[idx] = float(score)
     return scores
 
 
 def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,
-             targets: Sequence[int], scale: float = 1.0):
-    """Accumulate gradients of scale * (-log-likelihood) into params.
+             targets: Sequence[list[int]], scale: float = 1.0, reuse_trace: bool = False):
+    """Accumulate gradients of scale * (-log-likelihood), summed over the
+    trace's rows, into params: one backward pass through time over all
+    rows, and one matrix product over all T * B steps per weight gradient.
 
-    Branches disabled by the mode flags receive exactly zero gradient; so do
-    the spatial input columns of the local unit when mask_spatial is set.
+    Padded steps add exactly zero. Branches disabled by the mode flags
+    receive exactly zero gradient; so do the spatial input columns of the
+    local unit when mask_spatial is set. With reuse_trace, gradients
+    overwrite the trace's buffers, which saves their copies; the trace is
+    then spent.
     """
     params.check_config(config)
     if list(targets) != trace.targets:
         raise ContractError("trace was produced for a different target sequence")
-    if not trace.steps or len(trace.steps) != len(trace.targets):
+    if trace.probs is None:
         raise ContractError("trace lacks per-step caches; use forward_trace")
-    hidden = config.hidden_dim
-    zeros = np.zeros(hidden, dtype=params.dtype)  # only ever read
-    dh_lang_next = dc_lang_next = dh_local_next = dc_local_next = zeros
-    dh_glob_next = dc_glob_next = zeros
+    steps, rows = trace.live.shape
+    H = config.hidden_dim
 
-    for t in reversed(range(len(trace.steps))):
-        rec = trace.steps[t]
-        dlogits = rec.probs.copy()
-        dlogits[trace.targets[t]] -= 1.0
-        if scale != 1.0:
-            dlogits *= scale
-        params.r.grad += dlogits
-        dh_lang = dh_lang_next
-        if not config.caption_mode:
-            h_local = rec.cache_local.h
-            params.W_local.grad += np.outer(dlogits, h_local)
-            dh_local = params.W_local.value.T @ dlogits + dh_local_next
-            dx_local, dh_local_next, dc_local_next = lstm_step_backward(
-                params.lstm_local, rec.cache_local, dh_local, dc_local_next)
-            dh_lang = dh_lang + dx_local[:hidden]
-        if not config.mask_context:
-            h_glob = rec.cache_glob.h
-            params.W_global.grad += np.outer(dlogits, h_glob)
-            dh_glob = params.W_global.value.T @ dlogits + dh_glob_next
-            dx_glob, dh_glob_next, dc_glob_next = lstm_step_backward(
-                params.lstm_global, rec.cache_glob, dh_glob, dc_glob_next)
-            dh_lang = dh_lang + dx_glob[:hidden]
-        dx_lang, dh_lang_next, dc_lang_next = lstm_step_backward(
-            params.lstm_language, rec.cache_lang, dh_lang, dc_lang_next)
-        params.E.grad[:, rec.input_id] += dx_lang
+    def flat(a):  # (T, B, ...) -> (T * B, ...)
+        return a.reshape(steps * rows, -1)
+
+    dlogits = trace.probs if reuse_trace else trace.probs.copy()
+    t, b = np.nonzero(trace.live)
+    dlogits[t, b, trace.ids[t + 1, b]] -= 1.0
+    dlogits[~trace.live] = 0.0
+    if scale != 1.0:
+        dlogits *= scale
+    dlogits = flat(dlogits)
+    params.r.grad += dlogits.sum(axis=0)
+    lang, local, glob = trace.units
+    h_lang = flat(lang.h()[1:])
+    dh_lang = np.zeros_like(h_lang)
+    for unit, W, unit_trace, fixed in ((params.lstm_local, params.W_local, local, trace.fixed[0]),
+                                       (params.lstm_global, params.W_global, glob, trace.fixed[1])):
+        if unit_trace is None:
+            continue
+        W.grad += dlogits.T @ flat(unit_trace.h()[1:])
+        grads = lstm_bptt(unit, unit_trace, dlogits @ W.value, reuse_trace)
+        unit.W_x.grad[:, :H] += grads.T @ h_lang
+        # the fixed inputs are the same at every step of a row
+        unit.W_x.grad[:, H:] += grads.reshape(steps, rows, -1).sum(axis=0).T @ fixed
+        dh_lang += grads @ unit.W_x.value[:, :H]
+        del grads  # one gradient buffer alive at a time keeps the peak memory down
+    del dlogits
+    grads = lstm_bptt(params.lstm_language, lang, dh_lang, reuse_trace)
+    inputs = trace.ids[:-1].ravel()
+    params.lstm_language.W_x.grad += grads.T @ params.E.value.T[inputs]
+    np.add.at(params.E.grad.T, inputs, grads @ params.lstm_language.W_x.value)
+    if reuse_trace:
+        trace.probs = None
 
 
 def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_context,

@@ -38,14 +38,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def feature_axis(x: np.ndarray) -> int:
+    """The axis that holds features: 0 of a vector or of (dim, N) columns, 1 of
+    a (B, dim, N) stack."""
+    return 1 if x.ndim == 3 else 0
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities of a logit vector, or of each column of a (V, N) matrix."""
+    """Log-probabilities of a logit vector, of each column of a (V, N) matrix,
+    or of each column of each item of a (B, V, N) stack."""
     logits = np.asarray(logits)
-    if logits.ndim not in (1, 2) or logits.shape[0] == 0:
+    axis = feature_axis(logits)
+    if logits.ndim not in (1, 2, 3) or logits.shape[axis] == 0:
         raise ShapeError(
-            f"log_softmax expects a non-empty vector or (V, N) matrix, got shape {logits.shape}")
-    shifted = logits - logits.max(axis=0)
-    return shifted - np.log(np.exp(shifted).sum(axis=0))
+            f"log_softmax expects a non-empty vector, (V, N) matrix or (B, V, N) stack, "
+            f"got shape {logits.shape}")
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def init_uniform(rng: np.random.Generator, shape, radius: float = DEFAULT_INIT_RADIUS,
@@ -155,29 +164,48 @@ def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState,
               x_proj: Optional[np.ndarray] = None):
     """One forward step; returns the new state and the backprop cache.
 
-    x and the state are vectors, or columns ((input, N) and (H, N); one x
-    column broadcasts). With x_proj, x holds only the leading input columns
-    and x_proj the rest's precomputed W_x columns @ input + b, for inputs
-    fixed over a sequence; the cache then records only the leading columns.
+    x and the state are vectors, columns ((input, N) and (H, N); one x
+    column broadcasts), or stacks of columns ((B, input, N) and (B, H, N)),
+    whose items are multiplied one at a time: each item of a (B, input, 1)
+    stack gets exactly the vector product. With x_proj, x holds only the
+    leading input rows and x_proj the rest's precomputed W_x columns @ input
+    + b, for inputs fixed over a sequence; the cache then records only the
+    leading rows.
     """
     hidden, input_dim = params.hidden_dim, params.input_dim
-    k = x.shape[0] if x.ndim else 0
-    if x.ndim not in (1, 2) or not (k == input_dim if x_proj is None else 0 < k < input_dim):
+    axis = feature_axis(x)
+    k = x.shape[axis] if x.ndim else 0
+    if x.ndim not in (1, 2, 3) or not (k == input_dim if x_proj is None else 0 < k < input_dim):
         raise ShapeError(f"lstm input: expected ({input_dim},), got {x.shape}")
-    if prev.h.shape[:1] != (hidden,) or prev.h.ndim != x.ndim or prev.c.shape != prev.h.shape:
+    if (prev.h.ndim != x.ndim or prev.h.shape[axis] != hidden
+            or prev.c.shape != prev.h.shape):
         raise ShapeError(
             f"lstm state: expected ({hidden},), got h {prev.h.shape} c {prev.c.shape}")
     pre = params.W_x.value[:, :k] @ x + params.W_h.value @ prev.h
     if x_proj is None:
         x_proj = params.b.value if pre.ndim == 1 else params.b.value[:, None]
     pre += x_proj
-    i, f, o = np.split(sigmoid(pre[:3 * hidden]), 3)
-    g = np.tanh(pre[3 * hidden:])
+    lead = (slice(None),) * axis  # gate j is lead + (slice(j * hidden, (j + 1) * hidden),)
+    sig = sigmoid(pre[lead + (slice(0, 3 * hidden),)])
+    i, f, o = (sig[lead + (slice(j * hidden, (j + 1) * hidden),)] for j in range(3))
+    g = np.tanh(pre[lead + (slice(3 * hidden, None),)])
     c = f * prev.c + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    cache = LstmStepCache(x.copy(), prev.h.copy(), prev.c.copy(), i, f, o, g, c, tanh_c, h)
+    cache = LstmStepCache(x, prev.h, prev.c, i, f, o, g, c, tanh_c, h)
     return LstmState(h, c), cache
+
+
+def lstm_gate_grads(i, f, o, g, c_prev, tanh_c, dh, dc):
+    """Gradients of one step's gate pre-activations, fused i, f, o, g along
+    the last axis, and of c_{t-1}; dh and dc flow into h_t and c_t. The
+    arrays are (H,) vectors or (B, H) rows."""
+    o_pre = dh * tanh_c * o * (1.0 - o)
+    dc_total = dc + dh * o * (1.0 - tanh_c ** 2)
+    i_pre = dc_total * g * i * (1.0 - i)
+    f_pre = dc_total * c_prev * f * (1.0 - f)
+    g_pre = dc_total * i * (1.0 - g ** 2)
+    return np.concatenate([i_pre, f_pre, o_pre, g_pre], axis=-1), dc_total * f
 
 
 def lstm_step_backward(params: LstmParams, cache: LstmStepCache,
@@ -195,17 +223,69 @@ def lstm_step_backward(params: LstmParams, cache: LstmStepCache,
     if dh.shape != (hidden,) or dc.shape != (hidden,):
         raise ShapeError(f"upstream grads must have shape ({hidden},)")
 
-    o_pre = dh * cache.tanh_c * cache.o * (1.0 - cache.o)
-    dc_total = dc + dh * cache.o * (1.0 - cache.tanh_c ** 2)
-    i_pre = dc_total * cache.g * cache.i * (1.0 - cache.i)
-    f_pre = dc_total * cache.c_prev * cache.f * (1.0 - cache.f)
-    g_pre = dc_total * cache.i * (1.0 - cache.g ** 2)
-    pre = np.concatenate([i_pre, f_pre, o_pre, g_pre])
-
+    pre, dc_prev = lstm_gate_grads(cache.i, cache.f, cache.o, cache.g, cache.c_prev,
+                                   cache.tanh_c, dh, dc)
     params.W_x.grad += np.outer(pre, cache.x)
     params.W_h.grad += np.outer(pre, cache.h_prev)
     params.b.grad += pre
-    return params.W_x.value.T @ pre, params.W_h.value.T @ pre, dc_total * cache.f
+    return params.W_x.value.T @ pre, params.W_h.value.T @ pre, dc_prev
+
+
+@dataclass
+class LstmTrace:
+    """One unit's activations over T steps of B rows: gates (T, B, 4H) holds
+    the activated i, f, o, g, and c (T + 1, B, H) the cells, starting with
+    the zero state."""
+
+    gates: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def zeros(cls, steps: int, rows: int, hidden_dim: int, dtype) -> "LstmTrace":
+        return cls(np.zeros((steps, rows, 4 * hidden_dim), dtype=dtype),
+                   np.zeros((steps + 1, rows, hidden_dim), dtype=dtype))
+
+    def record(self, t: int, cache: LstmStepCache):
+        """Store step t of a forward pass over a (B, ., 1) stack."""
+        np.concatenate([cache.i, cache.f, cache.o, cache.g], axis=1, out=self.gates[t, :, :, None])
+        self.c[t + 1] = cache.c[:, :, 0]
+
+    def h(self) -> np.ndarray:
+        """h_0 .. h_T (T + 1, B, H): the zero state, then o * tanh(c), which
+        is how the forward pass computed them, bit for bit."""
+        hidden = self.c.shape[2]
+        h = np.zeros_like(self.c)
+        np.multiply(self.gates[:, :, 2 * hidden:3 * hidden], np.tanh(self.c[1:]), out=h[1:])
+        return h
+
+
+def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray,
+              reuse_trace: bool = False) -> np.ndarray:
+    """Backpropagate through time a forward pass over (T, B) steps and rows.
+
+    dh (T * B, H) is the loss gradient flowing into each step's h from
+    outside the unit. W_h and b gradients accumulate into params, each as
+    one product over all T * B rows; returns the gate pre-activation
+    gradients (T * B, 4H), from which the caller forms W_x's gradient and
+    the input gradients. Rows whose dh is zero from some step on add
+    exactly zero from that step on. With reuse_trace, the gradients
+    overwrite trace.gates.
+    """
+    steps, rows, gates = trace.gates.shape
+    hidden = gates // 4
+    dh = dh.reshape(steps, rows, hidden)
+    h_prev = trace.h()[:-1]  # read before the gates may be overwritten
+    grads = trace.gates if reuse_trace else np.empty_like(trace.gates)
+    dh_next = dc_next = np.zeros((rows, hidden), dtype=trace.gates.dtype)
+    for t in reversed(range(steps)):
+        i, f, o, g = (trace.gates[t, :, k * hidden:(k + 1) * hidden] for k in range(4))
+        grads[t], dc_next = lstm_gate_grads(i, f, o, g, trace.c[t], np.tanh(trace.c[t + 1]),
+                                            dh[t] + dh_next, dc_next)
+        dh_next = grads[t] @ params.W_h.value
+    grads = grads.reshape(steps * rows, gates)
+    params.W_h.grad += grads.T @ h_prev.reshape(steps * rows, hidden)
+    params.b.grad += grads.sum(axis=0)
+    return grads
 
 
 def global_grad_norm(params: list[ParamTensor]) -> float:

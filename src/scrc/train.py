@@ -1,10 +1,12 @@
 """The three-phase pipeline: caption pretraining, weight transfer into the
 local branch, and retrieval fine-tuning, with deterministic minibatching.
 
-Batches are gradient-accumulation groups: each sequence runs forward and
-backward on its own with gradients scaled by 1/batch_size, then one
-optimizer step is taken, so the step minimizes the mean per-tuple negative
-log-likelihood.
+Each minibatch runs as one forward pass over its sequences as padded rows
+and one backward pass through time (model.forward_batch and backward),
+with gradients scaled by 1/batch_size; then one optimizer step is taken,
+so the step minimizes the mean per-tuple negative log-likelihood. The
+reported loss sums the rows' log-likelihoods in batch order, as the
+per-sequence scorer computes them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .datastore import CaptionRecord, FeatureStore, TrainingTuple
 from .errors import ConfigError, InputError
-from .model import ScoreRequest, ScrcConfig, ScrcParams, backward, forward_trace, sequence_log_prob
+from .model import ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch, sequence_log_prob
 from .nncore import SgdOptimizer
 from .textproc import Vocabulary, encode
 
@@ -95,14 +97,12 @@ def _run_sgd(params: ScrcParams, config: ScrcConfig, requests: list[ScoreRequest
     last_loss = float("nan")
     while step < cfg.steps:
         for batch in make_batches(requests, cfg.batch_size, cfg.seed, epoch):
-            scale = 1.0 / len(batch)
-            total = 0.0
-            for req in batch:
-                trace = forward_trace(params, config, req)
-                backward(params, config, trace, trace.targets, scale=scale)
-                total += -trace.log_prob
+            trace = forward_batch(params, config, batch)
+            backward(params, config, trace, trace.targets, scale=1.0 / len(batch),
+                     reuse_trace=True)
+            last_loss = -sum(trace.log_probs.tolist()) / len(batch)
+            del trace  # its buffers need not outlive the backward pass
             opt.step()
-            last_loss = total / len(batch)
             window.append(last_loss)
             step += 1
             if step % interval == 0 or step == cfg.steps:

@@ -1,0 +1,166 @@
+"""The batched training core (forward_batch + backward over padded rows)
+against B = 1 passes of the same core."""
+
+import numpy as np
+import pytest
+
+from scrc.gradcheck import (DEFAULT_CHECK_CONFIG, DEFAULT_CHECK_SEED, accumulate_gradients,
+                            check_instance)
+from scrc.model import (ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch,
+                        forward_trace, sequence_log_prob)
+from scrc.nncore import make_rng
+from scrc.textproc import EOS_ID
+
+MODES = ({}, {"caption_mode": True}, {"mask_context": True}, {"mask_spatial": True})
+
+
+def small_config(**kw):
+    return ScrcConfig(**{"vocab_size": 9, "embed_dim": 3, "hidden_dim": 5, "feat_dim": 4, **kw})
+
+
+def random_params(config, rng, dtype=np.float64):
+    """Parameters with non-zero biases, which init leaves at zero."""
+    params = ScrcParams.init(config, rng, radius=0.9, dtype=dtype)
+    for t in (params.lstm_language.b, params.lstm_local.b, params.lstm_global.b, params.r):
+        t.value[...] = rng.normal(size=t.value.shape)
+    return params
+
+
+def mixed_requests(rng, config, lengths=(3, 1, 7, 2, 5, 4)):
+    return [ScoreRequest([int(t) for t in rng.integers(3, config.vocab_size, size=n)],
+                         rng.normal(size=config.feat_dim), rng.normal(size=config.feat_dim),
+                         rng.uniform(-1, 1, size=config.spatial_dim))
+            for n in lengths]
+
+
+def batch_grads(params, config, requests, scale=1.0):
+    params.zero_grads()
+    trace = forward_batch(params, config, requests)
+    backward(params, config, trace, trace.targets, scale=scale)
+    return {t.name: t.grad.copy() for t in params.tensors()}
+
+
+def summed_single_grads(params, config, requests):
+    params.zero_grads()
+    for req in requests:
+        trace = forward_trace(params, config, req)
+        backward(params, config, trace, trace.targets)
+    return {t.name: t.grad.copy() for t in params.tensors()}
+
+
+def max_rel_diff(a, b):
+    scale = max(max(np.max(np.abs(g)) for g in a.values()), 1e-300)
+    return max(np.max(np.abs(a[k] - b[k])) for k in a) / scale
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
+def test_batch_gradients_equal_sum_of_single_rows(mode):
+    config = small_config(**mode)
+    rng = make_rng(41)
+    params = random_params(config, rng)
+    requests = mixed_requests(rng, config)
+    assert max_rel_diff(batch_grads(params, config, requests),
+                        summed_single_grads(params, config, requests)) < 1e-12
+
+
+def test_scale_multiplies_the_batch_gradient():
+    config = small_config()
+    rng = make_rng(42)
+    params = random_params(config, rng)
+    requests = mixed_requests(rng, config)
+    full = batch_grads(params, config, requests)
+    quarter = batch_grads(params, config, requests, scale=0.25)
+    assert max_rel_diff({k: 0.25 * v for k, v in full.items()}, quarter) < 1e-15
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
+def test_batch_log_probs_equal_sequence_log_prob_exactly(mode, dtype):
+    config = small_config(**mode)
+    rng = make_rng(43)
+    params = random_params(config, rng, dtype)
+    requests = mixed_requests(rng, config)
+    trace = forward_batch(params, config, requests, keep_trace=False)
+    assert trace.log_probs.tolist() == [sequence_log_prob(params, config, r) for r in requests]
+
+
+def test_padded_short_row_gives_the_gradient_it_gives_alone():
+    config = small_config()
+    rng = make_rng(44)
+    params = random_params(config, rng)
+    short, long = mixed_requests(rng, config, lengths=(1, 7))
+    both = batch_grads(params, config, [short, long])
+    alone = batch_grads(params, config, [long])
+    short_alone = batch_grads(params, config, [short])
+    assert max_rel_diff({k: both[k] - alone[k] for k in both}, short_alone) < 1e-12
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
+def test_padded_steps_add_exactly_zero(mode):
+    """Whatever the padded steps cached, the gradient is the same bit for bit."""
+    config = small_config(**mode)
+    rng = make_rng(45)
+    params = random_params(config, rng)
+    requests = mixed_requests(rng, config)
+    trace = forward_batch(params, config, requests)
+    assert not trace.live.all()
+    params.zero_grads()
+    backward(params, config, trace, trace.targets)
+    want = {t.name: t.grad.copy() for t in params.tensors()}
+    assert np.all(params.E.grad[:, EOS_ID] == 0)  # <eos> is only ever a padding input
+
+    pad = ~trace.live
+    trace.probs[pad] = rng.uniform(size=trace.probs[pad].shape)
+    for unit in trace.units:
+        if unit is not None:
+            unit.gates[pad] = rng.uniform(size=unit.gates[pad].shape)
+            unit.c[1:][pad] = rng.normal(size=unit.c[1:][pad].shape)
+    params.zero_grads()
+    backward(params, config, trace, trace.targets)
+    for t in params.tensors():
+        assert np.array_equal(t.grad, want[t.name]), t.name
+
+
+@pytest.mark.parametrize("mode, silent", [
+    ({"caption_mode": True}, ("lstm_local", "W_local")),
+    ({"mask_context": True}, ("lstm_global", "W_global")),
+])
+def test_disabled_branches_get_exactly_zero(mode, silent):
+    config = small_config(**mode)
+    rng = make_rng(46)
+    params = random_params(config, rng)
+    grads = batch_grads(params, config, mixed_requests(rng, config))
+    for name, g in grads.items():
+        if name.split(".")[0] in silent:
+            assert np.all(g == 0), name
+    assert any(np.any(g != 0) for name, g in grads.items() if name.startswith("lstm_language"))
+
+
+def test_mask_spatial_columns_get_exactly_zero():
+    config = small_config(mask_spatial=True)
+    rng = make_rng(47)
+    params = random_params(config, rng)
+    batch_grads(params, config, mixed_requests(rng, config))
+    lo = config.hidden_dim + config.feat_dim
+    assert np.all(params.lstm_local.W_x.grad[:, lo:] == 0)
+    assert np.any(params.lstm_local.W_x.grad[:, :lo] != 0)
+
+
+def test_gradcheck_runs_a_padded_batch():
+    config = DEFAULT_CHECK_CONFIG
+    params, requests = check_instance(config, DEFAULT_CHECK_SEED)
+    assert len({len(r.query) for r in requests}) > 1
+    accumulate_gradients(params, config, requests)
+    got = {t.name: t.grad.copy() for t in params.tensors()}
+    assert max_rel_diff(got, summed_single_grads(params, config, requests)) < 1e-12
+
+
+def test_wrong_targets_rejected():
+    from scrc.errors import ContractError
+
+    config = small_config()
+    rng = make_rng(48)
+    params = random_params(config, rng)
+    trace = forward_batch(params, config, mixed_requests(rng, config, lengths=(2, 3)))
+    with pytest.raises(ContractError):
+        backward(params, config, trace, trace.targets[::-1])

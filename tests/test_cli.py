@@ -332,6 +332,24 @@ class TestEval:
         assert "--proposals" in err
 
 
+    def test_disagreeing_image_sizes_exit_1(self, synth_dir, finetuned, tmp_path):
+        rows = [json.loads(line) for line in
+                (synth_dir / "annotations.jsonl").read_text().splitlines()]
+        first = rows[0]
+        other = next(i for i, r in enumerate(rows) if i and r["image_id"] == first["image_id"])
+        rows[other]["width"] = first["width"] + 16
+        bad = tmp_path / "annotations.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        args = self.eval_args(synth_dir, finetuned, "gt")
+        args[args.index("--annotations") + 1] = str(bad)
+        code, out, err = run_cli(args)
+        assert code == 1
+        assert out == ""
+        assert repr(first["image_id"]) in err
+        w, h = first["width"], first["height"]
+        assert f"{w:g}x{h:g} and {w + 16:g}x{h:g}" in err
+
+
 class TestGenerate:
     def test_generates_description(self, synth_dir, finetuned):
         out = run_json(["generate", "--model", str(finetuned),

@@ -1,9 +1,11 @@
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from scrc import datastore
 from scrc.datastore import (FeatureStore, build_training_tuples, load_annotations,
                             load_captions, load_checkpoint, load_feature_store,
                             load_proposals, save_checkpoint, save_feature_store)
@@ -366,3 +368,64 @@ class TestCheckpoint:
         path.write_bytes(b"WRONGMAG" + b"\x00" * 40)
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
+
+
+class _DiskFullAfter:
+    """A file whose writes fail once `writes` of them have gone through."""
+
+    def __init__(self, f, writes):
+        self.f, self.writes = f, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes -= 1
+        if self.writes < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.f.write(data)
+
+
+class TestAtomicWrites:
+    @pytest.fixture
+    def disk_full(self, monkeypatch):
+        real_open = open
+        monkeypatch.setattr(datastore, "open",
+                            lambda *a, **kw: _DiskFullAfter(real_open(*a, **kw), 3),
+                            raising=False)
+
+    def savers(self):
+        params, config, vocab = small_checkpoint_parts()
+        store = FeatureStore(3)
+        for k in range(4):
+            store.add(f"k{k}", np.arange(3.0) + k)
+        return {"checkpoint": lambda path: save_checkpoint(params, config, vocab, path),
+                "feature store": lambda path: save_feature_store(store, path)}
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "feature store"])
+    def test_failed_write_keeps_old_file(self, kind, tmp_path, request):
+        save = self.savers()[kind]
+        path = tmp_path / "out.bin"
+        save(path)
+        old = path.read_bytes()
+        request.getfixturevalue("disk_full")
+        with pytest.raises(OSError):
+            save(path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "feature store"])
+    def test_failed_new_file_leaves_nothing(self, kind, tmp_path, disk_full):
+        with pytest.raises(OSError):
+            self.savers()[kind](tmp_path / "out.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overwrite_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "store.bin"
+        for dim in (2, 3):
+            save_feature_store(FeatureStore(dim), path)
+        assert load_feature_store(path).dim == 3
+        assert list(tmp_path.iterdir()) == [path]
