@@ -262,6 +262,12 @@ def _score_proposal_set(params, config, query_ids, pset, region_store, context_s
     return score_candidates(params, config, requests)
 
 
+def _note_truncation(pset: datastore.ProposalSet):
+    if pset.listed > len(pset.boxes):
+        print(f"note: image {pset.image_id!r} lists {pset.listed} proposals; "
+              f"ranking the top {len(pset.boxes)}", file=sys.stderr)
+
+
 def _cmd_retrieve(args) -> int:
     params, config, vocab, region_store, context_store = _load_scorer(args)
     if args.top_k < 1:
@@ -270,6 +276,7 @@ def _cmd_retrieve(args) -> int:
     if args.image_id not in by_image:
         raise InputError(f"image {args.image_id!r} not present in proposals")
     pset = by_image[args.image_id]
+    _note_truncation(pset)
     query_ids = encode(vocab, args.query)
     if not query_ids:
         raise InputError(f"query tokenizes to nothing: {args.query!r}")
@@ -312,6 +319,7 @@ def _cmd_eval(args) -> int:
             raise InputError(f"image {image_id!r} has an empty proposal set")
         else:
             cands = by_pset[image_id]
+            _note_truncation(cands)
         for rec in recs:
             for desc in rec.descriptions:
                 query_ids = encode(vocab, desc)

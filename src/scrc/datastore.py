@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
@@ -105,25 +107,59 @@ def save_feature_store(store: FeatureStore, path):
             f.write(vec.astype("<f4", copy=False).tobytes())
 
 
-class _Cursor:
-    """Byte cursor that reports the offset of any truncation."""
+def _open_nonblocking(path, flags):
+    # open() of a FIFO with no writer would wait for one; _Cursor refuses it
+    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
 
-    def __init__(self, buf: bytes, what: str):
-        self.buf = buf
+
+class _Cursor:
+    """Reads an open regular file front to back. Every read is checked
+    against the file's size first, so a truncation raises FormatError naming
+    its byte offset before anything is read or allocated."""
+
+    def __init__(self, f, what: str):
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise InputError(f"{what} {f.name}: not a regular file")
+        self.f = f
+        self.size = st.st_size
         self.off = 0
         self.what = what
 
-    def skip(self, n: int) -> int:
-        """Move past n bytes; returns the offset they start at."""
-        if self.off + n > len(self.buf):
+    def left(self) -> int:
+        return self.size - self.off
+
+    def _advance(self, n: int, got: int):
+        """Moves past n bytes, of which got were read."""
+        if got != n:
+            raise FormatError(f"{self.what}: truncated at byte {self.off + got} "
+                              f"(the file shrank while it was read)")
+        self.off += n
+
+    def _need(self, n: int):
+        if n > self.left():
             raise FormatError(
                 f"{self.what}: truncated at byte {self.off} "
-                f"(needed {n} more, have {len(self.buf) - self.off})")
+                f"(needed {n} more, have {self.left()})")
+
+    def skip(self, n: int):
+        self._need(n)
+        self.f.seek(n, os.SEEK_CUR)
         self.off += n
-        return self.off - n
 
     def take(self, n: int) -> bytes:
-        return self.buf[self.skip(n):self.off]  # skip() runs first and advances off
+        self._need(n)
+        data = self.f.read(n)
+        self._advance(n, len(data))
+        return data
+
+    def into(self, array: np.ndarray):
+        """Fills a C-contiguous float32 array with the next array.nbytes bytes,
+        read as little-endian."""
+        self._need(array.nbytes)
+        self._advance(array.nbytes, self.f.readinto(memoryview(array).cast("B")))
+        if sys.byteorder == "big":
+            array.byteswap(inplace=True)
 
     def text(self, n: int) -> str:
         """The next n bytes decoded as UTF-8."""
@@ -137,34 +173,41 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def done(self):
-        if self.off != len(self.buf):
-            raise FormatError(
-                f"{self.what}: {len(self.buf) - self.off} trailing bytes at byte {self.off}")
+        if self.left():
+            raise FormatError(f"{self.what}: {self.left()} trailing bytes at byte {self.off}")
 
 
 def load_feature_store(path) -> FeatureStore:
-    with open(path, "rb") as f:
-        cur = _Cursor(f.read(), "feature store")
-    magic = cur.take(len(FEATURE_MAGIC))
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"feature store: bad magic {magic!r} at byte 0")
-    version, dim, count = cur.unpack("<III")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"feature store: unsupported version {version}")
-    if dim == 0:
-        raise FormatError("feature store: zero feature dimension")
-    store = FeatureStore(dim)
-    for _ in range(count):
-        key_off = cur.off
-        (klen,) = cur.unpack("<H")
-        key = cur.text(klen)
-        vec = np.frombuffer(cur.buf, "<f4", count=dim, offset=cur.skip(4 * dim)).copy()
-        if key in store.entries:
-            raise FormatError(f"feature store: duplicate key {key!r} at byte {key_off}")
-        if not np.all(np.isfinite(vec)):
-            raise FormatError(f"feature store: non-finite values for key {key!r}")
-        store.entries[key] = vec
-    cur.done()
+    with open(path, "rb", opener=_open_nonblocking) as f:
+        cur = _Cursor(f, "feature store")
+        magic = cur.take(len(FEATURE_MAGIC))
+        if magic != FEATURE_MAGIC:
+            raise FormatError(f"feature store: bad magic {magic!r} at byte 0")
+        version, dim, count = cur.unpack("<III")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"feature store: unsupported version {version}")
+        if dim == 0:
+            raise FormatError("feature store: zero feature dimension")
+        need = count * (2 + 4 * dim)  # every entry has a key length and dim floats
+        if need > cur.left():
+            raise FormatError(
+                f"feature store: {count} entries of dim {dim} need at least {need} bytes, "
+                f"the file has {cur.left()} left at byte {cur.off}")
+        store = FeatureStore(dim)
+        matrix = np.empty((count, dim), dtype=np.float32)
+        for row in matrix:
+            key_off = cur.off
+            (klen,) = cur.unpack("<H")
+            key = cur.text(klen)
+            if key in store.entries:
+                raise FormatError(f"feature store: duplicate key {key!r} at byte {key_off}")
+            cur.into(row)
+            store.entries[key] = row
+        cur.done()
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        key = list(store.entries)[int(np.argmin(finite))]
+        raise FormatError(f"feature store: non-finite values for key {key!r}")
     return store
 
 
@@ -183,6 +226,7 @@ class ProposalSet:
     image_id: str
     boxes: list[BoundingBox]
     region_keys: list[str]
+    listed: int = 0  # boxes on the file's line, before the top max_boxes were kept
 
 
 @dataclass
@@ -275,7 +319,8 @@ def load_proposals(path, max_boxes: int = DEFAULT_MAX_PROPOSALS) -> list[Proposa
             raise FormatError(f"{path}: line {lineno}: region_keys must be strings")
         boxes = [_parse_box(b, path, lineno) for b in raw_boxes]
         # proposal files are ranked; keep the top max_boxes
-        sets.append(ProposalSet(image_id, boxes[:max_boxes], list(keys[:max_boxes])))
+        sets.append(ProposalSet(image_id, boxes[:max_boxes], list(keys[:max_boxes]),
+                                len(boxes)))
     return sets
 
 
@@ -342,56 +387,76 @@ def save_checkpoint(params: ScrcParams, config: ScrcConfig, vocab: Vocabulary, p
             f.write(np.ascontiguousarray(t.value, dtype="<f4").tobytes())
 
 
+def _param_bytes(config: ScrcConfig) -> int:
+    """Bytes of float32 data in all of the tensors of a model with this config."""
+    V, H = config.vocab_size, config.hidden_dim
+    unit_inputs = (config.embed_dim, config.local_input_dim, config.global_input_dim)
+    return 4 * (config.embed_dim * V + sum(4 * H * (n + H + 1) for n in unit_inputs)
+                + 2 * V * H + V)
+
+
 def load_checkpoint(path):
     """Returns (params, config, vocab); tensors come back bit-exact."""
-    with open(path, "rb") as f:
-        cur = _Cursor(f.read(), "checkpoint")
-    magic = cur.take(len(CHECKPOINT_MAGIC))
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"checkpoint: bad magic {magic!r} at byte 0")
-    version, hlen = cur.unpack("<II")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"checkpoint: unsupported version {version}")
-    try:
-        header = json.loads(cur.take(hlen).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"checkpoint: invalid header JSON: {e}") from None
-    for key in ("format_version", "config", "vocab"):
-        if key not in header:
-            raise FormatError(f"checkpoint: header missing {key!r}")
-    if header["format_version"] != FORMAT_VERSION:
-        raise FormatError(f"checkpoint: unsupported format_version {header['format_version']}")
-    try:
-        config = ScrcConfig.from_dict(header["config"])
-        vocab = Vocabulary(header["vocab"])
-    except (TypeError, InputError) as e:
-        raise FormatError(f"checkpoint: invalid header: {e}") from None
-
-    params = ScrcParams(config, dtype=np.float32)
-    expected = {t.name: t for t in params.tensors()}
-    (count,) = cur.unpack("<I")
-    seen: set[str] = set()
-    extra = []
-    for _ in range(count):
-        rec_off = cur.off
-        (nlen,) = cur.unpack("<H")
-        name = cur.text(nlen)
-        if name in seen:
-            raise FormatError(f"checkpoint: duplicate tensor {name!r} at byte {rec_off}")
-        seen.add(name)
-        (rank,) = cur.unpack("<B")
-        dims = cur.unpack(f"<{rank}I")
-        n = math.prod(dims)
-        data = np.frombuffer(cur.buf, "<f4", count=n, offset=cur.skip(4 * n)).reshape(dims)
-        t = expected.get(name)
-        if t is None:
-            extra.append(name)
-        elif dims != t.value.shape:
+    with open(path, "rb", opener=_open_nonblocking) as f:
+        cur = _Cursor(f, "checkpoint")
+        magic = cur.take(len(CHECKPOINT_MAGIC))
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"checkpoint: bad magic {magic!r} at byte 0")
+        version, hlen = cur.unpack("<II")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"checkpoint: unsupported version {version}")
+        try:
+            header = json.loads(cur.take(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"checkpoint: invalid header JSON: {e}") from None
+        if not isinstance(header, dict):
+            raise FormatError("checkpoint: header is not a JSON object")
+        for key in ("format_version", "config", "vocab"):
+            if key not in header:
+                raise FormatError(f"checkpoint: header missing {key!r}")
+        if header["format_version"] != FORMAT_VERSION:
             raise FormatError(
-                f"checkpoint: tensor {name!r} has shape {dims}, expected {t.value.shape}")
-        else:
-            t.value[...] = data
-    cur.done()
+                f"checkpoint: unsupported format_version {header['format_version']}")
+        try:
+            config = ScrcConfig.from_dict(header["config"])
+            vocab = Vocabulary(header["vocab"])
+        except (TypeError, InputError) as e:
+            raise FormatError(f"checkpoint: invalid header: {e}") from None
+        if len(vocab) != config.vocab_size:
+            raise FormatError(f"checkpoint: vocabulary of {len(vocab)} tokens, config "
+                              f"vocab_size {config.vocab_size}")
+
+        (count,) = cur.unpack("<I")
+        need = _param_bytes(config)
+        if need > cur.left():
+            raise FormatError(
+                f"checkpoint: the header's config needs {need} bytes of tensor data, "
+                f"the file has {cur.left()} left at byte {cur.off}")
+        params = ScrcParams(config, dtype=np.float32)
+        expected = {t.name: t for t in params.tensors()}
+        seen: set[str] = set()
+        extra = []
+        for _ in range(count):
+            rec_off = cur.off
+            (nlen,) = cur.unpack("<H")
+            name = cur.text(nlen)
+            if name in seen:
+                raise FormatError(f"checkpoint: duplicate tensor {name!r} at byte {rec_off}")
+            seen.add(name)
+            (rank,) = cur.unpack("<B")
+            dims = cur.unpack(f"<{rank}I")
+            t = expected.get(name)
+            if t is None:
+                extra.append(name)
+                cur.skip(4 * math.prod(dims))
+            elif dims != t.value.shape:
+                raise FormatError(
+                    f"checkpoint: tensor {name!r} has shape {dims}, expected {t.value.shape}")
+            else:
+                cur.into(t.value)
+                if not np.isfinite(t.value).all():
+                    raise FormatError(f"checkpoint: tensor {name!r} holds non-finite values")
+        cur.done()
 
     missing = set(expected) - seen
     if missing or extra:

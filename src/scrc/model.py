@@ -35,8 +35,8 @@ from .nncore import (DEFAULT_INIT_RADIUS, LstmParams, LstmState, LstmTrace, Para
                      feature_axis, init_uniform, log_softmax, lstm_bptt, lstm_step)
 from .textproc import BOS_ID, EOS_ID
 
-_CONFIG_KEYS = ("vocab_size", "embed_dim", "hidden_dim", "feat_dim", "spatial_dim",
-                "caption_mode", "mask_spatial", "mask_context")
+_MODE_KEYS = ("caption_mode", "mask_spatial", "mask_context")
+_CONFIG_KEYS = ("vocab_size", "embed_dim", "hidden_dim", "feat_dim", "spatial_dim") + _MODE_KEYS
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,15 @@ class ScrcConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScrcConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            kind = bool if key in _MODE_KEYS else int
+            if type(value) is not kind:
+                raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
         return cls(**d)
 
     def replace(self, **changes) -> "ScrcConfig":

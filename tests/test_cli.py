@@ -12,7 +12,7 @@ import pytest
 
 import scrc
 from scrc.cli import _build_parser, _load_config_file, main
-from scrc.datastore import load_checkpoint, load_feature_store
+from scrc.datastore import load_checkpoint, load_feature_store, save_checkpoint
 from scrc.model import ScoreRequest, sequence_log_prob
 from scrc.nncore import make_rng
 
@@ -29,6 +29,26 @@ def run_json(argv):
     code, out, err = run_cli(argv)
     assert code == 0, f"command failed: {err}"
     return json.loads(out)
+
+
+def run_cli_subprocess(argv):
+    """Invoke the CLI in a subprocess, so that an uncaught exception shows as a
+    traceback on stderr; returns the CompletedProcess."""
+    src = str(Path(scrc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from scrc.cli import main; sys.exit(main())",
+         *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+def assert_error_exit(proc, *fragments):
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    for fragment in fragments:
+        assert fragment in proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -269,17 +289,56 @@ class TestRetrieve:
                         + bytes(4 * dim))
         args = self.retrieve_args(synth_dir, finetuned)
         args[args.index("--region-features") + 1] = str(bad)
-        # a subprocess, so that an uncaught exception shows as a traceback on stderr
-        src = str(Path(scrc.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from scrc.cli import main; sys.exit(main())",
-             *args], env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert "invalid UTF-8 at byte 22" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert_error_exit(run_cli_subprocess(args), "invalid UTF-8 at byte 22")
+
+    def test_non_finite_checkpoint_exit_1(self, synth_dir, finetuned, tmp_path):
+        params, config, vocab = load_checkpoint(finetuned)
+        params.W_local.value[0, 0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(params, config, vocab, bad)
+        proc = run_cli_subprocess(self.retrieve_args(synth_dir, bad))
+        assert_error_exit(proc, "tensor 'W_local' holds non-finite values")
+
+    def test_oversized_header_dims_exit_1(self, synth_dir, finetuned, tmp_path):
+        data = finetuned.read_bytes()
+        hlen = struct.unpack("<I", data[12:16])[0]
+        header = json.loads(data[16:16 + hlen])
+        header["config"].update(embed_dim=400000, hidden_dim=400000)
+        bad = tmp_path / "huge.ckpt"
+        hb = json.dumps(header).encode("utf-8")
+        bad.write_bytes(data[:12] + struct.pack("<I", len(hb)) + hb + data[16 + hlen:])
+        proc = run_cli_subprocess(self.retrieve_args(synth_dir, bad))
+        assert_error_exit(proc, "config needs", "bytes of tensor data, the file has")
+
+    def test_oversized_feature_count_exit_1(self, synth_dir, finetuned, tmp_path):
+        dim = load_feature_store(synth_dir / "region_features.bin").dim
+        bad = tmp_path / "count.bin"
+        bad.write_bytes(b"SCRCFEAT" + struct.pack("<IIIH", 1, dim, 0xFFFFFFFF, 1) + b"k"
+                        + bytes(4 * dim))
+        args = self.retrieve_args(synth_dir, finetuned)
+        args[args.index("--region-features") + 1] = str(bad)
+        assert_error_exit(run_cli_subprocess(args), f"4294967295 entries of dim {dim}")
+
+    def test_truncated_proposal_set_noted(self, synth_dir, finetuned, tmp_path):
+        first = json.loads((synth_dir / "proposals.jsonl").read_text().splitlines()[0])
+        assert first["image_id"] == "img00"
+        boxes, keys = first["boxes"], first["region_keys"]
+        top = {"image_id": "img00", "boxes": (boxes * 101)[:100],
+               "region_keys": (keys * 101)[:100]}
+        long = dict(top, boxes=top["boxes"] + [[0, 0, 9, 9]], region_keys=top["region_keys"]
+                    + ["img00:never-read"])
+        runs = []
+        for name, record in (("top.jsonl", top), ("long.jsonl", long)):
+            path = tmp_path / name
+            path.write_text(json.dumps(record) + "\n")
+            args = self.retrieve_args(synth_dir, finetuned, k="100")
+            args[args.index("--proposals") + 1] = str(path)
+            runs.append(run_cli(args))
+        (code_top, out_top, err_top), (code, out, err) = runs
+        assert code == code_top == 0
+        assert out == out_top
+        assert err_top == ""
+        assert err == "note: image 'img00' lists 101 proposals; ranking the top 100\n"
 
     def test_single_candidate_top_1(self, synth_dir, finetuned, tmp_path):
         proposals = tmp_path / "one.jsonl"
@@ -331,6 +390,32 @@ class TestEval:
         assert code == 1
         assert "--proposals" in err
 
+
+    def test_truncated_proposal_sets_noted_once_per_image(self, synth_dir, finetuned,
+                                                          tmp_path):
+        records = [json.loads(line) for line in
+                   (synth_dir / "proposals.jsonl").read_text().splitlines()]
+        for rec, n in zip(records, (101, 130)):
+            rec["boxes"] = (rec["boxes"] * n)[:n]
+            rec["region_keys"] = (rec["region_keys"] * n)[:n]
+        long = tmp_path / "long.jsonl"
+        long.write_text("".join(json.dumps(r) + "\n" for r in records))
+        top = tmp_path / "top.jsonl"
+        top.write_text("".join(json.dumps(dict(r, boxes=r["boxes"][:100],
+                                               region_keys=r["region_keys"][:100])) + "\n"
+                               for r in records))
+        runs = []
+        for path in (top, long):
+            args = self.eval_args(synth_dir, finetuned, "proposals")
+            args[args.index("--proposals") + 1] = str(path)
+            runs.append(run_cli(args))
+        (code_top, out_top, err_top), (code, out, err) = runs
+        assert code == code_top == 0
+        assert out == out_top
+        assert err_top == ""
+        assert err.splitlines() == [
+            f"note: image {r['image_id']!r} lists {len(r['boxes'])} proposals; "
+            f"ranking the top 100" for r in records[:2]]
 
     def test_disagreeing_image_sizes_exit_1(self, synth_dir, finetuned, tmp_path):
         rows = [json.loads(line) for line in

@@ -1,15 +1,18 @@
 import errno
 import json
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from scrc import datastore
-from scrc.datastore import (FeatureStore, build_training_tuples, load_annotations,
+from scrc.datastore import (FeatureStore, _Cursor, _param_bytes, build_training_tuples,
+                            load_annotations,
                             load_captions, load_checkpoint, load_feature_store,
                             load_proposals, save_checkpoint, save_feature_store)
-from scrc.errors import FormatError, InputError
+from scrc.errors import ConfigError, FormatError, InputError
 from scrc.model import ScrcConfig, ScrcParams
 from scrc.nncore import make_rng
 from scrc.textproc import build_vocab
@@ -19,6 +22,17 @@ def write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
             f.write(json.dumps(row) + "\n")
+
+
+def write_feature_store(path, dim, entries, count=None):
+    """A feature store file written by hand, so values may be non-finite and
+    the count may disagree with the entries."""
+    with open(path, "wb") as f:
+        f.write(b"SCRCFEAT" + struct.pack("<III", 1, dim, len(entries) if count is None
+                                          else count))
+        for key, vec in entries:
+            kb = key.encode("utf-8")
+            f.write(struct.pack("<H", len(kb)) + kb + np.asarray(vec, "<f4").tobytes())
 
 
 def annotation_row(**overrides):
@@ -108,6 +122,42 @@ class TestFeatureStore:
         save_feature_store(FeatureStore(2), path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError, match="trailing"):
+            load_feature_store(path)
+
+    def test_uneven_key_lengths_roundtrip_bit_exact(self, tmp_path):
+        keys = ["", "a", "img1:r07", "ключ-é", "k" * 300, "z" * 0xFFFF]
+        values = make_rng(0).normal(size=(len(keys), 4)).astype(np.float32)
+        values[0] = [0.0, -0.0, 1e-45, -3.4028235e38]  # signed zero, subnormal, extreme
+        store = FeatureStore(4)
+        for key, vec in zip(keys, values):
+            store.add(key, vec)
+        path = tmp_path / "f.bin"
+        save_feature_store(store, path)
+        loaded = load_feature_store(path)
+        assert list(loaded.entries) == keys
+        for key in keys:
+            got, want = loaded.get(key), store.get(key)
+            assert got.dtype == np.float32 and got.shape == (4,)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_key(self, tmp_path, bad):
+        vecs = np.ones((5, 3), dtype=np.float32)
+        vecs[2, 1] = bad
+        vecs[4, 0] = np.nan  # a later bad entry is not the one named
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 3, [(f"key-{k}" * (k + 1), v) for k, v in enumerate(vecs)])
+        with pytest.raises(FormatError, match="non-finite values for key 'key-2key-2key-2'"):
+            load_feature_store(path)
+
+    def test_count_the_file_cannot_hold_rejected_before_allocating(self, tmp_path):
+        # 0xFFFFFFFF rows of 10^6 floats would be 17 PB: allocating them would fail
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 10 ** 6, [("a", np.zeros(10 ** 6))], count=0xFFFFFFFF)
+        need = 0xFFFFFFFF * (2 + 4 * 10 ** 6)
+        with pytest.raises(FormatError, match=f"4294967295 entries of dim 1000000 need at "
+                                              f"least {need} bytes, the file has 4000003 "
+                                              f"left at byte 20"):
             load_feature_store(path)
 
     def test_missing_key_named(self):
@@ -363,11 +413,165 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=r"byte \d+"):
             load_checkpoint(cut)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_named(self, tmp_path, bad):
+        params, config, vocab = small_checkpoint_parts()
+        params.W_local.value[0, 0] = bad
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        with pytest.raises(FormatError, match="tensor 'W_local' holds non-finite values"):
+            load_checkpoint(path)
+
+    def test_non_finite_gate_view_named(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        params.lstm_global.b_o.value[2] = np.nan
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        with pytest.raises(FormatError, match=r"tensor 'lstm_global\.b_o' holds non-finite"):
+            load_checkpoint(path)
+
+    def test_unexpected_tensor_between_expected_is_skipped_and_named(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        prefix, records = split_checkpoint(path.read_bytes())
+        extra = (struct.pack("<H", 5) + b"extra" + struct.pack("<B3I", 3, 2, 3, 4)
+                 + np.full(24, np.nan, "<f4").tobytes())
+        records.insert(3, extra)
+        path.write_bytes(prefix + struct.pack("<I", len(records)) + b"".join(records))
+        with pytest.raises(FormatError, match=r"missing \[\], unexpected \['extra'\]"):
+            load_checkpoint(path)
+
+    def test_oversized_header_dims_rejected_before_allocating(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        huge = config.replace(embed_dim=400000, hidden_dim=400000)
+        rewrite_header(path, config=huge.to_dict())
+        size = path.stat().st_size
+        hlen = struct.unpack("<I", path.read_bytes()[12:16])[0]
+        with pytest.raises(FormatError, match=(
+                f"config needs {_param_bytes(huge)} bytes of tensor data, the file has "
+                f"{size - 20 - hlen} left at byte {20 + hlen}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("embed_dim", 4.0), ("hidden_dim", True),
+                                            ("mask_spatial", 1)])
+    def test_header_config_of_wrong_type_named(self, tmp_path, key, value):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        rewrite_header(path, config={**config.to_dict(), key: value})
+        with pytest.raises(ConfigError, match=f"config key {key!r} must be"):
+            load_checkpoint(path)
+
+    def test_vocabulary_disagreeing_with_config_rejected(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        rewrite_header(path, vocab=list(vocab.tokens[:4]))
+        with pytest.raises(FormatError, match=f"vocabulary of 4 tokens, config vocab_size "
+                                              f"{config.vocab_size}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(4, 5, 3), (7, 2, 9)])
+    def test_param_bytes_counts_every_tensor(self, dims):
+        config = ScrcConfig(vocab_size=11, embed_dim=dims[0], hidden_dim=dims[1],
+                            feat_dim=dims[2])
+        assert _param_bytes(config) == sum(
+            t.value.nbytes for t in ScrcParams(config).tensors())
+
+    def test_header_config_that_is_not_an_object(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        rewrite_header(path, config=[])
+        with pytest.raises(ConfigError, match="config must be a JSON object, got list"):
+            load_checkpoint(path)
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        hb = b"[1, 2]"
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"SCRCCKPT" + struct.pack("<II", 1, len(hb)) + hb
+                         + struct.pack("<I", 0))
+        with pytest.raises(FormatError, match="header is not a JSON object"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 40)
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
+
+
+def split_checkpoint(data: bytes):
+    """(the bytes before the tensor count, one bytes object per tensor record)."""
+    hlen = struct.unpack("<I", data[12:16])[0]
+    off = 16 + hlen
+    (count,) = struct.unpack("<I", data[off:off + 4])
+    prefix, off, records = data[:off], off + 4, []
+    for _ in range(count):
+        start = off
+        (nlen,) = struct.unpack("<H", data[off:off + 2])
+        off += 2 + nlen
+        rank = data[off]
+        dims = struct.unpack(f"<{rank}I", data[off + 1:off + 1 + 4 * rank])
+        off += 1 + 4 * rank + 4 * int(np.prod(dims))
+        records.append(data[start:off])
+    assert off == len(data)
+    return prefix, records
+
+
+def rewrite_header(path, **fields):
+    """Replaces fields of a checkpoint's JSON header, keeping its tensors."""
+    data = path.read_bytes()
+    hlen = struct.unpack("<I", data[12:16])[0]
+    header = {**json.loads(data[16:16 + hlen]), **fields}
+    hb = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:12] + struct.pack("<I", len(hb)) + hb + data[16 + hlen:])
+
+
+class _ShortReads:
+    """A file whose readinto fills only half of what is asked, as a file
+    that shrinks while it is read does."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def fileno(self):
+        return self.f.fileno()
+
+    def readinto(self, buf):
+        return self.f.readinto(buf[:len(buf) // 2])
+
+
+class TestReader:
+    def test_fifo_rejected_without_waiting(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for loader in (load_feature_store, load_checkpoint):
+            with pytest.raises(InputError, match=f"{fifo}: not a regular file"):
+                loader(fifo)
+
+    def test_short_read_names_offset(self, tmp_path):
+        path = tmp_path / "raw.bin"
+        path.write_bytes(bytes(64))
+        with open(path, "rb") as f:
+            cur = _Cursor(_ShortReads(f), "raw")
+            with pytest.raises(FormatError, match=r"raw: truncated at byte 32 \(the file "
+                                                  r"shrank"):
+                cur.into(np.empty(16, dtype=np.float32))
+
+    def test_big_endian_host_byteswaps(self, tmp_path, monkeypatch):
+        values = np.array([1.5, -2.0, 3e-3], dtype=np.float32)
+        path = tmp_path / "raw.bin"
+        path.write_bytes(values.astype("<f4").tobytes())
+        monkeypatch.setattr(sys, "byteorder", "big")
+        out = np.empty(3, dtype=np.float32)
+        with open(path, "rb") as f:
+            _Cursor(f, "raw").into(out)
+        # what a big-endian host would hold: the same values in its own byte order
+        assert np.array_equal(out.view(">f4"), values)
 
 
 class _DiskFullAfter:
