@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import datastore, evalmetrics, synth
 from .errors import ConfigError, InputError, ScrcError
 from .geometry import BoundingBox, ImageSize, encode_spatial
@@ -263,9 +265,9 @@ def _score_proposal_set(params, config, query_ids, pset, region_store, context_s
 
 
 def _note_truncation(pset: datastore.ProposalSet):
-    if pset.listed > len(pset.boxes):
+    if pset.listed > len(pset.coords):
         print(f"note: image {pset.image_id!r} lists {pset.listed} proposals; "
-              f"ranking the top {len(pset.boxes)}", file=sys.stderr)
+              f"ranking the top {len(pset.coords)}", file=sys.stderr)
 
 
 def _cmd_retrieve(args) -> int:
@@ -311,11 +313,11 @@ def _cmd_eval(args) -> int:
                     f"image {image_id!r}: annotation records disagree on its size, "
                     f"{img.width:g}x{img.height:g} and {rec.width:g}x{rec.height:g}")
         if args.scenario == "gt":
-            cands = datastore.ProposalSet(image_id, [r.box for r in recs],
+            cands = datastore.ProposalSet(image_id, np.array([r.box.as_list() for r in recs]),
                                           [r.region_key for r in recs])
         elif image_id not in by_pset:
             raise InputError(f"image {image_id!r} not present in proposals")
-        elif not by_pset[image_id].boxes:
+        elif not len(by_pset[image_id].coords):
             raise InputError(f"image {image_id!r} has an empty proposal set")
         else:
             cands = by_pset[image_id]

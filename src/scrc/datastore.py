@@ -28,6 +28,8 @@ import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +44,13 @@ CHECKPOINT_MAGIC = b"SCRCCKPT"
 FORMAT_VERSION = 1
 
 DEFAULT_MAX_PROPOSALS = 100
+
+# load_feature_store reads this many bytes at a time into one reused buffer. A
+# buffer that stays in L2 parses fastest, and one below glibc's 128 KiB mmap
+# threshold leaves malloc's dynamic threshold, and so the speed of later
+# allocations, as it was.
+FEATURE_CHUNK_BYTES = 1 << 16
+_KEY_LEN = struct.Struct("<H")
 
 
 class FeatureStore:
@@ -153,11 +162,16 @@ class _Cursor:
         self._advance(n, len(data))
         return data
 
+    def read_into(self, buf):
+        """Fills a writable contiguous buffer with the next bytes of the file."""
+        view = memoryview(buf).cast("B")
+        self._need(view.nbytes)
+        self._advance(view.nbytes, self.f.readinto(view))
+
     def into(self, array: np.ndarray):
         """Fills a C-contiguous float32 array with the next array.nbytes bytes,
         read as little-endian."""
-        self._need(array.nbytes)
-        self._advance(array.nbytes, self.f.readinto(memoryview(array).cast("B")))
+        self.read_into(array)
         if sys.byteorder == "big":
             array.byteswap(inplace=True)
 
@@ -172,9 +186,76 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def unread(self, n: int):
+        """Moves back over the last n bytes read."""
+        self.f.seek(-n, os.SEEK_CUR)
+        self.off -= n
+
     def done(self):
         if self.left():
             raise FormatError(f"{self.what}: {self.left()} trailing bytes at byte {self.off}")
+
+
+def _refill(cur: _Cursor, buf: bytearray, pos: int, end: int, start: int, stop: int):
+    """Makes a buffer hold the first stop bytes of the entry that begins at
+    buf[pos]: moves buf[pos:end] to its front, growing it if stop exceeds it,
+    and fills the rest from the file. Returns (buffer, end of its data). If
+    the file ends too soon, names the entry's field that begins start bytes
+    into it."""
+    entry_off = cur.off - (end - pos)
+    have = cur.size - entry_off - start
+    if stop - start > have:
+        raise FormatError(f"feature store: truncated at byte {entry_off + start} "
+                          f"(needed {stop - start} more, have {have})")
+    held = buf[pos:end]
+    if stop > len(buf):  # one field is longer than a chunk
+        buf = bytearray(stop)
+    buf[:len(held)] = held
+    end = min(len(buf), len(held) + cur.left())
+    cur.read_into(memoryview(buf)[len(held):end])
+    return buf, end
+
+
+def _read_entries(cur: _Cursor, keys: dict[str, np.ndarray], matrix: np.ndarray):
+    """Parses the feature store entries that follow the header: each key into
+    keys, mapped to its row of matrix, and each vector into that row. The file
+    is read FEATURE_CHUNK_BYTES at a time into one buffer, and the entries are
+    parsed from the buffer; an entry may straddle two reads. Errors name the
+    same byte offsets as reading the entries field by field would."""
+    vec = 4 * matrix.shape[1]
+    rows = memoryview(matrix.reshape(-1)).cast("B")
+    buf = bytearray(min(FEATURE_CHUNK_BYTES, cur.left()))
+    view = memoryview(buf)
+    pos = end = 0  # buf[pos:end] holds the file's bytes from cur.off - (end - pos) on
+    out = 0
+    for row in matrix:
+        if end - pos < 2:
+            buf, end = _refill(cur, buf, pos, end, 0, 2)
+            pos, view = 0, memoryview(buf)
+        (klen,) = _KEY_LEN.unpack_from(buf, pos)
+        key_end = pos + 2 + klen
+        if key_end > end:
+            buf, end = _refill(cur, buf, pos, end, 2, 2 + klen)
+            pos, key_end, view = 0, 2 + klen, memoryview(buf)
+        try:
+            key = buf[pos + 2:key_end].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"feature store: invalid UTF-8 at byte "
+                              f"{cur.off - (end - pos) + 2 + e.start}") from None
+        if key in keys:
+            raise FormatError(f"feature store: duplicate key {key!r} at byte "
+                              f"{cur.off - (end - pos)}")
+        stop = key_end + vec
+        if stop > end:
+            buf, end = _refill(cur, buf, pos, end, 2 + klen, 2 + klen + vec)
+            stop, view = 2 + klen + vec, memoryview(buf)
+        rows[out:out + vec] = view[stop - vec:stop]
+        out += vec
+        keys[key] = row
+        pos = stop
+    cur.unread(end - pos)
+    if sys.byteorder == "big":
+        matrix.byteswap(inplace=True)
 
 
 def load_feature_store(path) -> FeatureStore:
@@ -185,9 +266,9 @@ def load_feature_store(path) -> FeatureStore:
             raise FormatError(f"feature store: bad magic {magic!r} at byte 0")
         version, dim, count = cur.unpack("<III")
         if version != FORMAT_VERSION:
-            raise FormatError(f"feature store: unsupported version {version}")
+            raise FormatError(f"feature store: unsupported version {version} at byte 8")
         if dim == 0:
-            raise FormatError("feature store: zero feature dimension")
+            raise FormatError("feature store: zero feature dimension at byte 12")
         need = count * (2 + 4 * dim)  # every entry has a key length and dim floats
         if need > cur.left():
             raise FormatError(
@@ -195,19 +276,15 @@ def load_feature_store(path) -> FeatureStore:
                 f"the file has {cur.left()} left at byte {cur.off}")
         store = FeatureStore(dim)
         matrix = np.empty((count, dim), dtype=np.float32)
-        for row in matrix:
-            key_off = cur.off
-            (klen,) = cur.unpack("<H")
-            key = cur.text(klen)
-            if key in store.entries:
-                raise FormatError(f"feature store: duplicate key {key!r} at byte {key_off}")
-            cur.into(row)
-            store.entries[key] = row
+        entries_off = cur.off
+        _read_entries(cur, store.entries, matrix)
         cur.done()
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        key = list(store.entries)[int(np.argmin(finite))]
-        raise FormatError(f"feature store: non-finite values for key {key!r}")
+    if not np.isfinite(matrix).all():
+        row = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+        keys = list(store.entries)
+        off = entries_off + sum(2 + len(k.encode("utf-8")) + 4 * dim for k in keys[:row])
+        raise FormatError(f"feature store: non-finite values for key {keys[row]!r} "
+                          f"in the entry at byte {off}")
     return store
 
 
@@ -221,12 +298,18 @@ class AnnotationRecord:
     descriptions: list[str]
 
 
-@dataclass
+@dataclass(eq=False)
 class ProposalSet:
     image_id: str
-    boxes: list[BoundingBox]
+    coords: np.ndarray  # (n, 4) float64 rows of x1, y1, x2, y2
     region_keys: list[str]
     listed: int = 0  # boxes on the file's line, before the top max_boxes were kept
+
+    @cached_property
+    def boxes(self) -> list[BoundingBox]:
+        """The rows of coords as boxes, built on first use: only the sets that
+        are ranked need them."""
+        return [BoundingBox(*row) for row in self.coords.tolist()]
 
 
 @dataclass
@@ -247,7 +330,7 @@ def _iter_jsonl(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # JSONDecodeError, or an integer of too many digits
                 raise FormatError(f"{path}: line {lineno}: invalid JSON: {e}") from None
             if not isinstance(obj, dict):
                 raise FormatError(f"{path}: line {lineno}: expected a JSON object")
@@ -267,14 +350,32 @@ def _field(obj, name, kind, path, lineno):
     return v
 
 
-def _parse_box(raw, path, lineno):
+def _parse_box(raw, where: str) -> BoundingBox:
     if (not isinstance(raw, list) or len(raw) != 4
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
-        raise FormatError(f"{path}: line {lineno}: box must be [x1, y1, x2, y2]")
+        raise FormatError(f"{where}: box must be [x1, y1, x2, y2]")
     try:
         return BoundingBox(*(float(v) for v in raw))
-    except InputError as e:
-        raise FormatError(f"{path}: line {lineno}: {e}") from None
+    except (InputError, OverflowError) as e:
+        raise FormatError(f"{where}: {e}") from None
+
+
+def _parse_boxes(raw_boxes: list, where: str) -> np.ndarray:
+    """A record's boxes as an (n, 4) float64 array. They are checked as a
+    whole; if that finds a bad box, they are checked one by one, which names
+    the first."""
+    if set(map(type, raw_boxes)) <= {list} and set(map(len, raw_boxes)) <= {4}:
+        flat = list(chain.from_iterable(raw_boxes))
+        if set(map(type, flat)) <= {int, float}:  # bool is neither
+            try:
+                coords = np.array(flat, dtype=np.float64).reshape(-1, 4)
+            except OverflowError:  # an integer beyond float64's range
+                pass
+            else:
+                if np.isfinite(coords).all() and (coords[:, 2:] > coords[:, :2]).all():
+                    return coords
+    boxes = [_parse_box(raw, f"{where}: box {k}") for k, raw in enumerate(raw_boxes)]
+    return np.array([b.as_list() for b in boxes], dtype=np.float64)
 
 
 def load_annotations(path) -> list[AnnotationRecord]:
@@ -283,7 +384,7 @@ def load_annotations(path) -> list[AnnotationRecord]:
         image_id = _field(obj, "image_id", str, path, lineno)
         width = _field(obj, "width", float, path, lineno)
         height = _field(obj, "height", float, path, lineno)
-        box = _parse_box(_field(obj, "box", list, path, lineno), path, lineno)
+        box = _parse_box(_field(obj, "box", list, path, lineno), f"{path}: line {lineno}")
         region_key = _field(obj, "region_key", str, path, lineno)
         descriptions = _field(obj, "descriptions", list, path, lineno)
         if not descriptions or not all(isinstance(d, str) for d in descriptions):
@@ -317,10 +418,10 @@ def load_proposals(path, max_boxes: int = DEFAULT_MAX_PROPOSALS) -> list[Proposa
                 f"({len(keys)}) differ in length")
         if not all(isinstance(k, str) for k in keys):
             raise FormatError(f"{path}: line {lineno}: region_keys must be strings")
-        boxes = [_parse_box(b, path, lineno) for b in raw_boxes]
+        coords = _parse_boxes(raw_boxes, f"{path}: line {lineno}")
         # proposal files are ranked; keep the top max_boxes
-        sets.append(ProposalSet(image_id, boxes[:max_boxes], list(keys[:max_boxes]),
-                                len(boxes)))
+        sets.append(ProposalSet(image_id, coords[:max_boxes], list(keys[:max_boxes]),
+                                len(coords)))
     return sets
 
 
@@ -407,7 +508,7 @@ def load_checkpoint(path):
             raise FormatError(f"checkpoint: unsupported version {version}")
         try:
             header = json.loads(cur.take(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except ValueError as e:  # invalid UTF-8 or JSON, or an integer of too many digits
             raise FormatError(f"checkpoint: invalid header JSON: {e}") from None
         if not isinstance(header, dict):
             raise FormatError("checkpoint: header is not a JSON object")

@@ -117,8 +117,14 @@ class ScrcParams:
         return ([self.E] + self.lstm_language.tensors() + self.lstm_local.tensors()
                 + self.lstm_global.tensors() + [self.W_local, self.W_global, self.r])
 
+    def fused_tensors(self) -> list[ParamTensor]:
+        """The 13 arrays that hold every weight; tensors() are views into them."""
+        units = (self.lstm_language, self.lstm_local, self.lstm_global)
+        return ([self.E] + [t for unit in units for t in unit.fused_tensors()]
+                + [self.W_local, self.W_global, self.r])
+
     def zero_grads(self):
-        for t in self.tensors():
+        for t in self.fused_tensors():
             t.zero_grad()
 
     @property

@@ -7,6 +7,7 @@ precision; gradient verification runs everything in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -127,6 +128,10 @@ class LstmParams:
     @property
     def input_dim(self) -> int:
         return self.W_x.value.shape[1]
+
+    def fused_tensors(self) -> list[ParamTensor]:
+        """W_x, W_h and b: the arrays that the tensors() are views into."""
+        return [self.W_x, self.W_h, self.b]
 
     def tensors(self) -> list[ParamTensor]:
         return [self.W_xi, self.W_xf, self.W_xo, self.W_xg,
@@ -289,10 +294,13 @@ def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray,
 
 
 def global_grad_norm(params: list[ParamTensor]) -> float:
+    """The 2-norm of all of the gradients, accumulated in float64. It is not
+    finite if some gradient is not."""
     total = 0.0
     for p in params:
-        total += float(np.sum(np.asarray(p.grad, dtype=np.float64) ** 2))
-    return float(np.sqrt(total))
+        g = p.grad.reshape(-1)
+        total += float(np.einsum("i,i->", g, g, dtype=np.float64))
+    return math.sqrt(total)
 
 
 class SgdOptimizer:
@@ -319,14 +327,12 @@ class SgdOptimizer:
         self._velocity = [np.zeros_like(p.value) for p in self.params]
 
     def step(self):
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise TrainingError(f"non-finite gradient in {p.name}")
-        scale = 1.0
-        if np.isfinite(self.clip_norm):
-            norm = global_grad_norm(self.params)
-            if norm > self.clip_norm:
-                scale = self.clip_norm / norm
+        norm = global_grad_norm(self.params)
+        if not math.isfinite(norm):
+            for p in self.params:
+                if not np.isfinite(p.grad).all():
+                    raise TrainingError(f"non-finite gradient in {p.name}")
+        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         for p, v in zip(self.params, self._velocity):
             v *= self.momentum
             v -= (self.lr * scale) * p.grad

@@ -86,7 +86,7 @@ def _run_sgd(params: ScrcParams, config: ScrcConfig, requests: list[ScoreRequest
              cfg: TrainConfig) -> TrainReport:
     if not requests:
         raise InputError("empty training set")
-    opt = SgdOptimizer(params.tensors(), lr=cfg.lr, momentum=cfg.momentum,
+    opt = SgdOptimizer(params.fused_tensors(), lr=cfg.lr, momentum=cfg.momentum,
                        clip_norm=cfg.clip_norm)
     interval = max(1, cfg.steps // 10)
     report = TrainReport(cfg.phase, cfg.steps, cfg.batch_size)

@@ -124,6 +124,13 @@ class TestFeatureStore:
         with pytest.raises(FormatError, match="trailing"):
             load_feature_store(path)
 
+    def test_trailing_bytes_after_entries_rejected(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 2, [("a", [1, 2]), ("b", [3, 4])])
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(FormatError, match="4 trailing bytes at byte 42$"):
+            load_feature_store(path)
+
     def test_uneven_key_lengths_roundtrip_bit_exact(self, tmp_path):
         keys = ["", "a", "img1:r07", "ключ-é", "k" * 300, "z" * 0xFFFF]
         values = make_rng(0).normal(size=(len(keys), 4)).astype(np.float32)
@@ -160,6 +167,35 @@ class TestFeatureStore:
                                               f"left at byte 20"):
             load_feature_store(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        (8, 9, "unsupported version 9 at byte 8"),
+        (12, 0, "zero feature dimension at byte 12"),
+    ])
+    def test_header_field_errors_name_offset(self, tmp_path, field, value, message):
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 2, [("a", [1, 2])])
+        data = bytearray(path.read_bytes())
+        data[field:field + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"feature store: {message}$"):
+            load_feature_store(path)
+
+    def test_non_finite_value_names_entry_offset(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 2, [("a", [1, 2]), ("bb", [3, 4]), ("ccc", [5, np.inf])])
+        # header 20 bytes, then entries of 2 + key + 8 bytes
+        with pytest.raises(FormatError, match=r"for key 'ccc' in the entry at byte 43$"):
+            load_feature_store(path)
+
+    def test_big_endian_host_byteswaps_rows(self, tmp_path, monkeypatch):
+        values = np.array([[1.5, -2.0, 3e-3], [0.0, -0.0, 7.0]], dtype=np.float32)
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 3, [("a", values[0]), ("b", values[1])])
+        monkeypatch.setattr(sys, "byteorder", "big")
+        loaded = load_feature_store(path)
+        assert np.array_equal(loaded.get("a").view(">f4"), values[0])
+        assert np.array_equal(loaded.get("b").view(">f4"), values[1])
+
     def test_missing_key_named(self):
         store = FeatureStore(2)
         with pytest.raises(InputError, match="nope"):
@@ -170,6 +206,85 @@ class TestFeatureStore:
         store.add("a", [1, 2])
         with pytest.raises(InputError, match="duplicate"):
             store.add("a", [3, 4])
+
+
+STRADDLING_KEYS = ["", "a", "img1:r07", "ключ-é", "k" * 23, "k" * 24, "k" * 25, "z" * 300]
+
+
+def entry_fields(keys, dim):
+    """(offset, size) of each field of each entry of a feature store, in file
+    order: key length, key, vector."""
+    fields, off = [], 20
+    for key in keys:
+        klen = len(key.encode("utf-8"))
+        fields += [(off, 2), (off + 2, klen), (off + 2 + klen, 4 * dim)]
+        off += 2 + klen + 4 * dim
+    return fields
+
+
+def truncation_message(keys, dim, cut):
+    """What reading the fields one by one, checking each against the file's
+    size, reports for a feature store cut to its first cut bytes."""
+    need = len(keys) * (2 + 4 * dim)
+    if need > cut - 20:
+        return (f"feature store: {len(keys)} entries of dim {dim} need at least {need} bytes, "
+                f"the file has {cut - 20} left at byte 20")
+    for off, size in entry_fields(keys, dim):
+        if off + size > cut:
+            return f"feature store: truncated at byte {off} (needed {size} more, have {cut - off})"
+    raise AssertionError("the cut leaves every field whole")
+
+
+class TestFeatureStoreChunks:
+    """Entries parsed from reads of a few dozen bytes, so that keys and vectors
+    straddle reads and some fields are longer than one read."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(datastore, "FEATURE_CHUNK_BYTES", 24)
+
+    @pytest.mark.parametrize("dim", [1, 5, 16])
+    def test_straddling_entries_roundtrip_bit_exact(self, tmp_path, dim):
+        values = make_rng(dim).normal(size=(len(STRADDLING_KEYS), dim)).astype(np.float32)
+        values[0, :1] = -0.0
+        values[-1, -1:] = 1e-45  # subnormal
+        path = tmp_path / "f.bin"
+        write_feature_store(path, dim, list(zip(STRADDLING_KEYS, values)))
+        loaded = load_feature_store(path)
+        assert list(loaded.entries) == STRADDLING_KEYS
+        got = np.stack([loaded.get(k) for k in STRADDLING_KEYS])
+        assert np.array_equal(got.view(np.uint32), values.view(np.uint32))
+
+    @pytest.mark.parametrize("dim", [5, 16])
+    def test_truncation_names_the_offset_of_the_cut_field(self, tmp_path, dim):
+        path = tmp_path / "f.bin"
+        write_feature_store(path, dim, [(k, np.ones(dim)) for k in STRADDLING_KEYS])
+        data = path.read_bytes()
+        cut_path = tmp_path / "cut.bin"
+        for cut in range(20, len(data)):
+            cut_path.write_bytes(data[:cut])
+            with pytest.raises(FormatError) as err:
+                load_feature_store(cut_path)
+            assert str(err.value) == truncation_message(STRADDLING_KEYS, dim, cut)
+
+    def test_straddling_errors_name_offsets(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 2, [("k" * 30, [1, 2]), ("k" * 30, [3, 4])])
+        with pytest.raises(FormatError, match=r"duplicate key 'k{30}' at byte 60$"):
+            load_feature_store(path)
+        data = bytearray(path.read_bytes())
+        data[60 + 2 + 29] = 0xFF  # the last byte of the second key
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"invalid UTF-8 at byte 91$"):
+            load_feature_store(path)
+
+    def test_trailing_bytes_after_straddling_entries(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 5, [(k, np.ones(5)) for k in STRADDLING_KEYS])
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(FormatError, match=f"4 trailing bytes at byte {size}$"):
+            load_feature_store(path)
 
 
 class TestAnnotations:
@@ -262,6 +377,59 @@ class TestProposalsAndCaptions:
         sets = load_proposals(path, max_boxes=5)
         assert len(sets[0].boxes) == 5
         assert sets[0].region_keys == [f"r{k}" for k in range(5)]
+
+    @pytest.mark.parametrize("max_boxes", [100, 2])  # 2: the bad box is past the kept ones
+    @pytest.mark.parametrize("bad, message", [
+        ([0, True, 5, 5], r"box must be \[x1, y1, x2, y2\]"),
+        ([0, "0", 5, 5], r"box must be \[x1, y1, x2, y2\]"),
+        ([0, 0, 5], r"box must be \[x1, y1, x2, y2\]"),
+        ([[0, 0], 0, 5, 5], r"box must be \[x1, y1, x2, y2\]"),
+        ({"x1": 0}, r"box must be \[x1, y1, x2, y2\]"),
+        ([float("nan"), 0, 5, 5], r"box coordinates must be finite, got \(nan, 0.0, 5.0, 5.0\)"),
+        ([0, 0, float("inf"), 5], r"box coordinates must be finite, got \(0.0, 0.0, inf, 5.0\)"),
+        ([2, 0, 2, 5], r"degenerate box \(2.0, 0.0, 2.0, 5.0\)"),
+        ([5, 5, 0, 0], r"degenerate box \(5.0, 5.0, 0.0, 0.0\)"),
+        ([0, 0, 10 ** 400, 5], "int too large to convert to float"),
+    ], ids=["bool", "string", "three", "nested", "object", "nan", "inf", "degenerate",
+            "inverted", "huge-int"])
+    def test_bad_box_names_line_and_index(self, tmp_path, bad, message, max_boxes):
+        # json.dumps writes nan and inf as the NaN and Infinity tokens json.loads accepts
+        boxes = [[k, 0, k + 1, 1] for k in range(5)]
+        boxes[2] = bad
+        boxes[4] = [1, 1, 0, 0]  # a later bad box is not the one named
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [{"image_id": "img1", "boxes": [[0, 0, 5, 5]], "region_keys": ["a"]},
+                           {"image_id": "img2", "boxes": boxes,
+                            "region_keys": [f"r{k}" for k in range(5)]}])
+        with pytest.raises(FormatError, match=rf"p\.jsonl: line 2: box 2: {message}"):
+            load_proposals(path, max_boxes=max_boxes)
+
+    def test_boxes_built_once_on_first_use(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [{"image_id": "img1", "boxes": [[0, 0.5, 5, 5], [2, 2, 8, 9]],
+                            "region_keys": ["a", "b"]}])
+        (pset,) = load_proposals(path)
+        assert pset.coords.dtype == np.float64
+        assert pset.coords.tolist() == [[0, 0.5, 5, 5], [2, 2, 8, 9]]
+        assert "boxes" not in vars(pset)
+        boxes = pset.boxes
+        assert [b.as_list() for b in boxes] == pset.coords.tolist()
+        assert pset.boxes is boxes
+
+    def test_empty_box_list_loads(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [{"image_id": "img1", "boxes": [], "region_keys": []}])
+        (pset,) = load_proposals(path)
+        assert pset.coords.shape == (0, 4)
+        assert pset.boxes == []
+
+    def test_integer_of_too_many_digits_names_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"image_id": "img1", "boxes": [[0, 0, 5, 5]], "region_keys": ["a"]}\n'
+                        '{"image_id": "img2", "boxes": [[0, 0, 5, ' + "9" * 5000 + ']], '
+                        '"region_keys": ["a"]}\n')
+        with pytest.raises(FormatError, match="p.jsonl: line 2: invalid JSON"):
+            load_proposals(path)
 
     def test_captions(self, tmp_path):
         path = tmp_path / "c.jsonl"

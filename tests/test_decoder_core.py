@@ -154,6 +154,16 @@ class TestFusedStorage:
                         assert view.flags.c_contiguous
                         assert np.shares_memory(view, base)
 
+    def test_fused_tensors_hold_every_named_tensor(self):
+        params = ScrcParams.init(small_config(), make_rng(38))
+        fused = params.fused_tensors()
+        assert len(fused) == 13
+        assert sum(t.value.size for t in fused) == sum(t.value.size for t in params.tensors())
+        for t in params.tensors():
+            owners = [f for f in fused if np.shares_memory(t.value, f.value)
+                      and np.shares_memory(t.grad, f.grad)]
+            assert len(owners) == 1, t.name
+
     def test_write_through_gate_view_changes_score(self):
         config = small_config()
         rng = make_rng(36)

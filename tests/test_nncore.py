@@ -284,6 +284,21 @@ class TestSgd:
         with pytest.raises(TrainingError, match="weird_param"):
             opt.step()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_grad_in_a_later_tensor_named(self, bad):
+        params = [ParamTensor.zeros(name, (3,)) for name in ("first", "second", "third")]
+        params[0].grad[...] = 1.0
+        params[1].grad[2] = bad
+        params[2].grad[0] = bad
+        with pytest.raises(TrainingError, match="non-finite gradient in second$"):
+            SgdOptimizer(params, lr=0.1, clip_norm=np.inf).step()
+
+    def test_norm_accumulates_in_float64(self):
+        p = ParamTensor.zeros("p", (4,), dtype=np.float32)
+        p.grad[...] = [3e20, 4e20, 1e-30, 0.0]  # their squares overflow float32
+        want = float(np.sqrt(np.sum(p.grad.astype(np.float64) ** 2)))
+        assert global_grad_norm([p]) == pytest.approx(want, rel=1e-15)
+
     def test_negative_lr_rejected(self):
         p = ParamTensor.zeros("p", (1,))
         with pytest.raises(ConfigError):

@@ -1,0 +1,128 @@
+"""Property tests for the two bulk readers: a feature store or proposals file
+that has been cut short or has one byte changed either loads, or raises a
+ScrcError that names a byte offset or a line. Any other exception fails."""
+
+import json
+import re
+import struct
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from scrc.datastore import (FeatureStore, _parse_box, _parse_boxes, load_feature_store,  # noqa: E402
+                            load_proposals, save_feature_store)
+from scrc.errors import FormatError, ScrcError  # noqa: E402
+from scrc.nncore import make_rng  # noqa: E402
+
+NAMES_A_PLACE = re.compile(r"\bbyte \d+|\bline \d+")
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants")
+
+
+@pytest.fixture(scope="module")
+def store_bytes(scratch):
+    store = FeatureStore(3)
+    values = make_rng(4).normal(size=(5, 3))
+    for key, vec in zip(["", "a", "img1:r07", "ключ-é", "k" * 40], values):
+        store.add(key, vec)
+    save_feature_store(store, scratch / "store.bin")
+    return (scratch / "store.bin").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def proposal_bytes():
+    rows = [{"image_id": "img1", "boxes": [[0, 0.5, 5, 5], [2, 2, 8, 9.25]],
+             "region_keys": ["a", "ключ"]},
+            {"image_id": "img2", "boxes": [[10, 20, 30, 40]], "region_keys": ["img2:r0"]},
+            {"image_id": "é", "boxes": [[1.5, 1, 2, 3], [0, 0, 1, 1]],
+             "region_keys": ["x", "y"]}]
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode("utf-8")
+
+
+def loads_or_names_place(loader, path, data: bytes):
+    path.write_bytes(data)
+    try:
+        loader(path)
+    except ScrcError as e:
+        assert NAMES_A_PLACE.search(str(e)), f"{type(e).__name__} names no offset or line: {e}"
+
+
+def flip(data: bytes, index: int, mask: int) -> bytes:
+    out = bytearray(data)
+    out[index % len(out)] ^= mask
+    return bytes(out)
+
+
+class TestFeatureStoreMutations:
+    @given(st.data())
+    def test_truncation(self, scratch, store_bytes, data):
+        cut = data.draw(st.integers(0, len(store_bytes) - 1))
+        loads_or_names_place(load_feature_store, scratch / "f.bin", store_bytes[:cut])
+
+    @given(index=st.integers(0, 10 ** 6), mask=st.integers(1, 255))
+    def test_byte_flip(self, scratch, store_bytes, index, mask):
+        loads_or_names_place(load_feature_store, scratch / "f.bin",
+                             flip(store_bytes, index, mask))
+
+    @given(offset=st.sampled_from([12, 16]),  # dim, count
+           value=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(0, 8)))
+    def test_changed_dim_or_count(self, scratch, store_bytes, offset, value):
+        data = bytearray(store_bytes)
+        data[offset:offset + 4] = struct.pack("<I", value)
+        loads_or_names_place(load_feature_store, scratch / "f.bin", bytes(data))
+
+
+class TestProposalMutations:
+    @given(st.data())
+    def test_truncation(self, scratch, proposal_bytes, data):
+        cut = data.draw(st.integers(0, len(proposal_bytes) - 1))
+        loads_or_names_place(load_proposals, scratch / "p.jsonl", proposal_bytes[:cut])
+
+    @given(index=st.integers(0, 10 ** 6), mask=st.integers(1, 255))
+    def test_byte_flip(self, scratch, proposal_bytes, index, mask):
+        loads_or_names_place(load_proposals, scratch / "p.jsonl",
+                             flip(proposal_bytes, index, mask))
+
+
+def boxes():
+    """Lists of valid boxes, some of them spoiled in one of the ways a box can be bad."""
+    coord = st.one_of(st.integers(-100, 100), st.floats(-100, 100))
+    side = st.one_of(st.integers(1, 50), st.floats(0.001, 50))
+    valid = st.tuples(coord, coord, side, side).map(
+        lambda t: [t[0], t[1], t[0] + t[2], t[1] + t[3]])
+    bad_value = st.one_of(st.booleans(), st.text(max_size=2), st.none(),
+                          st.lists(st.integers(), max_size=2),
+                          st.sampled_from([float("nan"), float("inf"), -float("inf"), 10 ** 400]))
+
+    def replaced(box, k, value):
+        box[k] = value
+        return box
+
+    spoiled = st.one_of(
+        st.builds(replaced, valid, st.integers(0, 3), bad_value),
+        valid.map(lambda b: b[:3]),
+        valid.map(lambda b: b + [1]),
+        valid.map(lambda b: [b[2], b[1], b[0], b[3]]),  # inverted
+        valid.map(lambda b: [b[0], b[1], b[2], b[1]]),  # degenerate
+        bad_value)
+    return st.lists(st.one_of(valid, valid, valid, spoiled), max_size=6)
+
+
+@given(boxes())
+def test_boxes_parse_as_the_per_box_check_does(raw_boxes):
+    """The whole-record check accepts exactly the records whose every box the
+    per-box check accepts, with the same coordinates."""
+    try:
+        want = np.array([_parse_box(b, "r").as_list() for b in raw_boxes]).reshape(-1, 4)
+    except FormatError:
+        with pytest.raises(FormatError, match=r"^r: box \d+: "):
+            _parse_boxes(raw_boxes, "r")
+    else:
+        got = _parse_boxes(raw_boxes, "r")
+        assert got.dtype == np.float64 and np.array_equal(got, want)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scrc import synth
+from scrc import synth, train
 from scrc.datastore import (CaptionRecord, FeatureStore, build_training_tuples,
                             load_annotations, load_captions, load_feature_store)
 from scrc.errors import ConfigError, InputError
@@ -94,6 +94,21 @@ class TestPretrain:
         for t in params.lstm_local.tensors() + [params.W_local]:
             assert np.array_equal(t.value, before[t.name])
         assert not np.array_equal(params.W_global.value, np.zeros(1))  # sanity
+
+    def test_optimizer_steps_the_fused_tensors(self, monkeypatch):
+        stepped = []
+
+        class Recording(train.SgdOptimizer):
+            def __init__(self, params, **kwargs):
+                stepped.extend(t.name for t in params)
+                super().__init__(params, **kwargs)
+
+        monkeypatch.setattr(train, "SgdOptimizer", Recording)
+        params, config, captions, context, vocab = toy_caption_setup()
+        pretrain_captioning(params, config, captions, context, vocab,
+                            TrainConfig(lr=0.05, steps=1, seed=0, batch_size=4,
+                                        phase="pretrain"))
+        assert stepped == [t.name for t in params.fused_tensors()]
 
     def test_requires_caption_mode(self):
         params, config, captions, context, vocab = toy_caption_setup()
