@@ -19,7 +19,7 @@ from . import datastore, evalmetrics, synth
 from .errors import ConfigError, InputError, ScrcError
 from .geometry import BoundingBox, ImageSize, encode_spatial
 from .gradcheck import DEFAULT_CHECK_SEED, finite_difference_check
-from .model import ScoreRequest, ScrcConfig, ScrcParams, generate_description, score_candidates
+from .model import ScrcConfig, ScrcParams, generate_description, score_image
 from .nncore import make_rng
 from .textproc import build_vocab, decode, encode
 from .train import (TrainConfig, finetune_retrieval, pretrain_captioning, transfer_weights,
@@ -256,12 +256,27 @@ def _load_scorer(args):
     return (params, config, vocab, *stores)
 
 
-def _score_proposal_set(params, config, query_ids, pset, region_store, context_store, img):
+def _candidate_inputs(pset: datastore.ProposalSet, img: ImageSize, region_store, context_store):
+    """An image's candidates as score_image takes them: region feature rows,
+    spatial codes and the context vector."""
+    if not len(pset.coords):
+        raise InputError(f"image {pset.image_id!r} has an empty proposal set")
     x_context = context_store.get(pset.image_id)
-    requests = [ScoreRequest(query_ids, region_store.get(key), x_context,
-                             encode_spatial(box, img))
-                for box, key in zip(pset.boxes, pset.region_keys)]
-    return score_candidates(params, config, requests)
+    rows, spatials = [], []
+    for k, (box, key) in enumerate(zip(pset.boxes, pset.region_keys)):
+        rows.append(region_store.get(key))
+        try:
+            spatials.append(encode_spatial(box, img))
+        except InputError as e:
+            raise InputError(f"image {pset.image_id!r}: box {k}: {e}") from None
+    return np.stack(rows), np.stack(spatials), x_context
+
+
+def _encode_query(vocab, text: str) -> list[int]:
+    ids = encode(vocab, text)
+    if not ids:
+        raise InputError(f"query tokenizes to nothing: {text!r}")
+    return ids
 
 
 def _note_truncation(pset: datastore.ProposalSet):
@@ -279,12 +294,10 @@ def _cmd_retrieve(args) -> int:
         raise InputError(f"image {args.image_id!r} not present in proposals")
     pset = by_image[args.image_id]
     _note_truncation(pset)
-    query_ids = encode(vocab, args.query)
-    if not query_ids:
-        raise InputError(f"query tokenizes to nothing: {args.query!r}")
-    img = ImageSize(args.width, args.height)
-    scores = _score_proposal_set(params, config, query_ids, pset, region_store,
-                                 context_store, img)
+    query_ids = _encode_query(vocab, args.query)
+    inputs = _candidate_inputs(pset, ImageSize(args.width, args.height), region_store,
+                               context_store)
+    scores = score_image(params, config, [query_ids], *inputs)[0].tolist()
     order = evalmetrics.rank_candidates(scores)
     ranked = [{"box": pset.boxes[i].as_list(), "region_key": pset.region_keys[i],
                "log_prob": scores[i]} for i in order[:args.top_k]]
@@ -317,20 +330,15 @@ def _cmd_eval(args) -> int:
                                           [r.region_key for r in recs])
         elif image_id not in by_pset:
             raise InputError(f"image {image_id!r} not present in proposals")
-        elif not len(by_pset[image_id].coords):
-            raise InputError(f"image {image_id!r} has an empty proposal set")
         else:
             cands = by_pset[image_id]
             _note_truncation(cands)
-        for rec in recs:
-            for desc in rec.descriptions:
-                query_ids = encode(vocab, desc)
-                if not query_ids:
-                    raise InputError(f"query tokenizes to nothing: {desc!r}")
-                scores = _score_proposal_set(params, config, query_ids, cands, region_store,
-                                             context_store, img)
-                results.append(evalmetrics.RankedResult.build(
-                    desc, image_id, cands.boxes, scores, rec.box))
+        inputs = _candidate_inputs(cands, img, region_store, context_store)
+        queries = [(rec, desc) for rec in recs for desc in rec.descriptions]
+        scores = score_image(params, config, [_encode_query(vocab, d) for _, d in queries],
+                             *inputs)
+        results += [evalmetrics.RankedResult.build(desc, image_id, cands.boxes, row, rec.box)
+                    for (rec, desc), row in zip(queries, scores.tolist())]
     report = (evalmetrics.eval_gt_scenario(results) if args.scenario == "gt"
               else evalmetrics.eval_proposal_scenario(results))
 

@@ -166,39 +166,41 @@ class DecoderState:
     glob: LstmState
 
 
-def initial_state(config: ScrcConfig, dtype=np.float32, columns: Optional[int] = None,
+def initial_state(config: ScrcConfig, dtype=np.float32, columns: Optional[tuple] = None,
                   rows: Optional[int] = None) -> DecoderState:
-    """All-zero (H,) vectors; or columns: `columns` local, one per other
-    unit; or a (rows, H, 1) stack per unit."""
+    """All-zero (H,) vectors; or columns (Q, N): Q per language and global
+    unit, Q * N local; or a (rows, H, 1) stack per unit."""
     H = config.hidden_dim
     shared = local = (H,)
     if rows is not None:
         shared = local = (rows, H, 1)
     elif columns is not None:
-        shared, local = (H, 1), (H, columns)
+        shared, local = (H, columns[0]), (H, columns[0] * columns[1])
     return DecoderState(LstmState.zeros(shared, dtype), LstmState.zeros(local, dtype),
                         LstmState.zeros(shared, dtype))
 
 
 def prepare_features(config: ScrcConfig, x_box, x_context, x_spatial,
-                     dtype=np.float32) -> PreparedFeatures:
-    """Validate feature dimensions and apply the mask flags."""
-    def coerce(v, dim, name, required):
+                     dtype=np.float32, count: Optional[int] = None) -> PreparedFeatures:
+    """Validate feature dimensions and apply the mask flags. With count,
+    x_box and x_spatial hold one row per candidate, (count, dim)."""
+    def coerce(v, shape, name, required):
         if v is None:
             if required:
                 raise InputError(f"{name} is required in this mode")
-            return np.zeros(dim, dtype=dtype)
+            return np.zeros(shape, dtype=dtype)
         v = np.asarray(v, dtype=dtype)
-        if v.shape != (dim,):
-            raise ShapeError(f"{name}: expected shape ({dim},), got {v.shape}")
+        if v.shape != shape:
+            raise ShapeError(f"{name}: expected shape {shape}, got {v.shape}")
         return v
 
     need_local = not config.caption_mode
     need_global = not config.mask_context
-    box = coerce(x_box, config.feat_dim, "x_box", need_local)
-    ctx = coerce(x_context, config.feat_dim, "x_context", need_global)
-    sp = (np.zeros(config.spatial_dim, dtype=dtype) if config.mask_spatial
-          else coerce(x_spatial, config.spatial_dim, "x_spatial", need_local))
+    rows = () if count is None else (count,)
+    box = coerce(x_box, rows + (config.feat_dim,), "x_box", need_local)
+    ctx = coerce(x_context, (config.feat_dim,), "x_context", need_global)
+    sp = (np.zeros(rows + (config.spatial_dim,), dtype=dtype) if config.mask_spatial
+          else coerce(x_spatial, rows + (config.spatial_dim,), "x_spatial", need_local))
     return PreparedFeatures(box, sp, ctx)
 
 
@@ -269,8 +271,9 @@ def _advance(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
              state: DecoderState, fixed: tuple):
     """The decoder core's step: logits, new state and unit caches. On
     columns, the language and global units run one per query or beam and
-    the local unit one per candidate or beam; logits are (V, columns). On
-    a stack, every unit runs once per item; logits are (B, V, 1)."""
+    the local unit one per (query, candidate), query-major, or per beam;
+    logits are (V, Q * N), or (V, Q) if the local unit is skipped. On a
+    stack, every unit runs once per item; logits are (B, V, 1)."""
     fixed_local, fixed_glob, r = fixed
     lang, cache_lang = lstm_step(params.lstm_language, x_word, state.lang)
     local, cache_local = state.local, None
@@ -281,7 +284,12 @@ def _advance(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
         logits = params.W_global.value @ glob.h + logits
     if not config.caption_mode:
         local, cache_local = _unit_step(params.lstm_local, lang.h, state.local, fixed_local)
-        logits = params.W_local.value @ local.h + logits
+        head = params.W_local.value @ local.h
+        if head.ndim == 2:  # a query's logits column broadcasts over its candidates
+            head.reshape(len(head), logits.shape[1], -1)[...] += logits[:, :, None]
+            logits = head
+        else:
+            logits = head + logits
     return logits, DecoderState(lang, local, glob), (cache_lang, cache_local, cache_glob)
 
 
@@ -316,17 +324,18 @@ def _token_grid(queries: list[list[int]]):
 def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
             feats: PreparedFeatures, keep_trace: bool = False) -> ForwardTrace:
     """Sum the target log-probs of <bos> + query + <eos> in float64, in step
-    order. feats are stacks (B, dim, 1), one row per query, the queries
-    padded to the longest and masked: every row's sum equals the vector
-    walk's bit for bit. Or feats are columns (dim, N) of N candidates for
-    one query, sharing x_context (dim, 1): the sum is then (N,), or (1,) if
-    no unit reads the box. Only stacks keep a trace's caches."""
+    order, the queries padded to the longest and masked. feats are stacks
+    (B, dim, 1), one row per query: every row's sum equals the vector
+    walk's bit for bit. Or feats are columns (dim, N) of N candidates that
+    every query is scored against, sharing x_context (dim, 1): the sum is
+    then (Q, N), or (Q, 1) if no unit reads the box. Only stacks keep a
+    trace's caches."""
     stacked = feats.x_box.ndim == 3
     ids, live = _token_grid(queries)
     steps, rows = live.shape
     fixed = _fix(params, config, feats)
     state = (initial_state(config, params.dtype, rows=rows) if stacked
-             else initial_state(config, params.dtype, columns=feats.x_box.shape[1]))
+             else initial_state(config, params.dtype, columns=(rows, feats.x_box.shape[1])))
     units = probs = None
     if keep_trace:
         H, dtype = config.hidden_dim, params.dtype
@@ -341,8 +350,9 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
         logp = log_softmax(logits)
         if stacked:
             total = total + np.where(live[t], logp[every_row, ids[t + 1], 0], 0.0)
-        else:
-            total = total + logp[ids[t + 1, 0]]
+        else:  # query q's targets are row ids[t + 1, q] of its columns
+            picked = logp.reshape(len(logp), rows, -1)[ids[t + 1], every_row]
+            total = total + np.where(live[t][:, None], picked, 0.0)
         if keep_trace:
             for unit, cache in zip(units, caches):
                 if unit is not None:
@@ -351,12 +361,6 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
     fixed_rows = (fixed[0][:, :, 0], fixed[1][:, :, 0]) if keep_trace else None
     return ForwardTrace([q + [EOS_ID] for q in queries], total, ids, live, units, fixed_rows,
                         probs)
-
-
-def _rows(feats: Sequence[PreparedFeatures]) -> PreparedFeatures:
-    """B requests' features as (B, dim, 1) stacks."""
-    return PreparedFeatures(*(np.stack(v)[:, :, None]
-                              for v in zip(*(vars(f).values() for f in feats))))
 
 
 def forward_batch(params: ScrcParams, config: ScrcConfig, requests: Sequence[ScoreRequest],
@@ -369,7 +373,9 @@ def forward_batch(params: ScrcParams, config: ScrcConfig, requests: Sequence[Sco
     queries = [_check_query(config, r.query) for r in requests]
     feats = [prepare_features(config, r.x_box, r.x_context, r.x_spatial, dtype=params.dtype)
              for r in requests]
-    return _decode(params, config, queries, _rows(feats), keep_trace)
+    rows = PreparedFeatures(*(np.stack(v)[:, :, None]  # (B, dim, 1) stacks
+                              for v in zip(*(vars(f).values() for f in feats))))
+    return _decode(params, config, queries, rows, keep_trace)
 
 
 def _forward(params: ScrcParams, config: ScrcConfig, request: ScoreRequest,
@@ -385,6 +391,11 @@ def sequence_log_prob(params: ScrcParams, config: ScrcConfig, request: ScoreRequ
 
 def forward_trace(params: ScrcParams, config: ScrcConfig, request: ScoreRequest) -> ForwardTrace:
     return _forward(params, config, request, keep_trace=True)
+
+
+# Columns (queries x candidates) of one scoring pass. An image with more is
+# scored in query chunks, so memory does not grow with its query count.
+MAX_PASS_COLUMNS = 1024
 
 
 def score_candidates(params: ScrcParams, config: ScrcConfig,
@@ -409,15 +420,38 @@ def score_candidates(params: ScrcParams, config: ScrcConfig,
 
     scores = [0.0] * len(requests)
     for (query, _), members in groups.items():
-        # a lone candidate runs as a row, exactly as sequence_log_prob does
-        feats = _rows([members[0][1]]) if len(members) == 1 else PreparedFeatures(
-            np.stack([f.x_box for _, f in members], axis=1),
-            np.stack([f.x_spatial for _, f in members], axis=1),
-            members[0][1].x_context[:, None])
-        total = _decode(params, config, [list(query)], feats).log_probs
-        for (idx, _), score in zip(members, np.broadcast_to(total, (len(members),))):
-            scores[idx] = float(score)
+        feats = [f for _, f in members]
+        total = score_image(params, config, [query], np.stack([f.x_box for f in feats]),
+                            np.stack([f.x_spatial for f in feats]), feats[0].x_context)
+        for (idx, _), score in zip(members, total[0].tolist()):
+            scores[idx] = score
     return scores
+
+
+def score_image(params: ScrcParams, config: ScrcConfig, queries: Sequence[Sequence[int]],
+                x_boxes, x_spatials, x_context) -> np.ndarray:
+    """Score each of Q queries against each of an image's N candidates:
+    (Q, N) float64 log p(query, <eos> | box, spatial code, context). x_boxes
+    is (N, feat) and x_spatials (N, 8), one row per candidate. A decoder
+    pass runs the language and global units on Q query columns and the
+    local unit and W_local head on Q * N, up to MAX_PASS_COLUMNS; more
+    queries run in chunks. A lone candidate runs as one row per query,
+    exactly as sequence_log_prob does."""
+    params.check_config(config)
+    queries = [_check_query(config, q) for q in queries]
+    if not queries or not len(x_boxes):
+        raise InputError("scoring needs at least one query and one candidate")
+    count = len(x_boxes)
+    feats = prepare_features(config, x_boxes, x_context, x_spatials, params.dtype, count)
+    feats = PreparedFeatures(feats.x_box.T, feats.x_spatial.T, feats.x_context[:, None])
+    chunk = max(1, MAX_PASS_COLUMNS // count)
+    out = []
+    for part in (queries[lo:lo + chunk] for lo in range(0, len(queries), chunk)):
+        layout = feats if count > 1 else PreparedFeatures(
+            *(np.broadcast_to(v, (len(part),) + v.shape) for v in vars(feats).values()))
+        total = _decode(params, config, part, layout).log_probs.reshape(len(part), -1)
+        out.append(np.broadcast_to(total, (len(part), count)))
+    return np.concatenate(out)
 
 
 def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,
@@ -494,7 +528,7 @@ def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_contex
     feats = prepare_features(config, x_box, x_context, x_spatial, dtype=params.dtype)
     fixed = _fix(params, config, PreparedFeatures(feats.x_box[:, None], feats.x_spatial[:, None],
                                                   feats.x_context[:, None]))
-    state = initial_state(config, params.dtype, columns=1)
+    state = initial_state(config, params.dtype, columns=(1, 1))
     content = np.array([t for t in range(config.vocab_size) if t != BOS_ID])
     beams = [(0.0, (), 0, BOS_ID)]  # (log-prob, tokens, parent column, last token)
     finished: list[tuple[float, tuple[int, ...]]] = []

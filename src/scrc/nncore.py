@@ -169,13 +169,14 @@ def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState,
               x_proj: Optional[np.ndarray] = None):
     """One forward step; returns the new state and the backprop cache.
 
-    x and the state are vectors, columns ((input, N) and (H, N); one x
-    column broadcasts), or stacks of columns ((B, input, N) and (B, H, N)),
-    whose items are multiplied one at a time: each item of a (B, input, 1)
-    stack gets exactly the vector product. With x_proj, x holds only the
-    leading input rows and x_proj the rest's precomputed W_x columns @ input
-    + b, for inputs fixed over a sequence; the cache then records only the
-    leading rows.
+    x and the state are vectors; query-major columns, x (input, Q) and the
+    state (H, Q * N), x's column q broadcasting over query q's N columns; or
+    stacks of columns ((B, input, N) and (B, H, N)), whose items are
+    multiplied one at a time: each item of a (B, input, 1) stack gets
+    exactly the vector product. With x_proj, x holds only the leading input
+    rows and x_proj the rest's precomputed W_x columns @ input + b (1 or N
+    columns, broadcast over the queries), for inputs fixed over a sequence;
+    the cache then records only the leading rows.
     """
     hidden, input_dim = params.hidden_dim, params.input_dim
     axis = feature_axis(x)
@@ -183,13 +184,18 @@ def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState,
     if x.ndim not in (1, 2, 3) or not (k == input_dim if x_proj is None else 0 < k < input_dim):
         raise ShapeError(f"lstm input: expected ({input_dim},), got {x.shape}")
     if (prev.h.ndim != x.ndim or prev.h.shape[axis] != hidden
-            or prev.c.shape != prev.h.shape):
+            or prev.c.shape != prev.h.shape or (x.ndim == 2 and prev.h.shape[1] % x.shape[1])):
         raise ShapeError(
             f"lstm state: expected ({hidden},), got h {prev.h.shape} c {prev.c.shape}")
-    pre = params.W_x.value[:, :k] @ x + params.W_h.value @ prev.h
+    pre = params.W_h.value @ prev.h
     if x_proj is None:
         x_proj = params.b.value if pre.ndim == 1 else params.b.value[:, None]
-    pre += x_proj
+    if pre.ndim == 2:  # views of pre, which the matrix product made C-contiguous
+        pre.reshape(len(pre), x.shape[1], -1)[...] += (params.W_x.value[:, :k] @ x)[:, :, None]
+        pre.reshape(len(pre), -1, x_proj.shape[1])[...] += x_proj[:, None]
+    else:
+        pre += params.W_x.value[:, :k] @ x
+        pre += x_proj
     lead = (slice(None),) * axis  # gate j is lead + (slice(j * hidden, (j + 1) * hidden),)
     sig = sigmoid(pre[lead + (slice(0, 3 * hidden),)])
     i, f, o = (sig[lead + (slice(j * hidden, (j + 1) * hidden),)] for j in range(3))

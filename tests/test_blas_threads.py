@@ -25,7 +25,7 @@ SCRIPT = r"""
 import hashlib, json
 import numpy as np
 from scrc.model import (ScoreRequest, ScrcConfig, ScrcParams, backward, forward_trace,
-                        score_candidates)
+                        score_candidates, score_image)
 from scrc.nncore import SgdOptimizer, make_rng
 
 dim = 512
@@ -36,6 +36,9 @@ ctx = rng.random(dim)
 query = [int(t) for t in rng.integers(3, config.vocab_size, size=6)]
 reqs = [ScoreRequest(query, rng.random(dim), ctx, rng.uniform(-1, 1, 8)) for _ in range(64)]
 scores = score_candidates(params, config, reqs)
+image_queries = [[int(t) for t in rng.integers(3, config.vocab_size, size=n)] for n in (2, 6, 4, 1)]
+image = score_image(params, config, image_queries, np.stack([r.x_box for r in reqs]),
+                    np.stack([r.x_spatial for r in reqs]), ctx)
 
 opt = SgdOptimizer(params.tensors(), lr=0.1)
 for req in reqs[:2]:
@@ -43,7 +46,8 @@ for req in reqs[:2]:
     backward(params, config, trace, trace.targets, scale=0.5)
 opt.step()
 digest = hashlib.sha256(b"".join(t.value.tobytes() for t in params.tensors())).hexdigest()
-print(json.dumps({"scores": [s.hex() for s in scores], "trained": digest}))
+print(json.dumps({"scores": [s.hex() for s in scores], "trained": digest,
+                  "image": [[s.hex() for s in row] for row in image.tolist()]}))
 """
 
 
@@ -69,4 +73,13 @@ def test_thread_counts_agree_on_rankings(runs):
     one = np.array([float.fromhex(s) for s in runs["1"]["scores"]])
     two = np.array([float.fromhex(s) for s in runs["2a"]["scores"]])
     assert rank_candidates(list(one)) == rank_candidates(list(two))
+    assert np.all(np.abs(one - two) <= 1e-5 * np.abs(one))
+
+
+def test_per_image_pass_agrees_across_thread_counts(runs):
+    one = np.array([[float.fromhex(s) for s in row] for row in runs["1"]["image"]])
+    two = np.array([[float.fromhex(s) for s in row] for row in runs["2a"]["image"]])
+    assert one.shape == (4, 64)
+    for a, b in zip(one, two):
+        assert rank_candidates(list(a)) == rank_candidates(list(b))
     assert np.all(np.abs(one - two) <= 1e-5 * np.abs(one))

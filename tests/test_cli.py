@@ -11,10 +11,14 @@ import numpy as np
 import pytest
 
 import scrc
+from scrc import evalmetrics
 from scrc.cli import _build_parser, _load_config_file, main
-from scrc.datastore import load_checkpoint, load_feature_store, save_checkpoint
-from scrc.model import ScoreRequest, sequence_log_prob
+from scrc.datastore import (load_annotations, load_checkpoint, load_feature_store,
+                            load_proposals, save_checkpoint)
+from scrc.geometry import ImageSize, encode_spatial
+from scrc.model import ScoreRequest, score_candidates, sequence_log_prob
 from scrc.nncore import make_rng
+from scrc.textproc import encode
 
 
 def run_cli(argv):
@@ -433,6 +437,121 @@ class TestEval:
         assert repr(first["image_id"]) in err
         w, h = first["width"], first["height"]
         assert f"{w:g}x{h:g} and {w + 16:g}x{h:g}" in err
+
+
+
+def per_query_scorer(model, synth_dir):
+    """One query's candidate scores from score_candidates, as eval and
+    retrieve computed them before they scored a whole image in one pass."""
+    params, config, vocab = load_checkpoint(model)
+    regions = load_feature_store(synth_dir / "region_features.bin")
+    contexts = load_feature_store(synth_dir / "context_features.bin")
+
+    def score(query, image_id, boxes, keys, img):
+        return score_candidates(params, config, [
+            ScoreRequest(encode(vocab, query), regions.get(key), contexts.get(image_id),
+                         encode_spatial(box, img)) for box, key in zip(boxes, keys)])
+    return score
+
+
+class TestPerImageScoring:
+    """eval and retrieve score each image in one pass; their output equals
+    what a per-query score_candidates loop gives."""
+
+    @pytest.fixture(scope="class")
+    def lone_box_annotations(self, synth_dir, tmp_path_factory):
+        """img00 keeps one annotated box, with three descriptions of 2-4 tokens."""
+        rows = [json.loads(line) for line in
+                (synth_dir / "annotations.jsonl").read_text().splitlines()]
+        first = rows[0]
+        first["descriptions"] += ["red left box", "blue top left big"]
+        path = tmp_path_factory.mktemp("lone") / "annotations.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows
+                                if r is first or r["image_id"] != first["image_id"]))
+        return path
+
+    def expected_eval(self, synth_dir, model, scenario, annotations, csv_path):
+        by_image = {}
+        for rec in load_annotations(annotations):
+            by_image.setdefault(rec.image_id, []).append(rec)
+        psets = {p.image_id: p for p in load_proposals(synth_dir / "proposals.jsonl")}
+        score = per_query_scorer(model, synth_dir)
+        results = []
+        for image_id, recs in by_image.items():
+            if scenario == "gt":
+                boxes, keys = [r.box for r in recs], [r.region_key for r in recs]
+            else:
+                boxes, keys = psets[image_id].boxes, psets[image_id].region_keys
+            img = ImageSize(recs[0].width, recs[0].height)
+            for rec in recs:
+                for desc in rec.descriptions:
+                    scores = score(desc, image_id, boxes, keys, img)
+                    results.append(evalmetrics.RankedResult.build(desc, image_id, boxes,
+                                                                  scores, rec.box))
+        report = (evalmetrics.eval_gt_scenario(results) if scenario == "gt"
+                  else evalmetrics.eval_proposal_scenario(results))
+        evalmetrics.write_per_query_csv(results, report.scenario, csv_path)
+        return json.dumps(report.to_dict(), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("scenario, lone", [("gt", False), ("proposals", False),
+                                                ("gt", True)])
+    def test_eval_equals_per_query_loop(self, synth_dir, finetuned, lone_box_annotations,
+                                        tmp_path, scenario, lone):
+        annotations = lone_box_annotations if lone else synth_dir / "annotations.jsonl"
+        want = self.expected_eval(synth_dir, finetuned, scenario, annotations,
+                                  tmp_path / "want.csv")
+        args = TestEval().eval_args(synth_dir, finetuned, scenario)
+        args[args.index("--annotations") + 1] = str(annotations)
+        code, out, err = run_cli(args + ["--per-query", str(tmp_path / "got.csv")])
+        assert (code, err) == (0, "")
+        assert out == want
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("image, lone", [("img00", False), ("img03", False),
+                                             ("img05", True)])
+    def test_retrieve_equals_per_query_path(self, synth_dir, finetuned, tmp_path, image,
+                                            lone):
+        pset = next(p for p in load_proposals(synth_dir / "proposals.jsonl")
+                    if p.image_id == image)
+        proposals = synth_dir / "proposals.jsonl"
+        if lone:
+            proposals = tmp_path / "one.jsonl"
+            proposals.write_text(json.dumps({"image_id": image, "boxes": [pset.coords[2].tolist()],
+                                             "region_keys": [pset.region_keys[2]]}) + "\n")
+            pset = load_proposals(proposals)[0]
+        query = "blue top left"
+        scores = per_query_scorer(finetuned, synth_dir)(query, image, pset.boxes,
+                                                        pset.region_keys, ImageSize(320, 240))
+        want = [{"box": pset.boxes[i].as_list(), "region_key": pset.region_keys[i],
+                 "log_prob": scores[i]} for i in evalmetrics.rank_candidates(scores)]
+        args = TestRetrieve().retrieve_args(synth_dir, finetuned, image=image, query=query)
+        args[args.index("--proposals") + 1] = str(proposals)
+        code, out, err = run_cli(args)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(want, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", ("eval", "retrieve"))
+    def test_box_outside_image_names_image_and_box(self, synth_dir, finetuned, tmp_path,
+                                                   command):
+        rows = [json.loads(line) for line in
+                (synth_dir / "proposals.jsonl").read_text().splitlines()]
+        rows[0]["boxes"][3] = [300.0, 200.0, 330.0, 250.0]
+        bad = tmp_path / "outside.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        args = (TestEval().eval_args(synth_dir, finetuned, "proposals") if command == "eval"
+                else TestRetrieve().retrieve_args(synth_dir, finetuned))
+        args[args.index("--proposals") + 1] = str(bad)
+        assert_error_exit(run_cli_subprocess(args),
+                          "image 'img00': box 3: box [300.0, 200.0, 330.0, 250.0] not "
+                          "contained in 320.0x240.0 image")
+
+    def test_corrupted_annotations_exit_1(self, synth_dir, finetuned, tmp_path):
+        data = (synth_dir / "annotations.jsonl").read_bytes()
+        bad = tmp_path / "annotations.jsonl"
+        bad.write_bytes(data[:data.index(b"descriptions", len(data) // 2)])  # mid-record
+        args = TestEval().eval_args(synth_dir, finetuned, "gt")
+        args[args.index("--annotations") + 1] = str(bad)
+        assert_error_exit(run_cli_subprocess(args), "annotations.jsonl: line ")
 
 
 class TestGenerate:

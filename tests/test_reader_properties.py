@@ -1,6 +1,7 @@
-"""Property tests for the two bulk readers: a feature store or proposals file
-that has been cut short or has one byte changed either loads, or raises a
-ScrcError that names a byte offset or a line. Any other exception fails."""
+"""Property tests for the readers of bulk and evaluation inputs: a feature
+store, proposals file or annotations file that has been cut short or has one
+byte changed either loads, or raises a ScrcError that names a byte offset or
+a line. Any other exception fails."""
 
 import json
 import re
@@ -12,12 +13,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from scrc.datastore import (FeatureStore, _parse_box, _parse_boxes, load_feature_store,  # noqa: E402
-                            load_proposals, save_feature_store)
+from scrc.datastore import (FeatureStore, _parse_box, _parse_boxes,  # noqa: E402
+                            load_annotations, load_feature_store, load_proposals,
+                            save_feature_store)
 from scrc.errors import FormatError, ScrcError  # noqa: E402
 from scrc.nncore import make_rng  # noqa: E402
 
 NAMES_A_PLACE = re.compile(r"\bbyte \d+|\bline \d+")
+NAMES_A_LINE = re.compile(r"\bline \d+")
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +48,23 @@ def proposal_bytes():
     return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode("utf-8")
 
 
-def loads_or_names_place(loader, path, data: bytes):
+@pytest.fixture(scope="module")
+def annotation_bytes():
+    rows = [{"image_id": "img1", "width": 320, "height": 240.5, "box": [0, 0.5, 5, 5],
+             "region_key": "img1:a", "descriptions": ["red box", "the ключ on the left"]},
+            {"image_id": "img1", "width": 320, "height": 240.5, "box": [2, 2, 320, 9.25],
+             "region_key": "img1:b", "descriptions": ["é"]},
+            {"image_id": "img2", "width": 64.0, "height": 48, "box": [10, 20, 30, 40],
+             "region_key": "img2:r0", "descriptions": ["blue", ""]}]
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode("utf-8")
+
+
+def loads_or_names_place(loader, path, data: bytes, place=NAMES_A_PLACE):
     path.write_bytes(data)
     try:
         loader(path)
     except ScrcError as e:
-        assert NAMES_A_PLACE.search(str(e)), f"{type(e).__name__} names no offset or line: {e}"
+        assert place.search(str(e)), f"{type(e).__name__} names no {place.pattern}: {e}"
 
 
 def flip(data: bytes, index: int, mask: int) -> bytes:
@@ -126,3 +140,16 @@ def test_boxes_parse_as_the_per_box_check_does(raw_boxes):
     else:
         got = _parse_boxes(raw_boxes, "r")
         assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+class TestAnnotationMutations:
+    @given(st.data())
+    def test_truncation(self, scratch, annotation_bytes, data):
+        cut = data.draw(st.integers(0, len(annotation_bytes) - 1))
+        loads_or_names_place(load_annotations, scratch / "a.jsonl", annotation_bytes[:cut],
+                             NAMES_A_LINE)
+
+    @given(index=st.integers(0, 10 ** 6), mask=st.integers(1, 255))
+    def test_byte_flip(self, scratch, annotation_bytes, index, mask):
+        loads_or_names_place(load_annotations, scratch / "a.jsonl",
+                             flip(annotation_bytes, index, mask), NAMES_A_LINE)
