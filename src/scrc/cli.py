@@ -103,6 +103,16 @@ def _check_feat_dim(config: ScrcConfig, store: datastore.FeatureStore, name: str
             f"{config.feat_dim}")
 
 
+def _save_checkpoint(params: ScrcParams, config: ScrcConfig, vocab, path):
+    """Writes a checkpoint, unless load_checkpoint would refuse it: the first
+    tensor that holds a non-finite value is named, and nothing is written."""
+    for t in params.tensors():
+        if not np.isfinite(t.value).all():
+            raise InputError(f"{path}: tensor {t.name!r} holds non-finite values; "
+                             f"no checkpoint written")
+    datastore.save_checkpoint(params, config, vocab, path)
+
+
 def _add_config_flags(p: argparse.ArgumentParser, masks: bool = False):
     p.add_argument("--config", help="JSON config file")
     for key, (kind, _) in _SETTINGS.items():
@@ -193,7 +203,7 @@ def _cmd_pretrain(args) -> int:
     params = ScrcParams.init(config, make_rng(values["seed"]))
     report = pretrain_captioning(params, config, captions, context_store, vocab,
                                  TrainConfig(phase="pretrain", **_fields(TrainConfig, values)))
-    datastore.save_checkpoint(params, config, vocab, args.out)
+    _save_checkpoint(params, config, vocab, args.out)
     _emit(report.to_dict())
     return 0
 
@@ -204,7 +214,7 @@ def _cmd_transfer(args) -> int:
         raise InputError(f"{args.input}: transfer requires a caption-mode checkpoint")
     transfer_weights(params, config)
     out_config = config.replace(caption_mode=False)
-    datastore.save_checkpoint(params, out_config, vocab, args.out)
+    _save_checkpoint(params, out_config, vocab, args.out)
     _emit({"transferred": True, "out": str(args.out)})
     return 0
 
@@ -242,7 +252,7 @@ def _cmd_finetune(args) -> int:
     tuples = datastore.build_training_tuples(records, region_store, context_store, vocab)
     report = finetune_retrieval(params, config, tuples, region_store, context_store,
                                 TrainConfig(phase="finetune", **_fields(TrainConfig, values)))
-    datastore.save_checkpoint(params, config, vocab, args.out)
+    _save_checkpoint(params, config, vocab, args.out)
     _emit(report.to_dict())
     return 0
 

@@ -45,10 +45,10 @@ FORMAT_VERSION = 1
 
 DEFAULT_MAX_PROPOSALS = 100
 
-# load_feature_store reads this many bytes at a time into one reused buffer. A
-# buffer that stays in L2 parses fastest, and one below glibc's 128 KiB mmap
-# threshold leaves malloc's dynamic threshold, and so the speed of later
-# allocations, as it was.
+# The size of load_feature_store's file buffer, which each entry's fields are
+# read from. A buffer that stays in L2 reads fastest, and one below glibc's
+# 128 KiB mmap threshold leaves malloc's dynamic threshold, and so the speed of
+# later allocations, as it was.
 FEATURE_CHUNK_BYTES = 1 << 16
 _KEY_LEN = struct.Struct("<H")
 
@@ -162,16 +162,12 @@ class _Cursor:
         self._advance(n, len(data))
         return data
 
-    def read_into(self, buf):
-        """Fills a writable contiguous buffer with the next bytes of the file."""
-        view = memoryview(buf).cast("B")
-        self._need(view.nbytes)
-        self._advance(view.nbytes, self.f.readinto(view))
-
     def into(self, array: np.ndarray):
         """Fills a C-contiguous float32 array with the next array.nbytes bytes,
         read as little-endian."""
-        self.read_into(array)
+        view = memoryview(array).cast("B")
+        self._need(view.nbytes)
+        self._advance(view.nbytes, self.f.readinto(view))
         if sys.byteorder == "big":
             array.byteswap(inplace=True)
 
@@ -186,80 +182,51 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def unread(self, n: int):
-        """Moves back over the last n bytes read."""
-        self.f.seek(-n, os.SEEK_CUR)
-        self.off -= n
-
     def done(self):
         if self.left():
             raise FormatError(f"{self.what}: {self.left()} trailing bytes at byte {self.off}")
 
 
-def _refill(cur: _Cursor, buf: bytearray, pos: int, end: int, start: int, stop: int):
-    """Makes a buffer hold the first stop bytes of the entry that begins at
-    buf[pos]: moves buf[pos:end] to its front, growing it if stop exceeds it,
-    and fills the rest from the file. Returns (buffer, end of its data). If
-    the file ends too soon, names the entry's field that begins start bytes
-    into it."""
-    entry_off = cur.off - (end - pos)
-    have = cur.size - entry_off - start
-    if stop - start > have:
-        raise FormatError(f"feature store: truncated at byte {entry_off + start} "
-                          f"(needed {stop - start} more, have {have})")
-    held = buf[pos:end]
-    if stop > len(buf):  # one field is longer than a chunk
-        buf = bytearray(stop)
-    buf[:len(held)] = held
-    end = min(len(buf), len(held) + cur.left())
-    cur.read_into(memoryview(buf)[len(held):end])
-    return buf, end
-
-
 def _read_entries(cur: _Cursor, keys: dict[str, np.ndarray], matrix: np.ndarray):
-    """Parses the feature store entries that follow the header: each key into
-    keys, mapped to its row of matrix, and each vector into that row. The file
-    is read FEATURE_CHUNK_BYTES at a time into one buffer, and the entries are
-    parsed from the buffer; an entry may straddle two reads. Errors name the
-    same byte offsets as reading the entries field by field would."""
+    """Reads the feature store entries that follow the header, field by field:
+    each key into keys, mapped to its row of matrix, and each vector into that
+    row. A field that the file's size cannot hold is not read, and one that
+    reads short stops the load; either way cur.off moves to the field's first
+    byte and cur raises the error that names it."""
+    f, size, off = cur.f, cur.size, cur.off
     vec = 4 * matrix.shape[1]
     rows = memoryview(matrix.reshape(-1)).cast("B")
-    buf = bytearray(min(FEATURE_CHUNK_BYTES, cur.left()))
-    view = memoryview(buf)
-    pos = end = 0  # buf[pos:end] holds the file's bytes from cur.off - (end - pos) on
-    out = 0
-    for row in matrix:
-        if end - pos < 2:
-            buf, end = _refill(cur, buf, pos, end, 0, 2)
-            pos, view = 0, memoryview(buf)
-        (klen,) = _KEY_LEN.unpack_from(buf, pos)
-        key_end = pos + 2 + klen
-        if key_end > end:
-            buf, end = _refill(cur, buf, pos, end, 2, 2 + klen)
-            pos, key_end, view = 0, 2 + klen, memoryview(buf)
+    for i, row in enumerate(matrix):
+        if off + 2 > size or len(raw := f.read(2)) != 2:
+            cur.off = off
+            cur._need(2)
+            cur._advance(2, len(raw))
+        (klen,) = _KEY_LEN.unpack(raw)
+        key_off = off + 2
+        if key_off + klen > size or len(raw := f.read(klen)) != klen:
+            cur.off = key_off
+            cur._need(klen)
+            cur._advance(klen, len(raw))
         try:
-            key = buf[pos + 2:key_end].decode("utf-8")
+            key = raw.decode("utf-8")
         except UnicodeDecodeError as e:
-            raise FormatError(f"feature store: invalid UTF-8 at byte "
-                              f"{cur.off - (end - pos) + 2 + e.start}") from None
+            raise FormatError(f"feature store: invalid UTF-8 at byte {key_off + e.start}") from None
         if key in keys:
-            raise FormatError(f"feature store: duplicate key {key!r} at byte "
-                              f"{cur.off - (end - pos)}")
-        stop = key_end + vec
-        if stop > end:
-            buf, end = _refill(cur, buf, pos, end, 2 + klen, 2 + klen + vec)
-            stop, view = 2 + klen + vec, memoryview(buf)
-        rows[out:out + vec] = view[stop - vec:stop]
-        out += vec
+            raise FormatError(f"feature store: duplicate key {key!r} at byte {off}")
+        off = key_off + klen
+        if off + vec > size or (got := f.readinto(rows[i * vec:(i + 1) * vec])) != vec:
+            cur.off = off
+            cur._need(vec)
+            cur._advance(vec, got)
         keys[key] = row
-        pos = stop
-    cur.unread(end - pos)
+        off += vec
+    cur.off = off
     if sys.byteorder == "big":
         matrix.byteswap(inplace=True)
 
 
 def load_feature_store(path) -> FeatureStore:
-    with open(path, "rb", opener=_open_nonblocking) as f:
+    with open(path, "rb", buffering=FEATURE_CHUNK_BYTES, opener=_open_nonblocking) as f:
         cur = _Cursor(f, "feature store")
         magic = cur.take(len(FEATURE_MAGIC))
         if magic != FEATURE_MAGIC:

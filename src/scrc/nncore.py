@@ -309,6 +309,19 @@ def global_grad_norm(params: list[ParamTensor]) -> float:
     return math.sqrt(total)
 
 
+def check_sgd_settings(lr: float, momentum: float, clip_norm: float):
+    """Raises ConfigError unless lr is non-negative and finite in float32, the
+    training precision, momentum is in [0, 1), and clip_norm is positive (inf
+    turns clipping off). NaN passes none of these checks."""
+    # lr = 0 is allowed as a degenerate no-op (useful for invariance tests)
+    if not 0 <= lr <= float(np.finfo(np.float32).max):
+        raise ConfigError(f"learning rate must be non-negative and finite in float32, got {lr}")
+    if not 0 <= momentum < 1:
+        raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
+    if not clip_norm > 0:
+        raise ConfigError(f"clip norm must be positive, got {clip_norm}")
+
+
 class SgdOptimizer:
     """SGD with momentum and global-norm gradient clipping.
 
@@ -319,13 +332,7 @@ class SgdOptimizer:
 
     def __init__(self, params: list[ParamTensor], lr: float,
                  momentum: float = 0.9, clip_norm: float = 10.0):
-        # lr = 0 is allowed as a degenerate no-op (useful for invariance tests)
-        if lr < 0:
-            raise ConfigError(f"learning rate must be non-negative, got {lr}")
-        if momentum < 0 or momentum >= 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-        if clip_norm <= 0:
-            raise ConfigError(f"clip norm must be positive, got {clip_norm}")
+        check_sgd_settings(lr, momentum, clip_norm)
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum

@@ -36,6 +36,9 @@ class Vocabulary:
         if tokens[:3] != RESERVED_TOKENS:
             raise InputError(
                 f"vocabulary must start with {RESERVED_TOKENS}, got {tokens[:3]}")
+        for i, token in enumerate(tokens):
+            if not isinstance(token, str):
+                raise InputError(f"vocabulary token {i} is not a string: {token!r}")
         if len(set(tokens)) != len(tokens):
             raise InputError("vocabulary contains duplicate tokens")
         self._tokens = tokens

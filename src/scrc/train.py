@@ -20,7 +20,7 @@ import numpy as np
 from .datastore import CaptionRecord, FeatureStore, TrainingTuple
 from .errors import ConfigError, InputError
 from .model import ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch, sequence_log_prob
-from .nncore import SgdOptimizer
+from .nncore import SgdOptimizer, check_sgd_settings
 from .textproc import Vocabulary, encode
 
 
@@ -35,8 +35,7 @@ class TrainConfig:
     phase: str = "finetune"
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError(f"lr must be non-negative, got {self.lr}")
+        check_sgd_settings(self.lr, self.momentum, self.clip_norm)
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:

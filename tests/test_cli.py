@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import scrc
-from scrc import evalmetrics
-from scrc.cli import _build_parser, _load_config_file, main
+from scrc import cli, evalmetrics
+from scrc.cli import _build_parser, _load_config_file, _save_checkpoint, main
 from scrc.datastore import (load_annotations, load_checkpoint, load_feature_store,
                             load_proposals, save_checkpoint)
+from scrc.errors import InputError
 from scrc.geometry import ImageSize, encode_spatial
 from scrc.model import ScoreRequest, score_candidates, sequence_log_prob
 from scrc.nncore import make_rng
@@ -151,6 +152,19 @@ class TestPretrain:
             "--config", str(cfg), "--out", str(tmp_path / "o.ckpt")])
         assert code == 1
         assert "learning_rate" in err
+
+
+    def test_corrupted_captions_exit_1(self, synth_dir, tmp_path):
+        data = (synth_dir / "captions.jsonl").read_bytes()
+        bad = tmp_path / "captions.jsonl"
+        bad.write_bytes(data[:data.index(b"captions", len(data) // 2)])  # mid-record
+        proc = run_cli_subprocess([
+            "pretrain", "--captions", str(bad),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--config", str(synth_dir / "config.json"),
+            "--out", str(tmp_path / "o.ckpt"), "--steps", "2"])
+        assert_error_exit(proc, "captions.jsonl: line ")
+        assert not (tmp_path / "o.ckpt").exists()
 
 
 class TestTransfer:
@@ -302,6 +316,13 @@ class TestRetrieve:
         save_checkpoint(params, config, vocab, bad)
         proc = run_cli_subprocess(self.retrieve_args(synth_dir, bad))
         assert_error_exit(proc, "tensor 'W_local' holds non-finite values")
+
+    def test_corrupted_checkpoint_exit_1(self, synth_dir, finetuned, tmp_path):
+        data = finetuned.read_bytes()
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(data[:-11])  # inside the last tensor
+        proc = run_cli_subprocess(self.retrieve_args(synth_dir, bad))
+        assert_error_exit(proc, "checkpoint: truncated at byte ")
 
     def test_oversized_header_dims_exit_1(self, synth_dir, finetuned, tmp_path):
         data = finetuned.read_bytes()
@@ -555,6 +576,25 @@ class TestPerImageScoring:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("token", [7, None])
+    def test_vocabulary_token_that_is_not_a_string_exit_1(self, synth_dir, finetuned,
+                                                          tmp_path, token):
+        data = finetuned.read_bytes()
+        hlen = struct.unpack("<I", data[12:16])[0]
+        header = json.loads(data[16:16 + hlen])
+        header["vocab"][3] = token
+        hb = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "vocab.ckpt"
+        bad.write_bytes(data[:12] + struct.pack("<I", len(hb)) + hb + data[16 + hlen:])
+        proc = run_cli_subprocess([
+            "generate", "--model", str(bad), "--region-key", "img00:left",
+            "--image-id", "img00", "--box", "20,90,100,150", "--width", "320",
+            "--height", "240", "--region-features", str(synth_dir / "region_features.bin"),
+            "--context-features", str(synth_dir / "context_features.bin")])
+        assert_error_exit(proc, f"checkpoint: invalid header: vocabulary token 3 is not a "
+                                f"string: {token!r}")
+
+
     def test_generates_description(self, synth_dir, finetuned):
         out = run_json(["generate", "--model", str(finetuned),
                         "--region-key", "img00:left", "--image-id", "img00",
@@ -623,6 +663,79 @@ class TestSettings:
             parser.parse_args(["pretrain", "--captions", "c", "--context-features", "c",
                                "--out", "o", "--mask-spatial"])
         assert exit_info.value.code == 2
+
+
+class TestOptimizerSettings:
+    """Settings that the optimizer cannot use stop a training command before it
+    writes a checkpoint."""
+
+    def finetune_args(self, synth_dir, transferred, out, *flags):
+        return ["finetune", "--annotations", str(synth_dir / "annotations.jsonl"),
+                "--region-features", str(synth_dir / "region_features.bin"),
+                "--context-features", str(synth_dir / "context_features.bin"),
+                "--in", str(transferred), "--out", str(out),
+                "--config", str(synth_dir / "config.json"), "--steps", "1", *flags]
+
+    def assert_refused(self, argv, out, *fragments):
+        code, stdout, stderr = run_cli(argv)
+        assert_error_exit(subprocess.CompletedProcess(argv, code, stdout, stderr), *fragments)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "learning rate"),
+        ("--lr", "inf", "learning rate"),
+        ("--momentum", "nan", "momentum"),
+        ("--clip-norm", "nan", "clip norm"),
+    ])
+    def test_non_finite_flag_exit_1(self, synth_dir, transferred, tmp_path, flag, value,
+                                    message):
+        out = tmp_path / "f.ckpt"
+        self.assert_refused(self.finetune_args(synth_dir, transferred, out, flag, value), out,
+                            message)
+
+    def test_nan_in_config_file_exit_1(self, synth_dir, transferred, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lr": NaN}')  # Python's JSON reader accepts NaN
+        out = tmp_path / "f.ckpt"
+        argv = self.finetune_args(synth_dir, transferred, out)
+        argv[argv.index("--config") + 1] = str(cfg)
+        self.assert_refused(argv, out, "learning rate")
+
+    def test_lr_beyond_float32_exit_1(self, synth_dir, transferred, tmp_path):
+        out = tmp_path / "f.ckpt"
+        proc = run_cli_subprocess(self.finetune_args(synth_dir, transferred, out,
+                                                     "--lr", "1e39"))
+        assert_error_exit(proc, "learning rate must be non-negative and finite in float32")
+        assert not out.exists()
+
+    def test_infinite_clip_norm_trains(self, synth_dir, transferred, tmp_path):
+        out = tmp_path / "f.ckpt"
+        run_json(self.finetune_args(synth_dir, transferred, out, "--clip-norm", "inf"))
+        load_checkpoint(out)
+
+    def test_training_that_leaves_non_finite_values_writes_nothing(
+            self, synth_dir, transferred, tmp_path, monkeypatch):
+        train = cli.finetune_retrieval
+
+        def diverging(params, *args):
+            report = train(params, *args)
+            params.lstm_local.b_f.value[1] = np.inf
+            return report
+
+        monkeypatch.setattr(cli, "finetune_retrieval", diverging)
+        out = tmp_path / "f.ckpt"
+        self.assert_refused(self.finetune_args(synth_dir, transferred, out), out,
+                            "tensor 'lstm_local.b_f' holds non-finite values; "
+                            "no checkpoint written")
+
+    def test_first_non_finite_tensor_named(self, finetuned, tmp_path):
+        params, config, vocab = load_checkpoint(finetuned)
+        params.W_global.value[0, 0] = np.nan
+        params.lstm_global.W_hg.value[1, 1] = -np.inf
+        out = tmp_path / "bad.ckpt"
+        with pytest.raises(InputError, match=r"tensor 'lstm_global\.W_hg' holds non-finite"):
+            _save_checkpoint(params, config, vocab, out)
+        assert not out.exists()
 
 
 class TestGradcheck:

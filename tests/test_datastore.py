@@ -43,6 +43,27 @@ def annotation_row(**overrides):
     return row
 
 
+def report_size(monkeypatch, size):
+    """Makes os.fstat report size bytes, as it does for a file that grows or
+    shrinks after it was asked."""
+    real = os.fstat
+
+    def fstat(fd):
+        st = real(fd)
+        return os.stat_result((*st[:6], size, *st[7:]))
+
+    monkeypatch.setattr(os, "fstat", fstat)
+
+
+def load_outcome(path):
+    """A feature store's keys and rows, or the message of the FormatError it raises."""
+    try:
+        store = load_feature_store(path)
+    except FormatError as e:
+        return str(e)
+    return {key: vec.tolist() for key, vec in store.entries.items()}
+
+
 class TestFeatureStore:
     def test_empty_roundtrip(self, tmp_path):
         path = tmp_path / "f.bin"
@@ -195,6 +216,41 @@ class TestFeatureStore:
         loaded = load_feature_store(path)
         assert np.array_equal(loaded.get("a").view(">f4"), values[0])
         assert np.array_equal(loaded.get("b").view(">f4"), values[1])
+
+    @pytest.mark.parametrize("field", [3, 4, 5])  # the second entry's key length, key, vector
+    def test_file_that_shrinks_while_read_names_where_the_read_stopped(
+            self, tmp_path, monkeypatch, field):
+        keys = ["img1:region-07", "ключ-é"]  # a cut at any field passes the count check
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 3, [(k, np.ones(3)) for k in keys])
+        off, size = entry_fields(keys, 3)[field]
+        cut = off + max(1, size // 2)
+        reported = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:cut])
+        report_size(monkeypatch, reported)
+        with pytest.raises(FormatError) as err:
+            load_feature_store(path)
+        assert str(err.value) == (f"feature store: truncated at byte {cut} "
+                                  f"(the file shrank while it was read)")
+
+    @pytest.mark.parametrize("field", [3, 4, 5, None])
+    def test_file_longer_than_its_reported_size_is_read_to_that_size(
+            self, tmp_path, monkeypatch, field):
+        keys = ["img1:region-07", "ключ-é"]  # a cut at any field passes the count check
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 3, [(k, np.arange(3) + i) for i, k in enumerate(keys)])
+        data = path.read_bytes()
+        if field is None:
+            cut = len(data)
+        else:
+            off, size = entry_fields(keys, 3)[field]
+            cut = off + max(1, size // 2)
+        cut_path = tmp_path / "cut.bin"
+        cut_path.write_bytes(data[:cut])
+        want = load_outcome(cut_path)
+        path.write_bytes(data + b"more bytes, written after the size was read")
+        report_size(monkeypatch, cut)
+        assert load_outcome(path) == want
 
     def test_missing_key_named(self):
         store = FeatureStore(2)

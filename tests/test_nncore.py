@@ -304,6 +304,22 @@ class TestSgd:
         with pytest.raises(ConfigError):
             SgdOptimizer([p], lr=-0.1)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"lr": math.nan}, "learning rate"),
+        ({"lr": math.inf}, "learning rate"),
+        ({"lr": 1e39}, "learning rate"),  # inf once cast to float32
+        ({"lr": 0.1, "momentum": math.nan}, "momentum"),
+        ({"lr": 0.1, "clip_norm": math.nan}, "clip norm"),
+    ])
+    def test_non_finite_settings_rejected(self, settings, message):
+        p = ParamTensor.zeros("p", (1,))
+        with pytest.raises(ConfigError, match=message):
+            SgdOptimizer([p], **settings)
+
+    def test_largest_float32_lr_accepted(self):
+        p = ParamTensor.zeros("p", (1,))
+        SgdOptimizer([p], lr=float(np.finfo(np.float32).max))
+
     def test_zero_lr_is_noop(self):
         p = ParamTensor.zeros("p", (2,), dtype=np.float64)
         p.value[...] = [1.0, 2.0]

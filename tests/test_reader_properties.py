@@ -1,9 +1,11 @@
 """Property tests for the readers of bulk and evaluation inputs: a feature
-store, proposals file or annotations file that has been cut short or has one
-byte changed either loads, or raises a ScrcError that names a byte offset or
-a line. Any other exception fails."""
+store, proposals, annotations or captions file that has been cut short or has
+one byte changed either loads, or raises a ScrcError that names a byte offset
+or a line. A checkpoint mutated the same way, or with a length or count field
+changed, either loads or raises a ScrcError. Any other exception fails."""
 
 import json
+import math
 import re
 import struct
 
@@ -14,13 +16,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from scrc.datastore import (FeatureStore, _parse_box, _parse_boxes,  # noqa: E402
-                            load_annotations, load_feature_store, load_proposals,
+                            load_annotations, load_captions, load_checkpoint,
+                            load_feature_store, load_proposals, save_checkpoint,
                             save_feature_store)
 from scrc.errors import FormatError, ScrcError  # noqa: E402
+from scrc.model import ScrcConfig, ScrcParams  # noqa: E402
 from scrc.nncore import make_rng  # noqa: E402
+from scrc.textproc import build_vocab  # noqa: E402
 
 NAMES_A_PLACE = re.compile(r"\bbyte \d+|\bline \d+")
 NAMES_A_LINE = re.compile(r"\bline \d+")
+# checkpoint errors name a byte, a tensor or a header field
+ANY_MESSAGE = re.compile("")
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +64,44 @@ def annotation_bytes():
             {"image_id": "img2", "width": 64.0, "height": 48, "box": [10, 20, 30, 40],
              "region_key": "img2:r0", "descriptions": ["blue", ""]}]
     return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def caption_bytes():
+    rows = [{"image_id": "img1", "captions": ["a red box", "the ключ on the left"]},
+            {"image_id": "img2", "captions": ["é"]},
+            {"image_id": "img3", "captions": ["blue", ""]}]
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(scratch):
+    vocab = build_vocab(["red green left right"])
+    config = ScrcConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=5, feat_dim=3)
+    save_checkpoint(ScrcParams.init(config, make_rng(0)), config, vocab, scratch / "m.ckpt")
+    return (scratch / "m.ckpt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_fields(checkpoint_bytes):
+    """(offset, struct format) of each length and count field of the checkpoint:
+    the header length, the tensor count, and each tensor's name length, rank
+    and dims."""
+    data = checkpoint_bytes
+    (hlen,) = struct.unpack_from("<I", data, 12)
+    off = 16 + hlen
+    (count,) = struct.unpack_from("<I", data, off)
+    fields = [(12, "<I"), (off, "<I")]
+    off += 4
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", data, off)
+        rank = data[off + 2 + nlen]
+        dims_off = off + 3 + nlen
+        fields += [(off, "<H"), (off + 2 + nlen, "<B")]
+        fields += [(dims_off + 4 * k, "<I") for k in range(rank)]
+        off = dims_off + 4 * rank + 4 * math.prod(struct.unpack_from(f"<{rank}I", data, dims_off))
+    assert off == len(data)
+    return fields
 
 
 def loads_or_names_place(loader, path, data: bytes, place=NAMES_A_PLACE):
@@ -153,3 +198,41 @@ class TestAnnotationMutations:
     def test_byte_flip(self, scratch, annotation_bytes, index, mask):
         loads_or_names_place(load_annotations, scratch / "a.jsonl",
                              flip(annotation_bytes, index, mask), NAMES_A_LINE)
+
+
+class TestCaptionMutations:
+    @given(st.data())
+    def test_truncation(self, scratch, caption_bytes, data):
+        cut = data.draw(st.integers(0, len(caption_bytes) - 1))
+        loads_or_names_place(load_captions, scratch / "c.jsonl", caption_bytes[:cut],
+                             NAMES_A_LINE)
+
+    @given(index=st.integers(0, 10 ** 6), mask=st.integers(1, 255))
+    def test_byte_flip(self, scratch, caption_bytes, index, mask):
+        loads_or_names_place(load_captions, scratch / "c.jsonl",
+                             flip(caption_bytes, index, mask), NAMES_A_LINE)
+
+
+class TestCheckpointMutations:
+    @given(st.data())
+    def test_truncation(self, scratch, checkpoint_bytes, data):
+        cut = data.draw(st.integers(0, len(checkpoint_bytes) - 1))
+        loads_or_names_place(load_checkpoint, scratch / "m.ckpt", checkpoint_bytes[:cut],
+                             ANY_MESSAGE)
+
+    @given(index=st.integers(0, 10 ** 6), mask=st.integers(1, 255))
+    def test_byte_flip(self, scratch, checkpoint_bytes, index, mask):
+        loads_or_names_place(load_checkpoint, scratch / "m.ckpt",
+                             flip(checkpoint_bytes, index, mask), ANY_MESSAGE)
+
+    @given(st.data())
+    def test_changed_length_or_count_field(self, scratch, checkpoint_bytes, checkpoint_fields,
+                                           data):
+        off, fmt = data.draw(st.sampled_from(checkpoint_fields))
+        top = 2 ** (8 * struct.calcsize(fmt)) - 1
+        (was,) = struct.unpack_from(fmt, checkpoint_bytes, off)
+        value = data.draw(st.one_of(st.integers(0, top),
+                                    st.integers(max(0, was - 3), min(top, was + 3))))
+        mutant = bytearray(checkpoint_bytes)
+        struct.pack_into(fmt, mutant, off, value)
+        loads_or_names_place(load_checkpoint, scratch / "m.ckpt", bytes(mutant), ANY_MESSAGE)

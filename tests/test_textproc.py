@@ -64,6 +64,11 @@ class TestVocabulary:
         with pytest.raises(InputError):
             Vocabulary(RESERVED_TOKENS + ("a", "a"))
 
+    @pytest.mark.parametrize("token", [7, None, 1.5, ["a"], b"a"])
+    def test_rejects_tokens_that_are_not_strings(self, token):
+        with pytest.raises(InputError, match=r"vocabulary token 4 is not a string"):
+            Vocabulary(RESERVED_TOKENS + ("a", token))
+
     def test_token_id_out_of_range(self):
         v = build_vocab([])
         with pytest.raises(InputError):

@@ -60,6 +60,20 @@ class TestMakeBatches:
             make_batches([1], 0, 0, 0)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("settings, message", [
+        ({"lr": float("nan")}, "learning rate"),
+        ({"lr": float("inf")}, "learning rate"),
+        ({"lr": 1e39}, "learning rate"),  # inf once cast to float32
+        ({"momentum": float("nan")}, "momentum"),
+        ({"clip_norm": float("nan")}, "clip norm"),
+        ({"lr": -0.1}, "learning rate"),
+    ])
+    def test_bad_optimizer_settings_rejected(self, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**{"lr": 0.01, "steps": 1, "seed": 0, **settings})
+
+
 class TestPretrain:
     def test_loss_decreases_on_toy_set(self):
         params, config, captions, context, vocab = toy_caption_setup()
