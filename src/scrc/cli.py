@@ -51,7 +51,7 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # invalid UTF-8 or JSON, or an integer of too many digits
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -101,16 +101,6 @@ def _check_feat_dim(config: ScrcConfig, store: datastore.FeatureStore, name: str
         raise ConfigError(
             f"{name} store has dim {store.dim} but the model expects feat_dim "
             f"{config.feat_dim}")
-
-
-def _save_checkpoint(params: ScrcParams, config: ScrcConfig, vocab, path):
-    """Writes a checkpoint, unless load_checkpoint would refuse it: the first
-    tensor that holds a non-finite value is named, and nothing is written."""
-    for t in params.tensors():
-        if not np.isfinite(t.value).all():
-            raise InputError(f"{path}: tensor {t.name!r} holds non-finite values; "
-                             f"no checkpoint written")
-    datastore.save_checkpoint(params, config, vocab, path)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, masks: bool = False):
@@ -203,7 +193,7 @@ def _cmd_pretrain(args) -> int:
     params = ScrcParams.init(config, make_rng(values["seed"]))
     report = pretrain_captioning(params, config, captions, context_store, vocab,
                                  TrainConfig(phase="pretrain", **_fields(TrainConfig, values)))
-    _save_checkpoint(params, config, vocab, args.out)
+    datastore.save_checkpoint(params, config, vocab, args.out)
     _emit(report.to_dict())
     return 0
 
@@ -214,7 +204,7 @@ def _cmd_transfer(args) -> int:
         raise InputError(f"{args.input}: transfer requires a caption-mode checkpoint")
     transfer_weights(params, config)
     out_config = config.replace(caption_mode=False)
-    _save_checkpoint(params, out_config, vocab, args.out)
+    datastore.save_checkpoint(params, out_config, vocab, args.out)
     _emit({"transferred": True, "out": str(args.out)})
     return 0
 
@@ -252,7 +242,7 @@ def _cmd_finetune(args) -> int:
     tuples = datastore.build_training_tuples(records, region_store, context_store, vocab)
     report = finetune_retrieval(params, config, tuples, region_store, context_store,
                                 TrainConfig(phase="finetune", **_fields(TrainConfig, values)))
-    _save_checkpoint(params, config, vocab, args.out)
+    datastore.save_checkpoint(params, config, vocab, args.out)
     _emit(report.to_dict())
     return 0
 

@@ -301,6 +301,12 @@ def _iter_jsonl(path):
                 raise FormatError(f"{path}: line {lineno}: invalid JSON: {e}") from None
             if not isinstance(obj, dict):
                 raise FormatError(f"{path}: line {lineno}: expected a JSON object")
+            if "\\u" in line:  # strict UTF-8 never decodes to a surrogate; an escape can
+                try:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise FormatError(
+                        f"{path}: line {lineno}: unpaired surrogate escape in a string") from None
             yield lineno, obj
 
 
@@ -433,14 +439,20 @@ def build_training_tuples(records: Sequence[AnnotationRecord], region_store: Fea
 
 
 def save_checkpoint(params: ScrcParams, config: ScrcConfig, vocab: Vocabulary, path):
+    """Writes a checkpoint, unless load_checkpoint would refuse it: the first
+    tensor that holds a non-finite value is named, and nothing is written."""
     params.check_config(config)
     if len(vocab) != config.vocab_size:
         raise InputError(f"vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}")
+    tensors = params.tensors()
+    for t in tensors:
+        if not np.isfinite(t.value).all():
+            raise InputError(f"{path}: tensor {t.name!r} holds non-finite values; "
+                             f"no checkpoint written")
     header = {"format_version": FORMAT_VERSION,
               "config": config.to_dict(),
               "vocab": list(vocab.tokens)}
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tensors = params.tensors()
     with _atomic_write(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", FORMAT_VERSION, len(hb)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch, sequence_log_prob
+from .model import ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch
 from .nncore import make_rng
 
 DEFAULT_CHECK_CONFIG = ScrcConfig(vocab_size=12, embed_dim=6, hidden_dim=8, feat_dim=5)
@@ -45,7 +45,9 @@ def check_instance(config: ScrcConfig, seed: int, radius: float = CHECK_INIT_RAD
 
 
 def batch_loss(params: ScrcParams, config: ScrcConfig, requests) -> float:
-    return -sum(sequence_log_prob(params, config, r) for r in requests)
+    """The summed negative log-likelihood, from one forward pass over the
+    requests; each row equals sequence_log_prob's bit for bit."""
+    return -sum(forward_batch(params, config, requests, keep_trace=False).log_probs.tolist())
 
 
 def accumulate_gradients(params: ScrcParams, config: ScrcConfig, requests):

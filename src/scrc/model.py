@@ -221,7 +221,7 @@ class ForwardTrace:
     each row's real steps. With caches, units holds the language, local and
     global units' activations (None for a skipped unit), fixed each row's
     [box, spatial] and context inputs, and probs (T, B, V) each step's
-    next-word distribution: enough for backprop."""
+    next-word distribution: enough for backprop, which spends them."""
 
     targets: list[list[int]]
     log_probs: np.ndarray
@@ -234,9 +234,8 @@ class ForwardTrace:
     @property
     def steps(self) -> list[StepRecord]:
         """Per step, each unit's (B, H) state after it."""
-        h = [None if u is None else u.h() for u in self.units]
-        return [StepRecord(*(None if u is None else LstmState(hu[t + 1], u.c[t + 1])
-                             for u, hu in zip(self.units, h)))
+        return [StepRecord(*(None if u is None else LstmState(u.h[t + 1], u.c[t + 1])
+                             for u in self.units))
                 for t in range(len(self.live))]
 
 
@@ -455,29 +454,29 @@ def score_image(params: ScrcParams, config: ScrcConfig, queries: Sequence[Sequen
 
 
 def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,
-             targets: Sequence[list[int]], scale: float = 1.0, reuse_trace: bool = False):
+             targets: Sequence[list[int]], scale: float = 1.0):
     """Accumulate gradients of scale * (-log-likelihood), summed over the
     trace's rows, into params: one backward pass through time over all
     rows, and one matrix product over all T * B steps per weight gradient.
 
     Padded steps add exactly zero. Branches disabled by the mode flags
     receive exactly zero gradient; so do the spatial input columns of the
-    local unit when mask_spatial is set. With reuse_trace, gradients
-    overwrite the trace's buffers, which saves their copies; the trace is
-    then spent.
+    local unit when mask_spatial is set. Gradients overwrite the trace's
+    probs and gate buffers, which saves their copies; the trace is then
+    spent.
     """
     params.check_config(config)
     if list(targets) != trace.targets:
         raise ContractError("trace was produced for a different target sequence")
     if trace.probs is None:
-        raise ContractError("trace lacks per-step caches; use forward_trace")
+        raise ContractError("trace lacks per-step caches or backward spent them; use forward_trace")
     steps, rows = trace.live.shape
     H = config.hidden_dim
 
     def flat(a):  # (T, B, ...) -> (T * B, ...)
         return a.reshape(steps * rows, -1)
 
-    dlogits = trace.probs if reuse_trace else trace.probs.copy()
+    dlogits = trace.probs
     t, b = np.nonzero(trace.live)
     dlogits[t, b, trace.ids[t + 1, b]] -= 1.0
     dlogits[~trace.live] = 0.0
@@ -486,26 +485,25 @@ def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,
     dlogits = flat(dlogits)
     params.r.grad += dlogits.sum(axis=0)
     lang, local, glob = trace.units
-    h_lang = flat(lang.h()[1:])
+    h_lang = flat(lang.h[1:])
     dh_lang = np.zeros_like(h_lang)
     for unit, W, unit_trace, fixed in ((params.lstm_local, params.W_local, local, trace.fixed[0]),
                                        (params.lstm_global, params.W_global, glob, trace.fixed[1])):
         if unit_trace is None:
             continue
-        W.grad += dlogits.T @ flat(unit_trace.h()[1:])
-        grads = lstm_bptt(unit, unit_trace, dlogits @ W.value, reuse_trace)
+        W.grad += dlogits.T @ flat(unit_trace.h[1:])
+        grads = lstm_bptt(unit, unit_trace, dlogits @ W.value)
         unit.W_x.grad[:, :H] += grads.T @ h_lang
         # the fixed inputs are the same at every step of a row
         unit.W_x.grad[:, H:] += grads.reshape(steps, rows, -1).sum(axis=0).T @ fixed
         dh_lang += grads @ unit.W_x.value[:, :H]
         del grads  # one gradient buffer alive at a time keeps the peak memory down
     del dlogits
-    grads = lstm_bptt(params.lstm_language, lang, dh_lang, reuse_trace)
+    grads = lstm_bptt(params.lstm_language, lang, dh_lang)
     inputs = trace.ids[:-1].ravel()
     params.lstm_language.W_x.grad += grads.T @ params.E.value.T[inputs]
     np.add.at(params.E.grad.T, inputs, grads @ params.lstm_language.W_x.value)
-    if reuse_trace:
-        trace.probs = None
+    trace.probs = None
 
 
 def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_context,

@@ -245,33 +245,27 @@ def lstm_step_backward(params: LstmParams, cache: LstmStepCache,
 @dataclass
 class LstmTrace:
     """One unit's activations over T steps of B rows: gates (T, B, 4H) holds
-    the activated i, f, o, g, and c (T + 1, B, H) the cells, starting with
-    the zero state."""
+    the activated i, f, o, g, and h and c (T + 1, B, H) the outputs and
+    cells, starting with the zero state."""
 
     gates: np.ndarray
+    h: np.ndarray
     c: np.ndarray
 
     @classmethod
     def zeros(cls, steps: int, rows: int, hidden_dim: int, dtype) -> "LstmTrace":
         return cls(np.zeros((steps, rows, 4 * hidden_dim), dtype=dtype),
+                   np.zeros((steps + 1, rows, hidden_dim), dtype=dtype),
                    np.zeros((steps + 1, rows, hidden_dim), dtype=dtype))
 
     def record(self, t: int, cache: LstmStepCache):
         """Store step t of a forward pass over a (B, ., 1) stack."""
         np.concatenate([cache.i, cache.f, cache.o, cache.g], axis=1, out=self.gates[t, :, :, None])
+        self.h[t + 1] = cache.h[:, :, 0]
         self.c[t + 1] = cache.c[:, :, 0]
 
-    def h(self) -> np.ndarray:
-        """h_0 .. h_T (T + 1, B, H): the zero state, then o * tanh(c), which
-        is how the forward pass computed them, bit for bit."""
-        hidden = self.c.shape[2]
-        h = np.zeros_like(self.c)
-        np.multiply(self.gates[:, :, 2 * hidden:3 * hidden], np.tanh(self.c[1:]), out=h[1:])
-        return h
 
-
-def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray,
-              reuse_trace: bool = False) -> np.ndarray:
+def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray) -> np.ndarray:
     """Backpropagate through time a forward pass over (T, B) steps and rows.
 
     dh (T * B, H) is the loss gradient flowing into each step's h from
@@ -279,22 +273,20 @@ def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray,
     one product over all T * B rows; returns the gate pre-activation
     gradients (T * B, 4H), from which the caller forms W_x's gradient and
     the input gradients. Rows whose dh is zero from some step on add
-    exactly zero from that step on. With reuse_trace, the gradients
-    overwrite trace.gates.
+    exactly zero from that step on. The gradients overwrite trace.gates.
     """
     steps, rows, gates = trace.gates.shape
     hidden = gates // 4
     dh = dh.reshape(steps, rows, hidden)
-    h_prev = trace.h()[:-1]  # read before the gates may be overwritten
-    grads = trace.gates if reuse_trace else np.empty_like(trace.gates)
-    dh_next = dc_next = np.zeros((rows, hidden), dtype=trace.gates.dtype)
+    grads = trace.gates  # each step's gradients overwrite its activations
+    dh_next = dc_next = np.zeros((rows, hidden), dtype=grads.dtype)
     for t in reversed(range(steps)):
         i, f, o, g = (trace.gates[t, :, k * hidden:(k + 1) * hidden] for k in range(4))
         grads[t], dc_next = lstm_gate_grads(i, f, o, g, trace.c[t], np.tanh(trace.c[t + 1]),
                                             dh[t] + dh_next, dc_next)
         dh_next = grads[t] @ params.W_h.value
     grads = grads.reshape(steps * rows, gates)
-    params.W_h.grad += grads.T @ h_prev.reshape(steps * rows, hidden)
+    params.W_h.grad += grads.T @ trace.h[:-1].reshape(steps * rows, hidden)
     params.b.grad += grads.sum(axis=0)
     return grads
 

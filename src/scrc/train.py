@@ -97,8 +97,7 @@ def _run_sgd(params: ScrcParams, config: ScrcConfig, requests: list[ScoreRequest
     while step < cfg.steps:
         for batch in make_batches(requests, cfg.batch_size, cfg.seed, epoch):
             trace = forward_batch(params, config, batch)
-            backward(params, config, trace, trace.targets, scale=1.0 / len(batch),
-                     reuse_trace=True)
+            backward(params, config, trace, trace.targets, scale=1.0 / len(batch))
             last_loss = -sum(trace.log_probs.tolist()) / len(batch)
             del trace  # its buffers need not outlive the backward pass
             opt.step()

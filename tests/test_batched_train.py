@@ -1,6 +1,8 @@
 """The batched training core (forward_batch + backward over padded rows)
 against B = 1 passes of the same core."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -104,19 +106,21 @@ def test_padded_steps_add_exactly_zero(mode):
     requests = mixed_requests(rng, config)
     trace = forward_batch(params, config, requests)
     assert not trace.live.all()
+    perturbed = copy.deepcopy(trace)  # backward spends the trace it reads
     params.zero_grads()
     backward(params, config, trace, trace.targets)
     want = {t.name: t.grad.copy() for t in params.tensors()}
     assert np.all(params.E.grad[:, EOS_ID] == 0)  # <eos> is only ever a padding input
 
-    pad = ~trace.live
-    trace.probs[pad] = rng.uniform(size=trace.probs[pad].shape)
-    for unit in trace.units:
+    pad = ~perturbed.live
+    perturbed.probs[pad] = rng.uniform(size=perturbed.probs[pad].shape)
+    for unit in perturbed.units:
         if unit is not None:
             unit.gates[pad] = rng.uniform(size=unit.gates[pad].shape)
+            unit.h[1:][pad] = rng.normal(size=unit.h[1:][pad].shape)
             unit.c[1:][pad] = rng.normal(size=unit.c[1:][pad].shape)
     params.zero_grads()
-    backward(params, config, trace, trace.targets)
+    backward(params, config, perturbed, perturbed.targets)
     for t in params.tensors():
         assert np.array_equal(t.grad, want[t.name]), t.name
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,10 +13,10 @@ import pytest
 
 import scrc
 from scrc import cli, evalmetrics
-from scrc.cli import _build_parser, _load_config_file, _save_checkpoint, main
+from scrc.cli import _build_parser, _load_config_file, main
 from scrc.datastore import (load_annotations, load_checkpoint, load_feature_store,
                             load_proposals, save_checkpoint)
-from scrc.errors import InputError
+from scrc.errors import ConfigError, InputError
 from scrc.geometry import ImageSize, encode_spatial
 from scrc.model import ScoreRequest, score_candidates, sequence_log_prob
 from scrc.nncore import make_rng
@@ -310,10 +311,12 @@ class TestRetrieve:
         assert_error_exit(run_cli_subprocess(args), "invalid UTF-8 at byte 22")
 
     def test_non_finite_checkpoint_exit_1(self, synth_dir, finetuned, tmp_path):
-        params, config, vocab = load_checkpoint(finetuned)
-        params.W_local.value[0, 0] = np.nan
+        data = bytearray(finetuned.read_bytes())
+        name = b"W_local"
+        at = data.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
+        struct.pack_into("<f", data, at + 1 + 4 * data[at], np.nan)  # past rank and dims
         bad = tmp_path / "nan.ckpt"
-        save_checkpoint(params, config, vocab, bad)
+        bad.write_bytes(bytes(data))
         proc = run_cli_subprocess(self.retrieve_args(synth_dir, bad))
         assert_error_exit(proc, "tensor 'W_local' holds non-finite values")
 
@@ -458,6 +461,19 @@ class TestEval:
         assert repr(first["image_id"]) in err
         w, h = first["width"], first["height"]
         assert f"{w:g}x{h:g} and {w + 16:g}x{h:g}" in err
+
+    def test_unpaired_surrogate_escape_exit_1(self, synth_dir, finetuned, tmp_path):
+        rows = [json.loads(line) for line in
+                (synth_dir / "annotations.jsonl").read_text().splitlines()]
+        rows[2]["descriptions"] = ["red \ud800 left"]
+        bad = tmp_path / "annotations.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        csv_path = tmp_path / "per_query.csv"
+        args = self.eval_args(synth_dir, finetuned, "gt") + ["--per-query", str(csv_path)]
+        args[args.index("--annotations") + 1] = str(bad)
+        assert_error_exit(run_cli_subprocess(args),
+                          "annotations.jsonl: line 3: unpaired surrogate escape")
+        assert not csv_path.exists()
 
 
 
@@ -652,6 +668,24 @@ class TestSettings:
         assert code == 1
         assert "invalid JSON" in err
 
+    def test_long_integer_names_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"steps": ' + "9" * 5000 + "}")
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}: invalid JSON: ")):
+            _load_config_file(cfg)
+
+    def test_long_integer_config_exit_1(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"steps": ' + "9" * 5000 + "}")
+        out = tmp_path / "o.ckpt"
+        proc = run_cli_subprocess([
+            "finetune", "--annotations", str(synth_dir / "annotations.jsonl"),
+            "--region-features", str(synth_dir / "region_features.bin"),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--no-transfer-init", "--config", str(cfg), "--out", str(out)])
+        assert_error_exit(proc, f"{cfg}: invalid JSON")
+        assert not out.exists()
+
     def test_mask_flags_only_on_finetune(self):
         parser = _build_parser()
         args = parser.parse_args(["finetune", "--annotations", "a", "--region-features", "r",
@@ -734,7 +768,7 @@ class TestOptimizerSettings:
         params.lstm_global.W_hg.value[1, 1] = -np.inf
         out = tmp_path / "bad.ckpt"
         with pytest.raises(InputError, match=r"tensor 'lstm_global\.W_hg' holds non-finite"):
-            _save_checkpoint(params, config, vocab, out)
+            save_checkpoint(params, config, vocab, out)
         assert not out.exists()
 
 

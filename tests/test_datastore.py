@@ -291,12 +291,14 @@ def truncation_message(keys, dim, cut):
     raise AssertionError("the cut leaves every field whole")
 
 
-class TestFeatureStoreChunks:
-    """Entries parsed from reads of a few dozen bytes, so that keys and vectors
-    straddle reads and some fields are longer than one read."""
+class TestFeatureStoreSmallBuffer:
+    """Entries read through a file buffer of a few dozen bytes: the
+    monkeypatched FEATURE_CHUNK_BYTES = 24 sets the buffer's size, so that keys
+    and vectors straddle buffer refills and some fields are longer than the
+    buffer."""
 
     @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
+    def small_buffer(self, monkeypatch):
         monkeypatch.setattr(datastore, "FEATURE_CHUNK_BYTES", 24)
 
     @pytest.mark.parametrize("dim", [1, 5, 16])
@@ -500,6 +502,33 @@ class TestProposalsAndCaptions:
             load_captions(path)
 
 
+class TestSurrogateEscapes:
+    """Python's JSON reader decodes an escaped lone surrogate into a string
+    that UTF-8 cannot encode; the readers refuse it at the line that holds it."""
+
+    @pytest.mark.parametrize("loader, good, bad", [
+        (load_annotations, annotation_row(),
+         annotation_row(descriptions=["red box", "red \ud800 left"])),
+        (load_proposals, {"image_id": "img0", "boxes": [], "region_keys": []},
+         {"image_id": "img1", "boxes": [[0, 0, 5, 5]], "region_keys": ["\udc00"]}),
+        (load_captions, {"image_id": "img0", "captions": ["a dog"]},
+         {"image_id": "img1", "captions": ["a \udfff dog"]}),
+    ], ids=["annotations", "proposals", "captions"])
+    def test_unpaired_surrogate_names_line(self, tmp_path, loader, good, bad):
+        path = tmp_path / "f.jsonl"
+        write_jsonl(path, [good, bad])
+        assert b"\\ud" in path.read_bytes()  # json.dumps escapes the lone surrogate
+        with pytest.raises(FormatError, match="f.jsonl: line 2: unpaired surrogate escape"):
+            loader(path)
+
+    def test_escaped_surrogate_pair_loads(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [annotation_row(descriptions=["the \U0001F600 on the left"])])
+        assert b"\\ud83d\\ude00" in path.read_bytes()
+        (record,) = load_annotations(path)
+        assert record.descriptions == ["the \U0001F600 on the left"]
+
+
 class TestTrainingTuples:
     def stores(self):
         region = FeatureStore(3)
@@ -640,19 +669,32 @@ class TestCheckpoint:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_named(self, tmp_path, bad):
         params, config, vocab = small_checkpoint_parts()
-        params.W_local.value[0, 0] = bad
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, config, vocab, path)
+        overwrite_float(path, "W_local", 0, bad)
         with pytest.raises(FormatError, match="tensor 'W_local' holds non-finite values"):
             load_checkpoint(path)
 
     def test_non_finite_gate_view_named(self, tmp_path):
         params, config, vocab = small_checkpoint_parts()
-        params.lstm_global.b_o.value[2] = np.nan
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, config, vocab, path)
+        overwrite_float(path, "lstm_global.b_o", 2, np.nan)
         with pytest.raises(FormatError, match=r"tensor 'lstm_global\.b_o' holds non-finite"):
             load_checkpoint(path)
+
+    def test_save_refuses_non_finite_tensor_and_keeps_old_file(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        old = path.read_bytes()
+        params.lstm_language.W_hf.value[0, 1] = np.inf
+        with pytest.raises(InputError) as err:
+            save_checkpoint(params, config, vocab, path)
+        assert str(err.value) == (f"{path}: tensor 'lstm_language.W_hf' holds non-finite "
+                                  f"values; no checkpoint written")
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.ckpt"]
 
     def test_unexpected_tensor_between_expected_is_skipped_and_named(self, tmp_path):
         params, config, vocab = small_checkpoint_parts()
@@ -744,6 +786,18 @@ def split_checkpoint(data: bytes):
         records.append(data[start:off])
     assert off == len(data)
     return prefix, records
+
+
+def overwrite_float(path, name, index, value):
+    """Sets float `index` of the named tensor's record in a saved checkpoint."""
+    prefix, records = split_checkpoint(path.read_bytes())
+    for k, record in enumerate(records):
+        (nlen,) = struct.unpack("<H", record[:2])
+        if record[2:2 + nlen] == name.encode("utf-8"):
+            data = bytearray(record)
+            struct.pack_into("<f", data, 3 + nlen + 4 * data[2 + nlen] + 4 * index, value)
+            records[k] = bytes(data)
+    path.write_bytes(prefix + struct.pack("<I", len(records)) + b"".join(records))
 
 
 def rewrite_header(path, **fields):

@@ -274,6 +274,7 @@ class TestBackward:
         backward(params, config, trace, trace.targets)
         full = params.E.grad.copy()
         params.zero_grads()
+        trace = forward_trace(params, config, req)  # backward spent the first trace
         backward(params, config, trace, trace.targets, scale=0.25)
         assert np.allclose(params.E.grad, 0.25 * full, atol=1e-15)
 
@@ -294,6 +295,16 @@ class TestBackward:
 
         trace = _forward(params, config, req, keep_trace=False)
         with pytest.raises(ContractError):
+            backward(params, config, trace, trace.targets)
+
+    def test_spent_trace_rejected(self):
+        config = tiny_config()
+        rng = make_rng(19)
+        params = ScrcParams.init(config, rng, radius=0.6, dtype=np.float64)
+        trace = forward_trace(params, config, random_request(rng, config))
+        backward(params, config, trace, trace.targets)
+        assert trace.probs is None
+        with pytest.raises(ContractError, match="spent"):
             backward(params, config, trace, trace.targets)
 
 

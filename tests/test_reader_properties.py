@@ -2,7 +2,9 @@
 store, proposals, annotations or captions file that has been cut short or has
 one byte changed either loads, or raises a ScrcError that names a byte offset
 or a line. A checkpoint mutated the same way, or with a length or count field
-changed, either loads or raises a ScrcError. Any other exception fails."""
+changed, either loads or raises a ScrcError. A training config file mutated
+the same way either loads or raises a ConfigError that names the file. Any
+other exception fails."""
 
 import json
 import math
@@ -15,11 +17,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from scrc.cli import _load_config_file  # noqa: E402
 from scrc.datastore import (FeatureStore, _parse_box, _parse_boxes,  # noqa: E402
                             load_annotations, load_captions, load_checkpoint,
                             load_feature_store, load_proposals, save_checkpoint,
                             save_feature_store)
-from scrc.errors import FormatError, ScrcError  # noqa: E402
+from scrc.errors import ConfigError, FormatError, ScrcError  # noqa: E402
 from scrc.model import ScrcConfig, ScrcParams  # noqa: E402
 from scrc.nncore import make_rng  # noqa: E402
 from scrc.textproc import build_vocab  # noqa: E402
@@ -80,6 +83,14 @@ def checkpoint_bytes(scratch):
     config = ScrcConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=5, feat_dim=3)
     save_checkpoint(ScrcParams.init(config, make_rng(0)), config, vocab, scratch / "m.ckpt")
     return (scratch / "m.ckpt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def config_bytes():
+    settings = {"embed_dim": 16, "hidden_dim": 16, "feat_dim": 8, "min_count": 1,
+                "lr": 0.005, "momentum": 0.9, "clip_norm": 10.0, "steps": 300,
+                "batch_size": 16, "seed": 7, "mask_spatial": False, "mask_context": True}
+    return json.dumps(settings, indent=1).encode("utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +247,22 @@ class TestCheckpointMutations:
         mutant = bytearray(checkpoint_bytes)
         struct.pack_into(fmt, mutant, off, value)
         loads_or_names_place(load_checkpoint, scratch / "m.ckpt", bytes(mutant), ANY_MESSAGE)
+
+
+def loads_or_names_file(path, data: bytes):
+    path.write_bytes(data)
+    try:
+        _load_config_file(path)
+    except ConfigError as e:
+        assert str(e).startswith(f"{path}: "), e
+
+
+class TestConfigFileMutations:
+    @given(st.data())
+    def test_truncation(self, scratch, config_bytes, data):
+        cut = data.draw(st.integers(0, len(config_bytes) - 1))
+        loads_or_names_file(scratch / "cfg.json", config_bytes[:cut])
+
+    @given(index=st.integers(0, 10 ** 6), mask=st.integers(1, 255))
+    def test_byte_flip(self, scratch, config_bytes, index, mask):
+        loads_or_names_file(scratch / "cfg.json", flip(config_bytes, index, mask))
