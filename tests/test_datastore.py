@@ -291,7 +291,7 @@ def truncation_message(keys, dim, cut):
     raise AssertionError("the cut leaves every field whole")
 
 
-class TestFeatureStoreSmallBuffer:
+class TestFeatureStoreChunks:
     """Entries read through a file buffer of a few dozen bytes: the
     monkeypatched FEATURE_CHUNK_BYTES = 24 sets the buffer's size, so that keys
     and vectors straddle buffer refills and some fields are longer than the
