@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, InputError, ShapeError
 from .geometry import SPATIAL_DIM
 from .nncore import (DEFAULT_INIT_RADIUS, LstmParams, LstmState, LstmTrace, ParamTensor,
-                     feature_axis, init_uniform, log_softmax, lstm_bptt, lstm_step)
+                     init_uniform, log_softmax, lstm_bptt, lstm_step)
 from .textproc import BOS_ID, EOS_ID
 
 _MODE_KEYS = ("caption_mode", "mask_spatial", "mask_context")
@@ -166,15 +166,13 @@ class DecoderState:
     glob: LstmState
 
 
-def initial_state(config: ScrcConfig, dtype=np.float32, columns: Optional[tuple] = None,
-                  rows: Optional[int] = None) -> DecoderState:
+def initial_state(config: ScrcConfig, dtype=np.float32,
+                  columns: Optional[tuple] = None) -> DecoderState:
     """All-zero (H,) vectors; or columns (Q, N): Q per language and global
-    unit, Q * N local; or a (rows, H, 1) stack per unit."""
+    unit, Q * N local."""
     H = config.hidden_dim
     shared = local = (H,)
-    if rows is not None:
-        shared = local = (rows, H, 1)
-    elif columns is not None:
+    if columns is not None:
         shared, local = (H, columns[0]), (H, columns[0] * columns[1])
     return DecoderState(LstmState.zeros(shared, dtype), LstmState.zeros(local, dtype),
                         LstmState.zeros(shared, dtype))
@@ -239,19 +237,21 @@ class ForwardTrace:
                 for t in range(len(self.live))]
 
 
+# A pass of rows is a whole number of blocks of this many columns. BLAS rounds a
+# product's column by where it falls in its kernel's blocking; whole blocks make
+# each row's bits the same in any batch (pinned in tests/test_decoder_core.py).
+ROW_BLOCK = 16
+
+
 def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures):
-    """The local and global units' fixed inputs, and r shaped like a column of
-    logits. Vectors and stacks keep the raw inputs, so that each unit gets
-    its whole input, as backprop needs; columns hold each unit's input
-    projection plus bias (None if skipped)."""
-    local_in = np.concatenate([feats.x_box, feats.x_spatial], axis=feature_axis(feats.x_box))
-    if feats.x_context.ndim != 2:
-        return (local_in, feats.x_context,
-                params.r.value if feats.x_context.ndim == 1 else params.r.value[:, None])
+    """The local and global units' fixed inputs as columns: each unit's input
+    projection plus bias (None if skipped), and r shaped like a column of
+    logits."""
     H = config.hidden_dim
     local = glob = None
     if not config.caption_mode:
         unit = params.lstm_local
+        local_in = np.concatenate([feats.x_box, feats.x_spatial])
         local = unit.W_x.value[:, H:] @ local_in + unit.b.value[:, None]
     if not config.mask_context:
         unit = params.lstm_global
@@ -259,44 +259,43 @@ def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures):
     return local, glob, params.r.value[:, None]
 
 
-def _unit_step(unit: LstmParams, h_lang: np.ndarray, prev: LstmState, fixed: np.ndarray):
-    """Step a local or global unit, whose input is [h_lang, fixed part]."""
-    if h_lang.ndim != 2:
-        return lstm_step(unit, np.concatenate([h_lang, fixed], axis=feature_axis(h_lang)), prev)
-    return lstm_step(unit, h_lang, prev, fixed)
-
-
 def _advance(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
              state: DecoderState, fixed: tuple):
-    """The decoder core's step: logits, new state and unit caches. On
-    columns, the language and global units run one per query or beam and
-    the local unit one per (query, candidate), query-major, or per beam;
-    logits are (V, Q * N), or (V, Q) if the local unit is skipped. On a
-    stack, every unit runs once per item; logits are (B, V, 1)."""
+    """The decoder core's step: logits, new state and unit caches. The
+    language and global units run one column per query, row or beam, and
+    the local unit one per (query, candidate), query-major, or per row or
+    beam; logits are (V, Q * N), or (V, Q) if the local unit is skipped."""
     fixed_local, fixed_glob, r = fixed
     lang, cache_lang = lstm_step(params.lstm_language, x_word, state.lang)
     local, cache_local = state.local, None
     glob, cache_glob = state.glob, None
     logits = r.copy()
     if not config.mask_context:
-        glob, cache_glob = _unit_step(params.lstm_global, lang.h, state.glob, fixed_glob)
+        glob, cache_glob = lstm_step(params.lstm_global, lang.h, state.glob, fixed_glob)
         logits = params.W_global.value @ glob.h + logits
     if not config.caption_mode:
-        local, cache_local = _unit_step(params.lstm_local, lang.h, state.local, fixed_local)
+        local, cache_local = lstm_step(params.lstm_local, lang.h, state.local, fixed_local)
         head = params.W_local.value @ local.h
-        if head.ndim == 2:  # a query's logits column broadcasts over its candidates
-            head.reshape(len(head), logits.shape[1], -1)[...] += logits[:, :, None]
-            logits = head
-        else:
-            logits = head + logits
+        # a query's logits column broadcasts over its candidates
+        head.reshape(len(head), logits.shape[1], -1)[...] += logits[:, :, None]
+        logits = head
     return logits, DecoderState(lang, local, glob), (cache_lang, cache_local, cache_glob)
 
 
 def step_logits(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
                 state: DecoderState, feats: PreparedFeatures):
-    """Advance one step: next-word logits and the updated decoder state."""
-    logits, new_state, _ = _advance(params, config, x_word, state, _fix(params, config, feats))
-    return logits, new_state
+    """Advance one step from vectors: next-word logits and the updated
+    decoder state. The step runs as a row of ROW_BLOCK columns, as
+    sequence_log_prob's steps do."""
+    def row(v):
+        return np.repeat(v[:, None], ROW_BLOCK, axis=1)
+
+    fixed = _fix(params, config, PreparedFeatures(*map(row, vars(feats).values())))
+    state = DecoderState(*(LstmState(row(s.h), row(s.c))
+                           for s in (state.lang, state.local, state.glob)))
+    logits, state, _ = _advance(params, config, row(x_word), state, fixed)
+    return logits[:, 0], DecoderState(*(LstmState(s.h[:, 0], s.c[:, 0])
+                                        for s in (state.lang, state.local, state.glob)))
 
 
 def _check_query(config: ScrcConfig, query: Sequence[int]) -> list[int]:
@@ -320,21 +319,33 @@ def _token_grid(queries: list[list[int]]):
     return ids, np.arange(len(ids) - 1)[:, None] < lengths
 
 
+def _rows(feats: Sequence[PreparedFeatures]) -> PreparedFeatures:
+    """Per-row features as columns (dim, C), one per row, and zero dummy
+    columns up to C, the next multiple of ROW_BLOCK."""
+    pad = -len(feats) % ROW_BLOCK
+    return PreparedFeatures(*(np.stack(list(field) + [np.zeros_like(field[0])] * pad, axis=1)
+                              for field in zip(*(vars(f).values() for f in feats))))
+
+
 def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
             feats: PreparedFeatures, keep_trace: bool = False) -> ForwardTrace:
     """Sum the target log-probs of <bos> + query + <eos> in float64, in step
-    order, the queries padded to the longest and masked. feats are stacks
-    (B, dim, 1), one row per query: every row's sum equals the vector
-    walk's bit for bit. Or feats are columns (dim, N) of N candidates that
-    every query is scored against, sharing x_context (dim, 1): the sum is
-    then (Q, N), or (Q, 1) if no unit reads the box. Only stacks keep a
-    trace's caches."""
-    stacked = feats.x_box.ndim == 3
+    order, the queries padded to the longest and masked. feats are columns
+    (dim, .). Either they are rows from _rows, a column of x_box, x_spatial
+    and x_context per query, then dummy columns: the sum is (Q,), and only
+    rows keep a trace's caches. Or they are N candidates that every query is
+    scored against, sharing x_context (dim, 1): the sum is then (Q, N), or
+    (Q, 1) if no unit reads the box."""
     ids, live = _token_grid(queries)
     steps, rows = live.shape
+    per_row = feats.x_context.shape[1] > 1
+    if per_row:  # the dummy columns feed <eos> and count in no sum and no trace
+        ids = np.pad(ids, ((0, 0), (0, feats.x_context.shape[1] - rows)),
+                     constant_values=EOS_ID)
+    width = ids.shape[1]
     fixed = _fix(params, config, feats)
-    state = (initial_state(config, params.dtype, rows=rows) if stacked
-             else initial_state(config, params.dtype, columns=(rows, feats.x_box.shape[1])))
+    state = initial_state(config, params.dtype,
+                          columns=(width, 1 if per_row else feats.x_box.shape[1]))
     units = probs = None
     if keep_trace:
         H, dtype = config.hidden_dim, params.dtype
@@ -342,54 +353,45 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
                       for skip in (False, config.caption_mode, config.mask_context))
         probs = np.zeros((steps, rows, config.vocab_size), dtype=dtype)
     total = np.float64(0.0)
-    every_row = np.arange(rows)
+    every_query = np.arange(width)
     for t in range(steps):
-        x_word = params.E.value.T[ids[t], :, None] if stacked else params.E.value[:, ids[t]]
-        logits, state, caches = _advance(params, config, x_word, state, fixed)
+        logits, state, caches = _advance(params, config, params.E.value[:, ids[t]], state, fixed)
         logp = log_softmax(logits)
-        if stacked:
-            total = total + np.where(live[t], logp[every_row, ids[t + 1], 0], 0.0)
-        else:  # query q's targets are row ids[t + 1, q] of its columns
-            picked = logp.reshape(len(logp), rows, -1)[ids[t + 1], every_row]
-            total = total + np.where(live[t][:, None], picked, 0.0)
+        # query q's targets are row ids[t + 1, q] of its columns
+        picked = logp.reshape(len(logp), width, -1)[ids[t + 1], every_query][:rows]
+        total = total + np.where(live[t][:, None], picked, 0.0)
         if keep_trace:
             for unit, cache in zip(units, caches):
                 if unit is not None:
                     unit.record(t, cache)
-            probs[t] = np.exp(logp[:, :, 0])
-    fixed_rows = (fixed[0][:, :, 0], fixed[1][:, :, 0]) if keep_trace else None
-    return ForwardTrace([q + [EOS_ID] for q in queries], total, ids, live, units, fixed_rows,
-                        probs)
+            probs[t] = np.exp(logp[:, :rows]).T
+    fixed_rows = (np.concatenate([feats.x_box, feats.x_spatial])[:, :rows].T,
+                  feats.x_context[:, :rows].T) if keep_trace else None
+    return ForwardTrace([q + [EOS_ID] for q in queries], total[:, 0] if per_row else total,
+                        ids[:, :rows], live, units, fixed_rows, probs)
 
 
 def forward_batch(params: ScrcParams, config: ScrcConfig, requests: Sequence[ScoreRequest],
                   keep_trace: bool = True) -> ForwardTrace:
-    """One forward pass over the requests as (B, .) rows, with per-row log
-    probabilities equal to sequence_log_prob's bit for bit."""
+    """One forward pass over the requests, one column per row, with per-row
+    log probabilities equal to sequence_log_prob's bit for bit."""
     if not requests:
         raise InputError("empty batch")
     params.check_config(config)
     queries = [_check_query(config, r.query) for r in requests]
     feats = [prepare_features(config, r.x_box, r.x_context, r.x_spatial, dtype=params.dtype)
              for r in requests]
-    rows = PreparedFeatures(*(np.stack(v)[:, :, None]  # (B, dim, 1) stacks
-                              for v in zip(*(vars(f).values() for f in feats))))
-    return _decode(params, config, queries, rows, keep_trace)
-
-
-def _forward(params: ScrcParams, config: ScrcConfig, request: ScoreRequest,
-             keep_trace: bool) -> ForwardTrace:
-    return forward_batch(params, config, [request], keep_trace)
+    return _decode(params, config, queries, _rows(feats), keep_trace)
 
 
 def sequence_log_prob(params: ScrcParams, config: ScrcConfig, request: ScoreRequest) -> float:
     """log p(query, <eos> | features): the sum over steps of the target
     word's log-probability, starting from the <bos> marker."""
-    return float(_forward(params, config, request, keep_trace=False).log_probs[0])
+    return float(forward_batch(params, config, [request], keep_trace=False).log_probs[0])
 
 
 def forward_trace(params: ScrcParams, config: ScrcConfig, request: ScoreRequest) -> ForwardTrace:
-    return _forward(params, config, request, keep_trace=True)
+    return forward_batch(params, config, [request], keep_trace=True)
 
 
 # Columns (queries x candidates) of one scoring pass. An image with more is
@@ -442,12 +444,12 @@ def score_image(params: ScrcParams, config: ScrcConfig, queries: Sequence[Sequen
         raise InputError("scoring needs at least one query and one candidate")
     count = len(x_boxes)
     feats = prepare_features(config, x_boxes, x_context, x_spatials, params.dtype, count)
+    lone = PreparedFeatures(feats.x_box[0], feats.x_spatial[0], feats.x_context)
     feats = PreparedFeatures(feats.x_box.T, feats.x_spatial.T, feats.x_context[:, None])
     chunk = max(1, MAX_PASS_COLUMNS // count)
     out = []
     for part in (queries[lo:lo + chunk] for lo in range(0, len(queries), chunk)):
-        layout = feats if count > 1 else PreparedFeatures(
-            *(np.broadcast_to(v, (len(part),) + v.shape) for v in vars(feats).values()))
+        layout = feats if count > 1 else _rows([lone] * len(part))
         total = _decode(params, config, part, layout).log_probs.reshape(len(part), -1)
         out.append(np.broadcast_to(total, (len(part), count)))
     return np.concatenate(out)

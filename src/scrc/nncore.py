@@ -39,23 +39,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def feature_axis(x: np.ndarray) -> int:
-    """The axis that holds features: 0 of a vector or of (dim, N) columns, 1 of
-    a (B, dim, N) stack."""
-    return 1 if x.ndim == 3 else 0
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities of a logit vector, of each column of a (V, N) matrix,
-    or of each column of each item of a (B, V, N) stack."""
+    """Log-probabilities of a logit vector, or of each column of a (V, N) matrix."""
     logits = np.asarray(logits)
-    axis = feature_axis(logits)
-    if logits.ndim not in (1, 2, 3) or logits.shape[axis] == 0:
+    if logits.ndim not in (1, 2) or len(logits) == 0:
         raise ShapeError(
-            f"log_softmax expects a non-empty vector, (V, N) matrix or (B, V, N) stack, "
-            f"got shape {logits.shape}")
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+            f"log_softmax expects a non-empty vector or (V, N) matrix, got shape {logits.shape}")
+    shifted = logits - logits.max(axis=0)
+    return shifted - np.log(np.exp(shifted).sum(axis=0))
 
 
 def init_uniform(rng: np.random.Generator, shape, radius: float = DEFAULT_INIT_RADIUS,
@@ -169,22 +160,19 @@ def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState,
               x_proj: Optional[np.ndarray] = None):
     """One forward step; returns the new state and the backprop cache.
 
-    x and the state are vectors; query-major columns, x (input, Q) and the
-    state (H, Q * N), x's column q broadcasting over query q's N columns; or
-    stacks of columns ((B, input, N) and (B, H, N)), whose items are
-    multiplied one at a time: each item of a (B, input, 1) stack gets
-    exactly the vector product. With x_proj, x holds only the leading input
-    rows and x_proj the rest's precomputed W_x columns @ input + b (1 or N
-    columns, broadcast over the queries), for inputs fixed over a sequence;
-    the cache then records only the leading rows.
+    x and the state are vectors, or query-major columns: x (input, Q) and
+    the state (H, Q * N), x's column q broadcasting over query q's N
+    columns. With x_proj, x holds only the leading input rows and x_proj the
+    rest's precomputed W_x columns @ input + b, for inputs fixed over a
+    sequence: its P columns (1, N or Q * N) repeat across the state's
+    columns. The cache then records only the leading rows.
     """
     hidden, input_dim = params.hidden_dim, params.input_dim
-    axis = feature_axis(x)
-    k = x.shape[axis] if x.ndim else 0
-    if x.ndim not in (1, 2, 3) or not (k == input_dim if x_proj is None else 0 < k < input_dim):
+    k = len(x) if x.ndim else 0
+    if x.ndim not in (1, 2) or not (k == input_dim if x_proj is None else 0 < k < input_dim):
         raise ShapeError(f"lstm input: expected ({input_dim},), got {x.shape}")
-    if (prev.h.ndim != x.ndim or prev.h.shape[axis] != hidden
-            or prev.c.shape != prev.h.shape or (x.ndim == 2 and prev.h.shape[1] % x.shape[1])):
+    if (prev.h.ndim != x.ndim or len(prev.h) != hidden or prev.c.shape != prev.h.shape
+            or (x.ndim == 2 and prev.h.shape[1] % x.shape[1])):
         raise ShapeError(
             f"lstm state: expected ({hidden},), got h {prev.h.shape} c {prev.c.shape}")
     pre = params.W_h.value @ prev.h
@@ -196,10 +184,9 @@ def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState,
     else:
         pre += params.W_x.value[:, :k] @ x
         pre += x_proj
-    lead = (slice(None),) * axis  # gate j is lead + (slice(j * hidden, (j + 1) * hidden),)
-    sig = sigmoid(pre[lead + (slice(0, 3 * hidden),)])
-    i, f, o = (sig[lead + (slice(j * hidden, (j + 1) * hidden),)] for j in range(3))
-    g = np.tanh(pre[lead + (slice(3 * hidden, None),)])
+    sig = sigmoid(pre[:3 * hidden])
+    i, f, o = sig[:hidden], sig[hidden:2 * hidden], sig[2 * hidden:]
+    g = np.tanh(pre[3 * hidden:])
     c = f * prev.c + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
@@ -259,10 +246,13 @@ class LstmTrace:
                    np.zeros((steps + 1, rows, hidden_dim), dtype=dtype))
 
     def record(self, t: int, cache: LstmStepCache):
-        """Store step t of a forward pass over a (B, ., 1) stack."""
-        np.concatenate([cache.i, cache.f, cache.o, cache.g], axis=1, out=self.gates[t, :, :, None])
-        self.h[t + 1] = cache.h[:, :, 0]
-        self.c[t + 1] = cache.c[:, :, 0]
+        """Store step t of a forward pass over columns, of which the first B
+        are the rows."""
+        rows = self.h.shape[1]
+        np.concatenate([a.T[:rows] for a in (cache.i, cache.f, cache.o, cache.g)], axis=1,
+                       out=self.gates[t])
+        self.h[t + 1] = cache.h.T[:rows]
+        self.c[t + 1] = cache.c.T[:rows]
 
 
 def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Determinism across BLAS thread counts, checked in subprocesses because
 OpenBLAS reads its thread count once, at load.
 
-Batched scoring multiplies matrices with many columns (GEMM), whose
-rounding OpenBLAS may change with the number of threads; so may the
-transposed matrix-vector products of the backward pass. At a fixed thread
-count every result is byte-identical from run to run; across thread counts
-scores agree to a relative 1e-5 and rank the candidates identically. The
-dims are large enough for OpenBLAS to split these products across threads.
+Batched scoring and the training forward pass multiply matrices with many
+columns (GEMM), whose rounding OpenBLAS may change with the number of
+threads; so may the transposed matrix-vector products of the backward
+pass. At a fixed thread count every result is byte-identical from run to
+run; across thread counts scores and training rows' log-probs agree to a
+relative 1e-5, and scores rank the candidates identically. The dims are
+large enough for OpenBLAS to split these products across threads.
 """
 
 import json
@@ -24,8 +25,8 @@ from scrc.evalmetrics import rank_candidates
 SCRIPT = r"""
 import hashlib, json
 import numpy as np
-from scrc.model import (ScoreRequest, ScrcConfig, ScrcParams, backward, forward_trace,
-                        score_candidates, score_image)
+from scrc.model import (ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch,
+                        forward_trace, score_candidates, score_image)
 from scrc.nncore import SgdOptimizer, make_rng
 
 dim = 512
@@ -39,6 +40,10 @@ scores = score_candidates(params, config, reqs)
 image_queries = [[int(t) for t in rng.integers(3, config.vocab_size, size=n)] for n in (2, 6, 4, 1)]
 image = score_image(params, config, image_queries, np.stack([r.x_box for r in reqs]),
                     np.stack([r.x_spatial for r in reqs]), ctx)
+rows = [ScoreRequest([int(t) for t in rng.integers(3, config.vocab_size, size=n)],
+                     rng.random(dim), rng.random(dim), rng.uniform(-1, 1, 8))
+        for n in (3, 1, 10, 6, 2, 8, 5)]
+batch = forward_batch(params, config, rows, keep_trace=False).log_probs.tolist()
 
 opt = SgdOptimizer(params.tensors(), lr=0.1)
 for req in reqs[:2]:
@@ -47,7 +52,8 @@ for req in reqs[:2]:
 opt.step()
 digest = hashlib.sha256(b"".join(t.value.tobytes() for t in params.tensors())).hexdigest()
 print(json.dumps({"scores": [s.hex() for s in scores], "trained": digest,
-                  "image": [[s.hex() for s in row] for row in image.tolist()]}))
+                  "image": [[s.hex() for s in row] for row in image.tolist()],
+                  "batch": [s.hex() for s in batch]}))
 """
 
 
@@ -67,6 +73,17 @@ def runs():
 
 def test_fixed_thread_count_is_byte_identical(runs):
     assert runs["2a"] == runs["2b"]
+
+
+def test_training_rows_are_byte_identical_at_a_fixed_thread_count(runs):
+    assert len(runs["2a"]["batch"]) == 7
+    assert runs["2a"]["batch"] == runs["2b"]["batch"]
+
+
+def test_training_rows_agree_across_thread_counts(runs):
+    one = np.array([float.fromhex(s) for s in runs["1"]["batch"]])
+    two = np.array([float.fromhex(s) for s in runs["2a"]["batch"]])
+    assert np.all(np.abs(one - two) <= 1e-5 * np.abs(one))
 
 
 def test_thread_counts_agree_on_rankings(runs):

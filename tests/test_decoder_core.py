@@ -6,9 +6,9 @@ import pytest
 
 from scrc.datastore import load_checkpoint, save_checkpoint
 from scrc.errors import InputError, ShapeError
-from scrc.model import (ScoreRequest, ScrcConfig, ScrcParams, generate_description,
-                        initial_state, prepare_features, score_candidates, sequence_log_prob,
-                        step_logits)
+from scrc.model import (MAX_PASS_COLUMNS, ROW_BLOCK, ScoreRequest, ScrcConfig, ScrcParams,
+                        generate_description, initial_state, prepare_features, score_candidates,
+                        sequence_log_prob, step_logits)
 from scrc.nncore import SgdOptimizer, log_softmax, make_rng
 from scrc.textproc import BOS_ID, EOS_ID, build_vocab
 
@@ -184,3 +184,48 @@ class TestFusedStorage:
         assert np.array_equal(unit.W_x.value[2 * H:3 * H], before[2 * H:3 * H] - 0.1)
         assert np.array_equal(unit.W_x.value[:2 * H], before[:2 * H])
         assert not np.any(unit.W_x.grad)
+
+
+def decoder_products(V, E, H, F):
+    """(name, rows, columns, the column slice multiplied) of each weight
+    that the decoder multiplies by a matrix of columns, at vocabulary V,
+    embedding E, hidden H and feature F."""
+    local, glob = H + F + 8, H + F
+    return [("W_h", 4 * H, H, slice(None)),
+            ("language W_x", 4 * H, E, slice(None)),
+            ("local W_x state part", 4 * H, local, slice(0, H)),
+            ("local W_x fixed part", 4 * H, local, slice(H, None)),
+            ("global W_x state part", 4 * H, glob, slice(0, H)),
+            ("global W_x fixed part", 4 * H, glob, slice(H, None)),
+            ("W_local / W_global", V, H, slice(None))]
+
+
+# (V, E, H, F): the test models, the synth config, finetune_mid and paper dims
+DECODER_DIMS = ((9, 3, 5, 4), (60, 16, 32, 4), (1000, 256, 256, 256), (2000, 1000, 1000, 1000))
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("dims", DECODER_DIMS, ids=lambda d: "x".join(map(str, d)))
+def test_matrix_product_column_is_independent_of_width_and_position(dims, dtype):
+    """forward_batch runs each row as a column of one matrix product per
+    weight, in passes of whole ROW_BLOCKs of columns. A row equals
+    sequence_log_prob's bits, whatever its batch, only if a column of each
+    product has the same bits at each such width and in each position. Every
+    column of W @ X here is the same vector x, so one product checks all
+    positions."""
+    rng = make_rng(39)
+    widths = [ROW_BLOCK * k for k in (1, 2, 4)] + [MAX_PASS_COLUMNS]
+    for name, rows, cols, part in decoder_products(*dims):
+        W = rng.uniform(-0.1, 0.1, size=(rows, cols)).astype(dtype)[:, part]
+        x = rng.uniform(-1, 1, size=W.shape[1]).astype(dtype)
+        want = (W @ np.repeat(x[:, None], ROW_BLOCK, axis=1))[:, :1]
+        for width in widths:
+            got = W @ np.repeat(x[:, None], width, axis=1)
+            differ = np.flatnonzero(np.any(got != want, axis=0))
+            assert differ.size == 0, (
+                f"{name} {W.shape} in {np.dtype(dtype).name}: columns {differ[:8].tolist()} "
+                f"of a {width}-column product differ in their bits from column 0 of a "
+                f"{ROW_BLOCK}-column one. This BLAS rounds a matrix-product column by the "
+                f"product's width or the column's position, so a training row's log-prob "
+                f"depends on its batch and forward_batch no longer equals sequence_log_prob "
+                f"bit for bit")

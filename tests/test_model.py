@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scrc.errors import ConfigError, ContractError, InputError, ShapeError
-from scrc.model import (ScoreRequest, ScrcConfig, ScrcParams, backward,
+from scrc.model import (ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch,
                         forward_trace, generate_description, initial_state, prepare_features,
                         score_candidates, sequence_log_prob, step_logits)
 from scrc.nncore import log_softmax, make_rng, softmax
@@ -294,9 +294,7 @@ class TestBackward:
         config = tiny_config()
         params = ScrcParams(config, dtype=np.float64)
         req = ScoreRequest([3], np.zeros(3), np.zeros(3), np.zeros(8))
-        from scrc.model import _forward
-
-        trace = _forward(params, config, req, keep_trace=False)
+        trace = forward_batch(params, config, [req], keep_trace=False)
         with pytest.raises(ContractError):
             backward(params, config, trace, trace.targets)
 
