@@ -51,7 +51,7 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except ValueError as e:  # invalid UTF-8 or JSON, or an integer of too many digits
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge integer, deep nesting
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -297,7 +297,7 @@ def _iter_jsonl(path):
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as e:  # JSONDecodeError, or an integer of too many digits
+            except (ValueError, RecursionError) as e:  # bad JSON, a huge integer, deep nesting
                 raise FormatError(f"{path}: line {lineno}: invalid JSON: {e}") from None
             if not isinstance(obj, dict):
                 raise FormatError(f"{path}: line {lineno}: expected a JSON object")
@@ -440,15 +440,19 @@ def build_training_tuples(records: Sequence[AnnotationRecord], region_store: Fea
 
 def save_checkpoint(params: ScrcParams, config: ScrcConfig, vocab: Vocabulary, path):
     """Writes a checkpoint, unless load_checkpoint would refuse it: the first
-    tensor that holds a non-finite value is named, and nothing is written."""
+    tensor that holds a value that is not finite in float32 is named, and
+    nothing is written."""
     params.check_config(config)
     if len(vocab) != config.vocab_size:
         raise InputError(f"vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}")
     tensors = params.tensors()
-    for t in tensors:
-        if not np.isfinite(t.value).all():
-            raise InputError(f"{path}: tensor {t.name!r} holds non-finite values; "
-                             f"no checkpoint written")
+    with np.errstate(over="ignore"):  # beyond float32's range casts to infinity, refused below
+        values = [np.ascontiguousarray(t.value, dtype="<f4") for t in tensors]
+    for t, value in zip(tensors, values):
+        if not np.isfinite(value).all():
+            what = ("values beyond float32's range" if np.isfinite(t.value).all()
+                    else "non-finite values")
+            raise InputError(f"{path}: tensor {t.name!r} holds {what}; no checkpoint written")
     header = {"format_version": FORMAT_VERSION,
               "config": config.to_dict(),
               "vocab": list(vocab.tokens)}
@@ -458,13 +462,13 @@ def save_checkpoint(params: ScrcParams, config: ScrcConfig, vocab: Vocabulary, p
         f.write(struct.pack("<II", FORMAT_VERSION, len(hb)))
         f.write(hb)
         f.write(struct.pack("<I", len(tensors)))
-        for t in tensors:
+        for t, value in zip(tensors, values):
             nb = t.name.encode("utf-8")
             f.write(struct.pack("<H", len(nb)))
             f.write(nb)
-            f.write(struct.pack("<B", t.value.ndim))
-            f.write(struct.pack(f"<{t.value.ndim}I", *t.value.shape))
-            f.write(np.ascontiguousarray(t.value, dtype="<f4").tobytes())
+            f.write(struct.pack("<B", value.ndim))
+            f.write(struct.pack(f"<{value.ndim}I", *value.shape))
+            f.write(value.tobytes())
 
 
 def _param_bytes(config: ScrcConfig) -> int:
@@ -487,8 +491,8 @@ def load_checkpoint(path):
             raise FormatError(f"checkpoint: unsupported version {version}")
         try:
             header = json.loads(cur.take(hlen).decode("utf-8"))
-        except ValueError as e:  # invalid UTF-8 or JSON, or an integer of too many digits
-            raise FormatError(f"checkpoint: invalid header JSON: {e}") from None
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, huge integer, deep nesting
+            raise FormatError(f"{path}: checkpoint: invalid header JSON: {e}") from None
         if not isinstance(header, dict):
             raise FormatError("checkpoint: header is not a JSON object")
         for key in ("format_version", "config", "vocab"):

@@ -167,6 +167,19 @@ class TestPretrain:
         assert_error_exit(proc, "captions.jsonl: line ")
         assert not (tmp_path / "o.ckpt").exists()
 
+    def test_deeply_nested_captions_exit_1(self, synth_dir, tmp_path):
+        bad = tmp_path / "captions.jsonl"
+        bad.write_text('{"image_id": "img0", "captions": ["a"]}\n'
+                       '{"image_id": "img1", "captions": ' + "[" * 100000 + "]" * 100000
+                       + "}\n")
+        proc = run_cli_subprocess([
+            "pretrain", "--captions", str(bad),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--config", str(synth_dir / "config.json"),
+            "--out", str(tmp_path / "o.ckpt"), "--steps", "2"])
+        assert_error_exit(proc, f"{bad}: line 2: invalid JSON")
+        assert not (tmp_path / "o.ckpt").exists()
+
 
 class TestTransfer:
     def test_caption_scores_unchanged(self, pretrained, transferred):
@@ -190,6 +203,17 @@ class TestTransfer:
     def test_prediction_weights_equal(self, transferred):
         params, _, _ = load_checkpoint(transferred)
         assert np.array_equal(params.W_local.value, params.W_global.value)
+
+    def test_deeply_nested_checkpoint_header_exit_1(self, pretrained, tmp_path):
+        data = pretrained.read_bytes()
+        hlen = struct.unpack("<I", data[12:16])[0]
+        header = b"[" * 100000 + b"]" * 100000
+        bad = tmp_path / "nested.ckpt"
+        bad.write_bytes(data[:12] + struct.pack("<I", len(header)) + header + data[16 + hlen:])
+        out = tmp_path / "x.ckpt"
+        proc = run_cli_subprocess(["transfer", "--in", str(bad), "--out", str(out)])
+        assert_error_exit(proc, f"{bad}: checkpoint: invalid header JSON")
+        assert not out.exists()
 
     def test_rejects_full_mode_input(self, transferred, tmp_path):
         code, _, err = run_cli(["transfer", "--in", str(transferred),
@@ -677,6 +701,18 @@ class TestSettings:
     def test_long_integer_config_exit_1(self, synth_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"steps": ' + "9" * 5000 + "}")
+        out = tmp_path / "o.ckpt"
+        proc = run_cli_subprocess([
+            "finetune", "--annotations", str(synth_dir / "annotations.jsonl"),
+            "--region-features", str(synth_dir / "region_features.bin"),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--no-transfer-init", "--config", str(cfg), "--out", str(out)])
+        assert_error_exit(proc, f"{cfg}: invalid JSON")
+        assert not out.exists()
+
+    def test_deeply_nested_config_exit_1(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"steps": ' + "[" * 100000 + "]" * 100000 + "}")
         out = tmp_path / "o.ckpt"
         proc = run_cli_subprocess([
             "finetune", "--annotations", str(synth_dir / "annotations.jsonl"),

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import struct
 import sys
 
@@ -489,6 +490,14 @@ class TestProposalsAndCaptions:
         with pytest.raises(FormatError, match="p.jsonl: line 2: invalid JSON"):
             load_proposals(path)
 
+    def test_deeply_nested_record_names_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"image_id": "img1", "captions": ["a"]}\n'
+                        '{"image_id": "img2", "captions": ' + "[" * 100000 + "]" * 100000
+                        + "}\n")
+        with pytest.raises(FormatError, match="c.jsonl: line 2: invalid JSON"):
+            load_captions(path)
+
     def test_captions(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"image_id": "img1", "captions": ["a dog", "the dog"]}])
@@ -695,6 +704,34 @@ class TestCheckpoint:
                                   f"values; no checkpoint written")
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["m.ckpt"]
+
+    def test_save_refuses_float32_overflow_and_writes_nothing(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        wide = ScrcParams(config, dtype=np.float64)
+        for a, b in zip(wide.fused_tensors(), params.fused_tensors()):
+            a.value[...] = b.value
+        wide.E.value[1, 2] = 1e39  # finite in float64, infinite once cast to float32
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(InputError) as err:
+            save_checkpoint(wide, config, vocab, path)
+        assert str(err.value) == (f"{path}: tensor 'E' holds values beyond float32's range; "
+                                  f"no checkpoint written")
+        assert os.listdir(tmp_path) == []
+        wide.E.value[1, 2] = 3e38  # the largest float32 is about 3.4e38
+        save_checkpoint(wide, config, vocab, path)
+        assert load_checkpoint(path)[0].E.value[1, 2] == np.float32(3e38)
+
+    def test_deeply_nested_header_names_file(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        data = path.read_bytes()
+        hlen = struct.unpack("<I", data[12:16])[0]
+        header = b"[" * 100000 + b"]" * 100000
+        path.write_bytes(data[:12] + struct.pack("<I", len(header)) + header + data[16 + hlen:])
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{path}: checkpoint: invalid header JSON")):
+            load_checkpoint(path)
 
     def test_unexpected_tensor_between_expected_is_skipped_and_named(self, tmp_path):
         params, config, vocab = small_checkpoint_parts()
