@@ -308,11 +308,11 @@ def _check_query(config: ScrcConfig, query: Sequence[int]) -> list[int]:
     return ids
 
 
-def _token_grid(queries: list[list[int]]):
-    """(T + 1, B) token ids, <bos> + query + <eos> down each column, padded
-    with <eos>; and the (T, B) mask of each row's real steps."""
+def _token_grid(queries: list[list[int]], width: int):
+    """(T + 1, width) token ids, <bos> + query + <eos> down the first B
+    columns and <eos> elsewhere; and the (T, B) mask of each row's real steps."""
     lengths = np.array([len(q) + 1 for q in queries])
-    ids = np.full((lengths.max() + 1, len(queries)), EOS_ID)
+    ids = np.full((lengths.max() + 1, width), EOS_ID)
     ids[0] = BOS_ID
     for b, q in enumerate(queries):
         ids[1:len(q) + 1, b] = q
@@ -322,9 +322,11 @@ def _token_grid(queries: list[list[int]]):
 def _rows(feats: Sequence[PreparedFeatures]) -> PreparedFeatures:
     """Per-row features as columns (dim, C), one per row, and zero dummy
     columns up to C, the next multiple of ROW_BLOCK."""
-    pad = -len(feats) % ROW_BLOCK
-    return PreparedFeatures(*(np.stack(list(field) + [np.zeros_like(field[0])] * pad, axis=1)
-                              for field in zip(*(vars(f).values() for f in feats))))
+    width = len(feats) + -len(feats) % ROW_BLOCK
+    out = PreparedFeatures(*(np.zeros((len(v), width), v.dtype) for v in vars(feats[0]).values()))
+    for cols, field in zip(vars(out).values(), zip(*(vars(f).values() for f in feats))):
+        cols[:, :len(feats)] = np.array(field).T
+    return out
 
 
 def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
@@ -336,13 +338,11 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
     rows keep a trace's caches. Or they are N candidates that every query is
     scored against, sharing x_context (dim, 1): the sum is then (Q, N), or
     (Q, 1) if no unit reads the box."""
-    ids, live = _token_grid(queries)
-    steps, rows = live.shape
     per_row = feats.x_context.shape[1] > 1
-    if per_row:  # the dummy columns feed <eos> and count in no sum and no trace
-        ids = np.pad(ids, ((0, 0), (0, feats.x_context.shape[1] - rows)),
-                     constant_values=EOS_ID)
-    width = ids.shape[1]
+    # the dummy columns of rows feed <eos> and count in no sum and no trace
+    width = feats.x_context.shape[1] if per_row else len(queries)
+    ids, live = _token_grid(queries, width)
+    steps, rows = live.shape
     fixed = _fix(params, config, feats)
     state = initial_state(config, params.dtype,
                           columns=(width, 1 if per_row else feats.x_box.shape[1]))
