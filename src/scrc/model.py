@@ -261,25 +261,25 @@ def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures):
 
 def _advance(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
              state: DecoderState, fixed: tuple):
-    """The decoder core's step: logits, new state and unit caches. The
-    language and global units run one column per query, row or beam, and
-    the local unit one per (query, candidate), query-major, or per row or
-    beam; logits are (V, Q * N), or (V, Q) if the local unit is skipped."""
+    """The decoder core's step: logits, new state and each unit's gates (None
+    if skipped). The language and global units run one column per query, row
+    or beam, and the local unit one per (query, candidate), query-major, or
+    per row or beam; logits are (V, Q * N), or (V, Q) without the local unit."""
     fixed_local, fixed_glob, r = fixed
-    lang, cache_lang = lstm_step(params.lstm_language, x_word, state.lang)
-    local, cache_local = state.local, None
-    glob, cache_glob = state.glob, None
+    lang, gates_lang = lstm_step(params.lstm_language, x_word, state.lang)
+    local, gates_local = state.local, None
+    glob, gates_glob = state.glob, None
     logits = r.copy()
     if not config.mask_context:
-        glob, cache_glob = lstm_step(params.lstm_global, lang.h, state.glob, fixed_glob)
+        glob, gates_glob = lstm_step(params.lstm_global, lang.h, state.glob, fixed_glob)
         logits = params.W_global.value @ glob.h + logits
     if not config.caption_mode:
-        local, cache_local = lstm_step(params.lstm_local, lang.h, state.local, fixed_local)
+        local, gates_local = lstm_step(params.lstm_local, lang.h, state.local, fixed_local)
         head = params.W_local.value @ local.h
         # a query's logits column broadcasts over its candidates
         head.reshape(len(head), logits.shape[1], -1)[...] += logits[:, :, None]
         logits = head
-    return logits, DecoderState(lang, local, glob), (cache_lang, cache_local, cache_glob)
+    return logits, DecoderState(lang, local, glob), (gates_lang, gates_local, gates_glob)
 
 
 def step_logits(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
@@ -355,15 +355,15 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
     total = np.float64(0.0)
     every_query = np.arange(width)
     for t in range(steps):
-        logits, state, caches = _advance(params, config, params.E.value[:, ids[t]], state, fixed)
+        logits, state, gates = _advance(params, config, params.E.value[:, ids[t]], state, fixed)
         logp = log_softmax(logits)
         # query q's targets are row ids[t + 1, q] of its columns
         picked = logp.reshape(len(logp), width, -1)[ids[t + 1], every_query][:rows]
         total = total + np.where(live[t][:, None], picked, 0.0)
         if keep_trace:
-            for unit, cache in zip(units, caches):
+            for unit, unit_state, unit_gates in zip(units, vars(state).values(), gates):
                 if unit is not None:
-                    unit.record(t, cache)
+                    unit.record(t, unit_state, unit_gates)
             probs[t] = np.exp(logp[:, :rows]).T
     fixed_rows = (np.concatenate([feats.x_box, feats.x_spatial])[:, :rows].T,
                   feats.x_context[:, :rows].T) if keep_trace else None

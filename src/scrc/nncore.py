@@ -25,9 +25,11 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def sigmoid(x):
-    # tanh-based form saturates cleanly instead of overflowing exp for |x| ~ 1e3
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x)))
+def sigmoid(x, out=None):
+    # tanh-based form saturates cleanly instead of overflowing exp for |x| ~ 1e3;
+    # with out, which may be x, it allocates nothing
+    t = np.tanh(np.multiply(0.5, x, out=out), out=out)
+    return np.multiply(0.5, np.add(1.0, t, out=out), out=out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -140,32 +142,17 @@ class LstmState:
         return cls(np.zeros(hidden_dim, dtype=dtype), np.zeros(hidden_dim, dtype=dtype))
 
 
-@dataclass
-class LstmStepCache:
-    """Forward intermediates needed to backpropagate one step."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
-
-
 def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState,
               x_proj: Optional[np.ndarray] = None):
-    """One forward step; returns the new state and the backprop cache.
+    """One forward step; returns the new state and the activated gates
+    (4H, ...), fused i, f, o, g along axis 0 as the weights are.
 
     x and the state are vectors, or query-major columns: x (input, Q) and
     the state (H, Q * N), x's column q broadcasting over query q's N
     columns. With x_proj, x holds only the leading input rows and x_proj the
     rest's precomputed W_x columns @ input + b, for inputs fixed over a
     sequence: its P columns (1, N or Q * N) repeat across the state's
-    columns. The cache then records only the leading rows.
+    columns.
     """
     hidden, input_dim = params.hidden_dim, params.input_dim
     k = len(x) if x.ndim else 0
@@ -175,29 +162,29 @@ def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState,
             or (x.ndim == 2 and prev.h.shape[1] % x.shape[1])):
         raise ShapeError(
             f"lstm state: expected ({hidden},), got h {prev.h.shape} c {prev.c.shape}")
-    pre = params.W_h.value @ prev.h
+    gates = params.W_h.value @ prev.h
     if x_proj is None:
-        x_proj = params.b.value if pre.ndim == 1 else params.b.value[:, None]
-    if pre.ndim == 2:  # views of pre, which the matrix product made C-contiguous
-        pre.reshape(len(pre), x.shape[1], -1)[...] += (params.W_x.value[:, :k] @ x)[:, :, None]
-        pre.reshape(len(pre), -1, x_proj.shape[1])[...] += x_proj[:, None]
+        x_proj = params.b.value if gates.ndim == 1 else params.b.value[:, None]
+    if gates.ndim == 2:  # views of gates, which the matrix product made C-contiguous
+        gates.reshape(len(gates), x.shape[1], -1)[...] += (params.W_x.value[:, :k] @ x)[:, :, None]
+        gates.reshape(len(gates), -1, x_proj.shape[1])[...] += x_proj[:, None]
     else:
-        pre += params.W_x.value[:, :k] @ x
-        pre += x_proj
-    sig = sigmoid(pre[:3 * hidden])
-    i, f, o = sig[:hidden], sig[hidden:2 * hidden], sig[2 * hidden:]
-    g = np.tanh(pre[3 * hidden:])
+        gates += params.W_x.value[:, :k] @ x
+        gates += x_proj
+    sigmoid(gates[:3 * hidden], out=gates[:3 * hidden])
+    np.tanh(gates[3 * hidden:], out=gates[3 * hidden:])
+    i, f, o, g = gates.reshape(4, hidden, *gates.shape[1:])
     c = f * prev.c + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = LstmStepCache(x, prev.h, prev.c, i, f, o, g, c, tanh_c, h)
-    return LstmState(h, c), cache
+    h = o * np.tanh(c)
+    return LstmState(h, c), gates
 
 
-def lstm_gate_grads(i, f, o, g, c_prev, tanh_c, dh, dc):
+def lstm_gate_grads(gates, c_prev, tanh_c, dh, dc):
     """Gradients of one step's gate pre-activations, fused i, f, o, g along
-    the last axis, and of c_{t-1}; dh and dc flow into h_t and c_t. The
-    arrays are (H,) vectors or (B, H) rows."""
+    the last axis as in gates, and of c_{t-1}; dh and dc flow into h_t and
+    c_t. gates is (4H,) or (B, 4H) rows, and the rest (H,) or (B, H)."""
+    hidden = gates.shape[-1] // 4
+    i, f, o, g = (gates[..., k * hidden:(k + 1) * hidden] for k in range(4))
     o_pre = dh * tanh_c * o * (1.0 - o)
     dc_total = dc + dh * o * (1.0 - tanh_c ** 2)
     i_pre = dc_total * g * i * (1.0 - i)
@@ -206,25 +193,25 @@ def lstm_gate_grads(i, f, o, g, c_prev, tanh_c, dh, dc):
     return np.concatenate([i_pre, f_pre, o_pre, g_pre], axis=-1), dc_total * f
 
 
-def lstm_step_backward(params: LstmParams, cache: LstmStepCache,
-                       dh: np.ndarray, dc: np.ndarray):
-    """Backpropagate one step of a vector forward pass.
+def lstm_step_backward(params: LstmParams, x: np.ndarray, prev: LstmState, state: LstmState,
+                       gates: np.ndarray, dh: np.ndarray, dc: np.ndarray):
+    """Backpropagate one step of a vector forward pass: x, prev and the
+    state and gates lstm_step returned for them.
 
     dh and dc are the loss gradients flowing into h_t and c_t. Parameter
     gradients accumulate into params; returns (dx, dh_prev, dc_prev).
     """
     hidden, input_dim = params.hidden_dim, params.input_dim
-    if cache.x.shape != (input_dim,) or cache.h_prev.shape != (hidden,):
+    if x.shape != (input_dim,) or prev.h.shape != (hidden,) or gates.shape != (4 * hidden,):
         raise ContractError(
-            f"cache (input {cache.x.shape}, hidden {cache.h_prev.shape}) does not match "
-            f"parameters (input ({input_dim},), hidden ({hidden},))")
+            f"step (input {x.shape}, hidden {prev.h.shape}, gates {gates.shape}) does not "
+            f"match parameters (input ({input_dim},), hidden ({hidden},))")
     if dh.shape != (hidden,) or dc.shape != (hidden,):
         raise ShapeError(f"upstream grads must have shape ({hidden},)")
 
-    pre, dc_prev = lstm_gate_grads(cache.i, cache.f, cache.o, cache.g, cache.c_prev,
-                                   cache.tanh_c, dh, dc)
-    params.W_x.grad += np.outer(pre, cache.x)
-    params.W_h.grad += np.outer(pre, cache.h_prev)
+    pre, dc_prev = lstm_gate_grads(gates, prev.c, np.tanh(state.c), dh, dc)
+    params.W_x.grad += np.outer(pre, x)
+    params.W_h.grad += np.outer(pre, prev.h)
     params.b.grad += pre
     return params.W_x.value.T @ pre, params.W_h.value.T @ pre, dc_prev
 
@@ -245,14 +232,13 @@ class LstmTrace:
                    np.zeros((steps + 1, rows, hidden_dim), dtype=dtype),
                    np.zeros((steps + 1, rows, hidden_dim), dtype=dtype))
 
-    def record(self, t: int, cache: LstmStepCache):
+    def record(self, t: int, state: LstmState, gates: np.ndarray):
         """Store step t of a forward pass over columns, of which the first B
-        are the rows."""
+        are the rows: the state and gates lstm_step returned."""
         rows = self.h.shape[1]
-        np.concatenate([a.T[:rows] for a in (cache.i, cache.f, cache.o, cache.g)], axis=1,
-                       out=self.gates[t])
-        self.h[t + 1] = cache.h.T[:rows]
-        self.c[t + 1] = cache.c.T[:rows]
+        self.gates[t] = gates.T[:rows]
+        self.h[t + 1] = state.h.T[:rows]
+        self.c[t + 1] = state.c.T[:rows]
 
 
 def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray) -> np.ndarray:
@@ -271,8 +257,7 @@ def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray) -> np.ndarra
     grads = trace.gates  # each step's gradients overwrite its activations
     dh_next = dc_next = np.zeros((rows, hidden), dtype=grads.dtype)
     for t in reversed(range(steps)):
-        i, f, o, g = (trace.gates[t, :, k * hidden:(k + 1) * hidden] for k in range(4))
-        grads[t], dc_next = lstm_gate_grads(i, f, o, g, trace.c[t], np.tanh(trace.c[t + 1]),
+        grads[t], dc_next = lstm_gate_grads(trace.gates[t], trace.c[t], np.tanh(trace.c[t + 1]),
                                             dh[t] + dh_next, dc_next)
         dh_next = grads[t] @ params.W_h.value
     grads = grads.reshape(steps * rows, gates)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from scrc.errors import ConfigError, ShapeError, TrainingError
-from scrc.nncore import (LstmParams, LstmState, ParamTensor, SgdOptimizer, global_grad_norm,
-                         init_uniform, log_softmax, lstm_step, lstm_step_backward, make_rng,
-                         sigmoid, softmax)
+from scrc.nncore import (LstmParams, LstmState, LstmTrace, ParamTensor, SgdOptimizer,
+                         global_grad_norm, init_uniform, log_softmax, lstm_bptt, lstm_step,
+                         lstm_step_backward, make_rng, sigmoid, softmax)
 
 
 def rel_err(a, b, floor=1e-8):
@@ -84,9 +84,10 @@ class TestLstmStep:
         # zero weights, b_g = +20: i = f = o = 0.5, g ~ 1, c = 0.5, h = 0.5 tanh(0.5)
         p = LstmParams("u", 2, 2, dtype=np.float64)
         p.b_g.value[...] = 20.0
-        st, cache = lstm_step(p, np.zeros(2), LstmState.zeros(2, np.float64))
-        assert np.allclose(cache.i, 0.5)
-        assert np.allclose(cache.g, 1.0, atol=1e-12)
+        st, gates = lstm_step(p, np.zeros(2), LstmState.zeros(2, np.float64))
+        i, _, _, g = gates.reshape(4, 2)
+        assert np.allclose(i, 0.5)
+        assert np.allclose(g, 1.0, atol=1e-12)
         assert np.allclose(st.c, 0.5, atol=1e-12)
         assert np.allclose(st.h, 0.5 * math.tanh(0.5), atol=1e-9)
 
@@ -95,8 +96,9 @@ class TestLstmStep:
         p = tiny_lstm(4, 3, seed=5)
         p.b_f.value[...] = -20.0
         x = make_rng(6).normal(size=3)
-        st, cache = lstm_step(p, x, LstmState.zeros(4, np.float64))
-        assert np.max(np.abs(st.c - cache.i * cache.g)) < 1e-8
+        st, gates = lstm_step(p, x, LstmState.zeros(4, np.float64))
+        i, _, _, g = gates.reshape(4, 4)
+        assert np.max(np.abs(st.c - i * g)) < 1e-8
 
     def test_gate_ranges(self):
         rng = make_rng(7)
@@ -104,10 +106,11 @@ class TestLstmStep:
         prev = LstmState(rng.normal(size=5), rng.normal(size=5))
         for _ in range(50):
             x = rng.normal(size=4) * 2
-            prev, cache = lstm_step(p, x, prev)
-            for gate in (cache.i, cache.f, cache.o):
+            prev, gates = lstm_step(p, x, prev)
+            i, f, o, g = gates.reshape(4, 5)
+            for gate in (i, f, o):
                 assert np.all((gate > 0) & (gate < 1))
-            assert np.all((cache.g > -1) & (cache.g < 1))
+            assert np.all((g > -1) & (g < 1))
             assert np.all((prev.h > -1) & (prev.h < 1))
 
     def test_gate_equations_elementwise_oracle(self):
@@ -149,8 +152,9 @@ class TestLstmBackward:
     def test_zero_upstream(self):
         p = tiny_lstm(3, 2)
         x = make_rng(1).normal(size=2)
-        _, cache = lstm_step(p, x, LstmState.zeros(3, np.float64))
-        dx, dh, dc = lstm_step_backward(p, cache, np.zeros(3), np.zeros(3))
+        prev = LstmState.zeros(3, np.float64)
+        st, gates = lstm_step(p, x, prev)
+        dx, dh, dc = lstm_step_backward(p, x, prev, st, gates, np.zeros(3), np.zeros(3))
         assert np.array_equal(dx, np.zeros(2))
         assert np.array_equal(dh, np.zeros(3))
         assert np.array_equal(dc, np.zeros(3))
@@ -170,8 +174,8 @@ class TestLstmBackward:
 
         for t in p.tensors():
             t.zero_grad()
-        _, cache = lstm_step(p, x, prev)
-        dx, dh_prev, dc_prev = lstm_step_backward(p, cache, a.copy(), b.copy())
+        st, gates = lstm_step(p, x, prev)
+        dx, dh_prev, dc_prev = lstm_step_backward(p, x, prev, st, gates, a.copy(), b.copy())
 
         step = 1e-5
         worst = 0.0
@@ -204,19 +208,20 @@ class TestLstmBackward:
 
         def run():
             st = LstmState.zeros(4, np.float64)
-            caches, total = [], 0.0
+            steps, total = [], 0.0
             for t in range(2):
-                st, c = lstm_step(p, xs[t], st)
-                caches.append(c)
+                prev = st
+                st, gates = lstm_step(p, xs[t], prev)
+                steps.append((xs[t], prev, st, gates))
                 total += float(alphas[t] @ st.h)
-            return total, caches
+            return total, steps
 
         for t in p.tensors():
             t.zero_grad()
-        _, caches = run()
+        _, steps = run()
         dh_next, dc_next = np.zeros(4), np.zeros(4)
         for t in reversed(range(2)):
-            _, dh_next, dc_next = lstm_step_backward(p, caches[t], alphas[t] + dh_next,
+            _, dh_next, dc_next = lstm_step_backward(p, *steps[t], alphas[t] + dh_next,
                                                      dc_next)
 
         step = 1e-5
@@ -239,9 +244,42 @@ class TestLstmBackward:
         p = tiny_lstm(3, 2)
         other = tiny_lstm(3, 4, seed=9)
         x = make_rng(2).normal(size=4)
-        _, cache = lstm_step(other, x, LstmState.zeros(3, np.float64))
+        prev = LstmState.zeros(3, np.float64)
+        st, gates = lstm_step(other, x, prev)
         with pytest.raises(ContractError):
-            lstm_step_backward(p, cache, np.zeros(3), np.zeros(3))
+            lstm_step_backward(p, x, prev, st, gates, np.zeros(3), np.zeros(3))
+
+    def test_step_backward_agrees_with_bptt(self):
+        # a float64 walk of one row over 4 steps, backpropagated step by step
+        # and through the recorded trace
+        rng = make_rng(4)
+        hidden, steps = 4, 4
+        p = LstmParams.init("u", hidden, 3, rng, radius=0.8, dtype=np.float64)
+        p.b.value[...] = rng.normal(size=4 * hidden)
+        dh = rng.normal(size=(steps, hidden))
+        trace = LstmTrace.zeros(steps, 1, hidden, np.float64)
+        st, walk = LstmState.zeros(hidden, np.float64), []
+        for t in range(steps):
+            x, prev = rng.normal(size=3), st
+            st, gates = lstm_step(p, x, prev)
+            walk.append((x, prev, st, gates))
+            trace.record(t, LstmState(st.h[:, None], st.c[:, None]), gates[:, None])
+
+        p.W_h.zero_grad()
+        step_pre = np.zeros((steps, 4 * hidden))
+        dh_next, dc_next = np.zeros(hidden), np.zeros(hidden)
+        for t in reversed(range(steps)):
+            p.b.zero_grad()
+            _, dh_next, dc_next = lstm_step_backward(p, *walk[t], dh[t] + dh_next, dc_next)
+            step_pre[t] = p.b.grad
+        step_W_h = p.W_h.grad.copy()
+
+        p.W_h.zero_grad()
+        p.b.zero_grad()
+        pre = lstm_bptt(p, trace, dh.copy())
+        assert np.max(np.abs(pre - step_pre)) < 1e-12
+        assert np.max(np.abs(p.W_h.grad - step_W_h)) < 1e-12
+        assert np.max(np.abs(p.b.grad - step_pre.sum(axis=0))) < 1e-12
 
 
 class TestSgd:
