@@ -2,13 +2,17 @@
 
 Builds a tiny float64 model plus a small batch of scoring requests, then
 compares every parameter element's analytic gradient of the summed negative
-log-likelihood against a central difference of the same loss.
+log-likelihood against a five-point difference of the same loss.
 
-The default instance is pinned (init radius, request count, seed) so that
-no gradient magnitude sits near the float64 finite-difference noise floor
-of roughly ulp(loss)/step; on such an instance the relative error reported
-for a correct implementation stays below 1e-5, while a genuine gradient bug
-shows up orders of magnitude above it.
+The stencil (8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h has a
+truncation error of O(h^4), so the step can be h = 1e-3. Rounding in the
+loss then adds only about ulp(loss)/h, far below the 1e-4 bound even for
+gradients near the 1e-8 floor of the relative error. A two-point difference
+needs h near 1e-5 to keep its O(h^2) error down, and at that step its
+rounding read above 1e-4 on correct gradients at some seeds. On the pinned
+default instance (init radius, request count, seed) a correct implementation
+reads below 1e-5, while a gradient off by a factor of 1.0005 reads above
+1e-4.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ def accumulate_gradients(params: ScrcParams, config: ScrcConfig, requests):
 
 
 def finite_difference_check(config: ScrcConfig = DEFAULT_CHECK_CONFIG,
-                            seed: int = DEFAULT_CHECK_SEED, step: float = 1e-5,
+                            seed: int = DEFAULT_CHECK_SEED, step: float = 1e-3,
                             n_requests: int = CHECK_REQUESTS) -> dict:
     """Returns {"max_rel_error", "worst_tensor", "elements_checked"}."""
     params, requests = check_instance(config, seed, n_requests=n_requests)
@@ -67,17 +71,19 @@ def finite_difference_check(config: ScrcConfig = DEFAULT_CHECK_CONFIG,
     worst = 0.0
     worst_tensor = ""
     checked = 0
+    def loss_at(flat_v, idx, x):
+        flat_v[idx] = x
+        return batch_loss(params, config, requests)
+
     for t in params.tensors():
         flat_v = t.value.reshape(-1)
         flat_g = t.grad.reshape(-1)
         for idx in range(flat_v.size):
             orig = flat_v[idx]
-            flat_v[idx] = orig + step
-            up = batch_loss(params, config, requests)
-            flat_v[idx] = orig - step
-            down = batch_loss(params, config, requests)
+            near = loss_at(flat_v, idx, orig + step) - loss_at(flat_v, idx, orig - step)
+            far = loss_at(flat_v, idx, orig + 2 * step) - loss_at(flat_v, idx, orig - 2 * step)
             flat_v[idx] = orig
-            fd = (up - down) / (2.0 * step)
+            fd = (8.0 * near - far) / (12.0 * step)
             err = relative_error(float(flat_g[idx]), fd)
             checked += 1
             if err > worst:
