@@ -21,7 +21,7 @@ from .geometry import BoundingBox, ImageSize, encode_spatial
 from .gradcheck import DEFAULT_CHECK_SEED, finite_difference_check
 from .model import ScrcConfig, ScrcParams, generate_description, score_image
 from .nncore import make_rng
-from .textproc import build_vocab, decode, encode
+from .textproc import build_vocab, decode, encode_nonempty
 from .train import (TrainConfig, finetune_retrieval, pretrain_captioning, transfer_weights,
                     tuple_requests)
 
@@ -272,13 +272,6 @@ def _candidate_inputs(pset: datastore.ProposalSet, img: ImageSize, region_store,
     return np.stack(rows), np.stack(spatials), x_context
 
 
-def _encode_query(vocab, text: str) -> list[int]:
-    ids = encode(vocab, text)
-    if not ids:
-        raise InputError(f"query tokenizes to nothing: {text!r}")
-    return ids
-
-
 def _note_truncation(pset: datastore.ProposalSet):
     if pset.listed > len(pset.coords):
         print(f"note: image {pset.image_id!r} lists {pset.listed} proposals; "
@@ -294,7 +287,7 @@ def _cmd_retrieve(args) -> int:
         raise InputError(f"image {args.image_id!r} not present in proposals")
     pset = by_image[args.image_id]
     _note_truncation(pset)
-    query_ids = _encode_query(vocab, args.query)
+    query_ids = encode_nonempty(vocab, args.query, "query")
     inputs = _candidate_inputs(pset, ImageSize(args.width, args.height), region_store,
                                context_store)
     scores = score_image(params, config, [query_ids], *inputs)[0].tolist()
@@ -335,7 +328,7 @@ def _cmd_eval(args) -> int:
             _note_truncation(cands)
         inputs = _candidate_inputs(cands, img, region_store, context_store)
         queries = [(rec, desc) for rec in recs for desc in rec.descriptions]
-        scores = score_image(params, config, [_encode_query(vocab, d) for _, d in queries],
+        scores = score_image(params, config, [encode_nonempty(vocab, d, "query") for _, d in queries],
                              *inputs)
         results += [evalmetrics.RankedResult.build(desc, image_id, cands.boxes, row, rec.box)
                     for (rec, desc), row in zip(queries, scores.tolist())]
@@ -402,8 +395,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ScrcError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ScrcError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import FormatError, InputError
 from .geometry import BoundingBox, ImageSize, encode_spatial
 from .model import ScrcConfig, ScrcParams
-from .textproc import TokenSequence, Vocabulary, encode
+from .textproc import TokenSequence, Vocabulary, encode_nonempty
 
 FEATURE_MAGIC = b"SCRCFEAT"
 CHECKPOINT_MAGIC = b"SCRCCKPT"
@@ -317,7 +317,11 @@ def _field(obj, name, kind, path, lineno):
     if kind is float:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise FormatError(f"{path}: line {lineno}: field {name!r} must be a number")
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:  # an integer beyond float64's range
+            raise FormatError(
+                f"{path}: line {lineno}: field {name!r} is beyond float64's range") from None
     if not isinstance(v, kind):
         raise FormatError(f"{path}: line {lineno}: field {name!r} must be {kind.__name__}")
     return v
@@ -431,9 +435,7 @@ def build_training_tuples(records: Sequence[AnnotationRecord], region_store: Fea
             raise InputError(f"context feature key not found: {rec.image_id!r}")
         spatial = encode_spatial(rec.box, ImageSize(rec.width, rec.height))
         for desc in rec.descriptions:
-            ids = encode(vocab, desc)
-            if not ids:
-                raise InputError(f"description tokenizes to nothing: {desc!r}")
+            ids = encode_nonempty(vocab, desc, "description")
             tuples.append(TrainingTuple(rec.region_key, rec.image_id, spatial, ids))
     return tuples
 

@@ -55,8 +55,9 @@ class ImageSize:
     height: float
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise InputError(f"image size must be positive, got {self.width}x{self.height}")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise InputError(
+                f"image size must be finite and positive, got {self.width}x{self.height}")
 
     def contains(self, box: BoundingBox) -> bool:
         return (box.x_min >= 0 and box.y_min >= 0
@@ -69,10 +70,11 @@ def encode_spatial(box: BoundingBox, img: ImageSize) -> np.ndarray:
     if not img.contains(box):
         raise InputError(
             f"box {box.as_list()} not contained in {img.width}x{img.height} image")
-    x0 = 2.0 * box.x_min / img.width - 1.0
-    y0 = 2.0 * box.y_min / img.height - 1.0
-    x1 = 2.0 * box.x_max / img.width - 1.0
-    y1 = 2.0 * box.y_max / img.height - 1.0
+    # dividing first keeps 2.0 * x from overflowing; doubling is exact either way
+    x0 = 2.0 * (box.x_min / img.width) - 1.0
+    y0 = 2.0 * (box.y_min / img.height) - 1.0
+    x1 = 2.0 * (box.x_max / img.width) - 1.0
+    y1 = 2.0 * (box.y_max / img.height) - 1.0
     return np.array([x0, y0, x1, y1,
                      (x0 + x1) / 2.0, (y0 + y1) / 2.0,
                      x1 - x0, y1 - y0], dtype=np.float64)

@@ -87,5 +87,13 @@ def encode(vocab: Vocabulary, text: str) -> TokenSequence:
     return [vocab.lookup(t) for t in tokenize(text)]
 
 
+def encode_nonempty(vocab: Vocabulary, text: str, noun: str) -> TokenSequence:
+    """encode, refusing text without tokens; noun names the text in the error."""
+    ids = encode(vocab, text)
+    if not ids:
+        raise InputError(f"{noun} tokenizes to nothing: {text!r}")
+    return ids
+
+
 def decode(vocab: Vocabulary, ids: Sequence[int]) -> list[str]:
     return [vocab.token(i) for i in ids]

@@ -21,7 +21,7 @@ from .datastore import CaptionRecord, FeatureStore, TrainingTuple
 from .errors import ConfigError, InputError
 from .model import ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch, sequence_log_prob
 from .nncore import SgdOptimizer, check_sgd_settings
-from .textproc import Vocabulary, encode
+from .textproc import Vocabulary, encode_nonempty
 
 
 @dataclass
@@ -122,10 +122,8 @@ def caption_requests(captions: Sequence[CaptionRecord], context_store: FeatureSt
             raise InputError(f"context feature key not found: {rec.image_id!r}")
         x_context = context_store.get(rec.image_id)
         for caption in rec.captions:
-            ids = encode(vocab, caption)
-            if not ids:
-                raise InputError(f"caption tokenizes to nothing: {caption!r}")
-            requests.append(ScoreRequest(ids, None, x_context, None))
+            requests.append(ScoreRequest(encode_nonempty(vocab, caption, "caption"), None,
+                                         x_context, None))
     return requests
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -12,13 +13,13 @@ import numpy as np
 import pytest
 
 import scrc
-from scrc import cli, evalmetrics
+from scrc import cli, evalmetrics, gradcheck
 from scrc.cli import _build_parser, _load_config_file, main
 from scrc.datastore import (load_annotations, load_checkpoint, load_feature_store,
                             load_proposals, save_checkpoint)
 from scrc.errors import ConfigError, InputError
 from scrc.geometry import ImageSize, encode_spatial
-from scrc.model import ScoreRequest, score_candidates, sequence_log_prob
+from scrc.model import ScoreRequest, backward, score_candidates, sequence_log_prob
 from scrc.nncore import make_rng
 from scrc.textproc import encode
 
@@ -37,15 +38,16 @@ def run_json(argv):
     return json.loads(out)
 
 
-def run_cli_subprocess(argv):
+def run_cli_subprocess(argv, preexec_fn=None):
     """Invoke the CLI in a subprocess, so that an uncaught exception shows as a
-    traceback on stderr; returns the CompletedProcess."""
+    traceback on stderr; returns the CompletedProcess. preexec_fn runs in the
+    child before the CLI starts."""
     src = str(Path(scrc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, "-c", "import sys; from scrc.cli import main; sys.exit(main())",
-         *argv], env=env, capture_output=True, text=True, timeout=120)
+         *argv], env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
 
 
 def assert_error_exit(proc, *fragments):
@@ -319,6 +321,12 @@ class TestRetrieve:
     def test_identical_invocations_identical_bytes(self, synth_dir, finetuned):
         args = self.retrieve_args(synth_dir, finetuned)
         assert run_cli(args)[1] == run_cli(args)[1]
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_infinite_image_size_exit_1(self, synth_dir, finetuned, flag):
+        args = self.retrieve_args(synth_dir, finetuned)
+        args[args.index(flag) + 1] = "inf"
+        assert_error_exit(run_cli_subprocess(args), "image size must be finite and positive")
 
     def test_unknown_image_exit_1(self, synth_dir, finetuned):
         code, _, err = run_cli(self.retrieve_args(synth_dir, finetuned, image="img99"))
@@ -722,6 +730,23 @@ class TestSettings:
         assert_error_exit(proc, f"{cfg}: invalid JSON")
         assert not out.exists()
 
+    def test_failed_allocation_exit_1(self, synth_dir, tmp_path, monkeypatch):
+        def cap_address_space():
+            # parameters of hidden dim 300000 need 1.3 TiB; under the cap their
+            # allocation fails at once, whatever the host's overcommit setting
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        out = tmp_path / "o.ckpt"
+        proc = run_cli_subprocess([
+            "finetune", "--annotations", str(synth_dir / "annotations.jsonl"),
+            "--region-features", str(synth_dir / "region_features.bin"),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--no-transfer-init", "--hidden-dim", "300000", "--out", str(out)],
+            preexec_fn=cap_address_space)
+        assert_error_exit(proc, "Unable to allocate")
+        assert not out.exists()
+
     def test_mask_flags_only_on_finetune(self):
         parser = _build_parser()
         args = parser.parse_args(["finetune", "--annotations", "a", "--region-features", "r",
@@ -815,3 +840,20 @@ class TestGradcheck:
         report = json.loads(out)
         assert report["max_rel_error"] < 1e-5
         assert report["elements_checked"] == 2420
+
+    def test_seed_near_the_old_noise_floor_passes(self):
+        # a two-point difference at step 1e-5 read 3.1e-4 on this instance
+        code, out, _ = run_cli(["gradcheck", "--seed", "7"])
+        assert code == 0
+        assert json.loads(out)["max_rel_error"] < 1e-4
+
+    def test_gradient_off_by_five_parts_in_ten_thousand_fails(self, monkeypatch):
+        def off_backward(params, *args):
+            backward(params, *args)
+            params.lstm_language.W_h.grad *= 1.0005
+
+        monkeypatch.setattr(gradcheck, "backward", off_backward)
+        code, out, err = run_cli(["gradcheck"])
+        assert code == 1
+        assert json.loads(out)["max_rel_error"] > 1e-4
+        assert err.startswith("gradcheck failed: ")

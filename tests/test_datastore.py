@@ -373,6 +373,17 @@ class TestAnnotations:
         with pytest.raises(FormatError, match="line 1"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("raw, message", [
+        ("Infinity", "finite and positive"), ("1e400", "finite and positive"),
+        ("NaN", "finite and positive"), ("1" + "0" * 400, "beyond float64's range")])
+    def test_non_finite_image_size_names_line(self, tmp_path, field, raw, message):
+        path = tmp_path / "a.jsonl"
+        bad = json.dumps(annotation_row(**{field: 12345})).replace("12345", raw)
+        path.write_text(json.dumps(annotation_row()) + "\n" + bad + "\n")
+        with pytest.raises(FormatError, match=f"a.jsonl: line 2: .*{message}"):
+            load_annotations(path)
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "a.jsonl"
         path.write_text(json.dumps(annotation_row()) + "\n{oops\n")

@@ -69,6 +69,33 @@ class TestEncodeSpatial:
             assert np.all(sp[:6] >= -1) and np.all(sp[:6] <= 1)
             assert 0 < w <= 2 and 0 < h <= 2
 
+    def test_codes_match_the_undivided_form(self):
+        # doubling is exact, so 2 * (x / w) and 2 * x / w round alike
+        rng = make_rng(8)
+        for _ in range(2000):
+            w, h = np.exp(rng.uniform(0.0, 12.0, size=2))
+            box = random_box(rng, w - 1.0, h - 1.0)
+            x0, y0, x1, y1 = encode_spatial(box, ImageSize(w, h))[:4]
+            assert x0 == 2.0 * box.x_min / w - 1.0 and x1 == 2.0 * box.x_max / w - 1.0
+            assert y0 == 2.0 * box.y_min / h - 1.0 and y1 == 2.0 * box.y_max / h - 1.0
+
+    def test_largest_finite_sizes_do_not_overflow(self):
+        big = 1e308
+        sp = encode_spatial(BoundingBox(0, 0, big, big / 2), ImageSize(big, big))
+        assert np.array_equal(sp, [-1, -1, 1, 0, 0, -0.5, 2, 1])
+
+
+class TestImageSize:
+    @pytest.mark.parametrize("width, height", [
+        (float("inf"), 100.0), (100.0, float("inf")), (float("-inf"), 100.0),
+        (float("nan"), 100.0), (100.0, float("nan")), (0.0, 100.0), (100.0, -1.0)])
+    def test_non_finite_or_non_positive_rejected(self, width, height):
+        with pytest.raises(InputError, match="finite and positive"):
+            ImageSize(width, height)
+
+    def test_largest_float_accepted(self):
+        ImageSize(np.finfo(np.float64).max, 1e-300)
+
 
 class TestIou:
     def test_identical(self):

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
 from scrc.errors import InputError
 from scrc.textproc import (BOS_ID, EOS_ID, RESERVED_TOKENS, UNK_ID, Vocabulary, build_vocab,
-                           decode, encode, tokenize)
+                           decode, encode, encode_nonempty, tokenize)
 
 
 class TestTokenize:
@@ -96,3 +98,13 @@ class TestEncode:
         for text in ("", "!!!", "mixed CASE text", "ünïcode wörds", "a" * 500):
             ids = encode(v, text)
             assert all(0 <= i < len(v) for i in ids)
+
+    def test_nonempty_encodes_like_encode(self):
+        v = build_vocab(["red bird on the left"])
+        assert encode_nonempty(v, "red zzzq, left", "query") == encode(v, "red zzzq, left")
+
+    @pytest.mark.parametrize("text", ["", "  ", "?!."])
+    def test_nonempty_names_the_text(self, text):
+        v = build_vocab(["red bird"])
+        with pytest.raises(InputError, match=re.escape(f"caption tokenizes to nothing: {text!r}")):
+            encode_nonempty(v, text, "caption")
