@@ -26,10 +26,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def sigmoid(x, out=None):
-    # tanh-based form saturates cleanly instead of overflowing exp for |x| ~ 1e3;
-    # with out, which may be x, it allocates nothing
-    t = np.tanh(np.multiply(0.5, x, out=out), out=out)
-    return np.multiply(0.5, np.add(1.0, t, out=out), out=out)
+    # tanh-based form saturates cleanly instead of overflowing exp for |x| ~ 1e3
+    out = np.tanh(np.multiply(0.5, x, out), out)
+    return np.multiply(0.5, np.add(1.0, out, out), out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -171,9 +170,10 @@ def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState,
     else:
         gates += params.W_x.value[:, :k] @ x
         gates += x_proj
-    sigmoid(gates[:3 * hidden], out=gates[:3 * hidden])
-    np.tanh(gates[3 * hidden:], out=gates[3 * hidden:])
-    i, f, o, g = gates.reshape(4, hidden, *gates.shape[1:])
+    ifo, g = gates[:3 * hidden], gates[3 * hidden:]
+    sigmoid(ifo, ifo)
+    np.tanh(g, g)
+    i, f, o = ifo[:hidden], ifo[hidden:2 * hidden], ifo[2 * hidden:]
     c = f * prev.c + i * g
     h = o * np.tanh(c)
     return LstmState(h, c), gates
