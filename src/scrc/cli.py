@@ -328,8 +328,8 @@ def _cmd_eval(args) -> int:
             _note_truncation(cands)
         inputs = _candidate_inputs(cands, img, region_store, context_store)
         queries = [(rec, desc) for rec in recs for desc in rec.descriptions]
-        scores = score_image(params, config, [encode_nonempty(vocab, d, "query") for _, d in queries],
-                             *inputs)
+        scores = score_image(params, config,
+                             [encode_nonempty(vocab, d, "query") for _, d in queries], *inputs)
         results += [evalmetrics.RankedResult.build(desc, image_id, cands.boxes, row, rec.box)
                     for (rec, desc), row in zip(queries, scores.tolist())]
     report = (evalmetrics.eval_gt_scenario(results) if args.scenario == "gt"
