@@ -22,8 +22,7 @@ from .gradcheck import DEFAULT_CHECK_SEED, finite_difference_check
 from .model import ScrcConfig, ScrcParams, generate_description, score_image
 from .nncore import make_rng
 from .textproc import build_vocab, decode, encode_nonempty
-from .train import (TrainConfig, finetune_retrieval, pretrain_captioning, transfer_weights,
-                    tuple_requests)
+from .train import TrainConfig, finetune_retrieval, pretrain_captioning, transfer_weights
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -192,7 +191,7 @@ def _cmd_pretrain(args) -> int:
     _check_feat_dim(config, context_store, "context feature")
     params = ScrcParams.init(config, make_rng(values["seed"]))
     report = pretrain_captioning(params, config, captions, context_store, vocab,
-                                 TrainConfig(phase="pretrain", **_fields(TrainConfig, values)))
+                                 TrainConfig(**_fields(TrainConfig, values)))
     datastore.save_checkpoint(params, config, vocab, args.out)
     _emit(report.to_dict())
     return 0
@@ -241,7 +240,7 @@ def _cmd_finetune(args) -> int:
     _check_feat_dim(config, context_store, "context feature")
     tuples = datastore.build_training_tuples(records, region_store, context_store, vocab)
     report = finetune_retrieval(params, config, tuples, region_store, context_store,
-                                TrainConfig(phase="finetune", **_fields(TrainConfig, values)))
+                                TrainConfig(**_fields(TrainConfig, values)))
     datastore.save_checkpoint(params, config, vocab, args.out)
     _emit(report.to_dict())
     return 0
@@ -360,7 +359,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = finite_difference_check(seed=args.seed)
+    report = finite_difference_check(args.seed)
     report["seed"] = args.seed
     report["threshold"] = GRADCHECK_THRESHOLD
     _emit(report)

@@ -43,7 +43,7 @@ FEATURE_MAGIC = b"SCRCFEAT"
 CHECKPOINT_MAGIC = b"SCRCCKPT"
 FORMAT_VERSION = 1
 
-DEFAULT_MAX_PROPOSALS = 100
+MAX_PROPOSALS = 100  # proposal files are ranked; each image keeps its top ones
 
 # The size of load_feature_store's file buffer, which each entry's fields are
 # read from. A buffer that stays in L2 reads fastest, and one below glibc's
@@ -270,7 +270,7 @@ class ProposalSet:
     image_id: str
     coords: np.ndarray  # (n, 4) float64 rows of x1, y1, x2, y2
     region_keys: list[str]
-    listed: int = 0  # boxes on the file's line, before the top max_boxes were kept
+    listed: int = 0  # boxes on the file's line, before the top MAX_PROPOSALS were kept
 
     @cached_property
     def boxes(self) -> list[BoundingBox]:
@@ -378,7 +378,7 @@ def load_annotations(path) -> list[AnnotationRecord]:
     return records
 
 
-def load_proposals(path, max_boxes: int = DEFAULT_MAX_PROPOSALS) -> list[ProposalSet]:
+def load_proposals(path) -> list[ProposalSet]:
     sets = []
     first_line: dict[str, int] = {}
     for lineno, obj in _iter_jsonl(path):
@@ -396,8 +396,7 @@ def load_proposals(path, max_boxes: int = DEFAULT_MAX_PROPOSALS) -> list[Proposa
         if not all(isinstance(k, str) for k in keys):
             raise FormatError(f"{path}: line {lineno}: region_keys must be strings")
         coords = _parse_boxes(raw_boxes, f"{path}: line {lineno}")
-        # proposal files are ranked; keep the top max_boxes
-        sets.append(ProposalSet(image_id, coords[:max_boxes], list(keys[:max_boxes]),
+        sets.append(ProposalSet(image_id, coords[:MAX_PROPOSALS], keys[:MAX_PROPOSALS],
                                 len(coords)))
     return sets
 

@@ -11,6 +11,8 @@ from typing import Optional, Sequence
 from .errors import InputError
 from .geometry import BoundingBox, iou, is_hit
 
+RECALL_KS = (1, 10)  # the paper's R@1 and R@10
+
 
 def rank_candidates(scores: Sequence[float]) -> list[int]:
     """Indices sorted by score descending; equal scores keep input order."""
@@ -76,19 +78,18 @@ def eval_gt_scenario(results: Sequence[RankedResult]) -> MetricsReport:
     return MetricsReport("gt_boxes", len(results), p_at_1=hits / len(results))
 
 
-def eval_proposal_scenario(results: Sequence[RankedResult],
-                           k_list: Sequence[int] = (1, 10)) -> MetricsReport:
-    """R@k (any hit among the k best-scored proposals) and Oracle (any hit
-    among all proposals, independent of scores)."""
+def eval_proposal_scenario(results: Sequence[RankedResult]) -> MetricsReport:
+    """R@k for k in RECALL_KS (any hit among the k best-scored proposals) and
+    Oracle (any hit among all proposals, independent of scores)."""
     if not results:
         raise InputError("no results to evaluate")
-    r_hits = {k: 0 for k in k_list}
+    r_hits = {k: 0 for k in RECALL_KS}
     oracle_hits = 0
     for r in results:
         if not r.boxes:
             raise InputError(f"query {r.query!r}: empty candidate list")
         flags = [is_hit(b, r.gt_box) for b in r.boxes]
-        for k in k_list:
+        for k in RECALL_KS:
             r_hits[k] += any(flags[:k])
         oracle_hits += any(flags)
     n = len(results)

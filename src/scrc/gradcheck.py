@@ -26,19 +26,20 @@ DEFAULT_CHECK_CONFIG = ScrcConfig(vocab_size=12, embed_dim=6, hidden_dim=8, feat
 DEFAULT_CHECK_SEED = 92
 CHECK_INIT_RADIUS = 0.9
 CHECK_REQUESTS = 6
+CHECK_STEP = 1e-3
+REL_ERROR_FLOOR = 1e-8
 
 
-def relative_error(a: float, b: float, floor: float = 1e-8) -> float:
-    return abs(a - b) / max(abs(a), abs(b), floor)
+def relative_error(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), REL_ERROR_FLOOR)
 
 
-def check_instance(config: ScrcConfig, seed: int, radius: float = CHECK_INIT_RADIUS,
-                   n_requests: int = CHECK_REQUESTS):
+def check_instance(config: ScrcConfig, seed: int):
     """Deterministic (params, requests) pair for gradient verification."""
     rng = make_rng(seed)
-    params = ScrcParams.init(config, rng, radius=radius, dtype=np.float64)
+    params = ScrcParams.init(config, rng, radius=CHECK_INIT_RADIUS, dtype=np.float64)
     requests = []
-    for k in range(n_requests):
+    for k in range(CHECK_REQUESTS):
         qlen = 3 + (k % 3)
         query = [int(t) for t in rng.integers(3, config.vocab_size, size=qlen)]
         requests.append(ScoreRequest(query,
@@ -61,11 +62,11 @@ def accumulate_gradients(params: ScrcParams, config: ScrcConfig, requests):
     backward(params, config, trace, trace.targets)
 
 
-def finite_difference_check(config: ScrcConfig = DEFAULT_CHECK_CONFIG,
-                            seed: int = DEFAULT_CHECK_SEED, step: float = 1e-3,
-                            n_requests: int = CHECK_REQUESTS) -> dict:
-    """Returns {"max_rel_error", "worst_tensor", "elements_checked"}."""
-    params, requests = check_instance(config, seed, n_requests=n_requests)
+def finite_difference_check(seed: int) -> dict:
+    """Checks the pinned instance DEFAULT_CHECK_CONFIG at seed. Returns
+    {"max_rel_error", "worst_tensor", "elements_checked"}."""
+    config, step = DEFAULT_CHECK_CONFIG, CHECK_STEP
+    params, requests = check_instance(config, seed)
     accumulate_gradients(params, config, requests)
 
     worst = 0.0

@@ -32,7 +32,6 @@ class TrainConfig:
     batch_size: int = 16
     momentum: float = 0.9
     clip_norm: float = 10.0
-    phase: str = "finetune"
 
     def __post_init__(self):
         check_sgd_settings(self.lr, self.momentum, self.clip_norm)
@@ -42,8 +41,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.phase not in ("pretrain", "finetune"):
-            raise ConfigError(f"phase must be 'pretrain' or 'finetune', got {self.phase!r}")
 
 
 @dataclass
@@ -82,13 +79,13 @@ def mean_loss(params: ScrcParams, config: ScrcConfig,
 
 
 def _run_sgd(params: ScrcParams, config: ScrcConfig, requests: list[ScoreRequest],
-             cfg: TrainConfig) -> TrainReport:
+             cfg: TrainConfig, phase: str) -> TrainReport:
     if not requests:
         raise InputError("empty training set")
     opt = SgdOptimizer(params.fused_tensors(), lr=cfg.lr, momentum=cfg.momentum,
                        clip_norm=cfg.clip_norm)
     interval = max(1, cfg.steps // 10)
-    report = TrainReport(cfg.phase, cfg.steps, cfg.batch_size)
+    report = TrainReport(phase, cfg.steps, cfg.batch_size)
     window: list[float] = []
     t0 = time.perf_counter()
     step = 0
@@ -141,7 +138,8 @@ def pretrain_captioning(params: ScrcParams, config: ScrcConfig,
     receives no gradient and keeps its initialization bit for bit."""
     if not config.caption_mode:
         raise ConfigError("pretraining requires caption_mode")
-    return _run_sgd(params, config, caption_requests(captions, context_store, vocab), cfg)
+    return _run_sgd(params, config, caption_requests(captions, context_store, vocab), cfg,
+                    "pretrain")
 
 
 def transfer_weights(params: ScrcParams, config: ScrcConfig):
@@ -174,4 +172,5 @@ def finetune_retrieval(params: ScrcParams, config: ScrcConfig,
         raise ConfigError("fine-tuning requires full (non-caption) mode")
     if not tuples:
         raise InputError("empty tuple set")
-    return _run_sgd(params, config, tuple_requests(tuples, region_store, context_store), cfg)
+    return _run_sgd(params, config, tuple_requests(tuples, region_store, context_store), cfg,
+                    "finetune")

@@ -439,12 +439,13 @@ class TestProposalsAndCaptions:
                                               r"\(first on line 1\)"):
             load_proposals(path)
 
-    def test_keeps_top_max_boxes(self, tmp_path):
+    def test_keeps_top_max_boxes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(datastore, "MAX_PROPOSALS", 5)
         path = tmp_path / "p.jsonl"
         write_jsonl(path, [{"image_id": "img1",
                             "boxes": [[k, 0, k + 1, 1] for k in range(7)],
                             "region_keys": [f"r{k}" for k in range(7)]}])
-        sets = load_proposals(path, max_boxes=5)
+        sets = load_proposals(path)
         assert len(sets[0].boxes) == 5
         assert sets[0].region_keys == [f"r{k}" for k in range(5)]
 
@@ -462,7 +463,8 @@ class TestProposalsAndCaptions:
         ([0, 0, 10 ** 400, 5], "int too large to convert to float"),
     ], ids=["bool", "string", "three", "nested", "object", "nan", "inf", "degenerate",
             "inverted", "huge-int"])
-    def test_bad_box_names_line_and_index(self, tmp_path, bad, message, max_boxes):
+    def test_bad_box_names_line_and_index(self, tmp_path, monkeypatch, bad, message, max_boxes):
+        monkeypatch.setattr(datastore, "MAX_PROPOSALS", max_boxes)
         # json.dumps writes nan and inf as the NaN and Infinity tokens json.loads accepts
         boxes = [[k, 0, k + 1, 1] for k in range(5)]
         boxes[2] = bad
@@ -472,7 +474,7 @@ class TestProposalsAndCaptions:
                            {"image_id": "img2", "boxes": boxes,
                             "region_keys": [f"r{k}" for k in range(5)]}])
         with pytest.raises(FormatError, match=rf"p\.jsonl: line 2: box 2: {message}"):
-            load_proposals(path, max_boxes=max_boxes)
+            load_proposals(path)
 
     def test_boxes_built_once_on_first_use(self, tmp_path):
         path = tmp_path / "p.jsonl"

@@ -151,12 +151,6 @@ class TestReportShape:
         d = eval_proposal_scenario([proposal_result({0}, 12)]).to_dict()
         assert set(d) == {"scenario", "query_count", "r_at_1", "r_at_10", "oracle"}
 
-    def test_custom_k_list(self):
-        d = eval_proposal_scenario([proposal_result({2}, 12)], k_list=(1, 3, 5)).to_dict()
-        assert d["r_at_1"] == 0.0
-        assert d["r_at_3"] == 1.0
-        assert d["r_at_5"] == 1.0
-
 
 class TestPerQueryCsv:
     def test_columns_and_flags(self, tmp_path):

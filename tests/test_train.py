@@ -80,8 +80,7 @@ class TestPretrain:
         requests = caption_requests(captions, context, vocab)
         before = mean_loss(params, config, requests)
         pretrain_captioning(params, config, captions, context, vocab,
-                            TrainConfig(lr=0.01, steps=500, seed=0, batch_size=8,
-                                        phase="pretrain"))
+                            TrainConfig(lr=0.01, steps=500, seed=0, batch_size=8))
         after = mean_loss(params, config, requests)
         assert after < before
 
@@ -94,8 +93,7 @@ class TestPretrain:
                             caption_mode=True)
         params = ScrcParams.init(config, make_rng(1))
         report = pretrain_captioning(params, config, captions, context, vocab,
-                                     TrainConfig(lr=0.05, steps=800, seed=0, batch_size=1,
-                                                 phase="pretrain"))
+                                     TrainConfig(lr=0.05, steps=800, seed=0, batch_size=1))
         assert report.final_loss < 0.1
 
     def test_local_branch_untouched(self):
@@ -103,8 +101,7 @@ class TestPretrain:
         before = {t.name: t.value.copy()
                   for t in params.lstm_local.tensors() + [params.W_local]}
         pretrain_captioning(params, config, captions, context, vocab,
-                            TrainConfig(lr=0.05, steps=50, seed=0, batch_size=4,
-                                        phase="pretrain"))
+                            TrainConfig(lr=0.05, steps=50, seed=0, batch_size=4))
         for t in params.lstm_local.tensors() + [params.W_local]:
             assert np.array_equal(t.value, before[t.name])
         assert not np.array_equal(params.W_global.value, np.zeros(1))  # sanity
@@ -120,23 +117,29 @@ class TestPretrain:
         monkeypatch.setattr(train, "SgdOptimizer", Recording)
         params, config, captions, context, vocab = toy_caption_setup()
         pretrain_captioning(params, config, captions, context, vocab,
-                            TrainConfig(lr=0.05, steps=1, seed=0, batch_size=4,
-                                        phase="pretrain"))
+                            TrainConfig(lr=0.05, steps=1, seed=0, batch_size=4))
         assert stepped == [t.name for t in params.fused_tensors()]
+
+    def test_report_names_the_pretrain_phase(self):
+        params, config, captions, context, vocab = toy_caption_setup()
+        report = pretrain_captioning(params, config, captions, context, vocab,
+                                     TrainConfig(lr=0.01, steps=1, seed=0))
+        assert report.phase == "pretrain"
+        assert report.to_dict()["phase"] == "pretrain"
 
     def test_requires_caption_mode(self):
         params, config, captions, context, vocab = toy_caption_setup()
         full = config.replace(caption_mode=False)
         with pytest.raises(ConfigError):
             pretrain_captioning(params, full, captions, context, vocab,
-                                TrainConfig(lr=0.01, steps=1, seed=0, phase="pretrain"))
+                                TrainConfig(lr=0.01, steps=1, seed=0))
 
     def test_unresolvable_image_named(self):
         params, config, captions, context, vocab = toy_caption_setup()
         captions.append(CaptionRecord("ghost", ["nothing here"]))
         with pytest.raises(InputError, match="ghost"):
             pretrain_captioning(params, config, captions, context, vocab,
-                                TrainConfig(lr=0.01, steps=1, seed=0, phase="pretrain"))
+                                TrainConfig(lr=0.01, steps=1, seed=0))
 
 
 class TestTransfer:
