@@ -65,7 +65,10 @@ def _load_config_file(path) -> dict:
         elif want is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{path}: key {key!r} must be a number")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond float64's range
+                raise ConfigError(f"{path}: key {key!r} is beyond float64's range") from None
         else:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{path}: key {key!r} must be an integer")

@@ -730,6 +730,35 @@ class TestSettings:
         assert_error_exit(proc, f"{cfg}: invalid JSON")
         assert not out.exists()
 
+    def test_float_key_beyond_float64_exit_1(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lr": 1' + "0" * 400 + "}")
+        out = tmp_path / "o.ckpt"
+        proc = run_cli_subprocess([
+            "finetune", "--annotations", str(synth_dir / "annotations.jsonl"),
+            "--region-features", str(synth_dir / "region_features.bin"),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--no-transfer-init", "--config", str(cfg), "--out", str(out)])
+        assert_error_exit(proc, f"{cfg}: key 'lr' is beyond float64's range")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dim_beyond_numpy_arrays_exit_1(self, synth_dir, tmp_path, source):
+        hidden = 10 ** 30  # 4 * hidden rows: more than np.intp can count
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"feat_dim": 4, "hidden_dim": hidden}))
+        settings = (["--feat-dim", "4", "--hidden-dim", str(hidden)] if source == "flag"
+                    else ["--config", str(cfg)])
+        out = tmp_path / "o.ckpt"
+        proc = run_cli_subprocess([
+            "finetune", "--annotations", str(synth_dir / "annotations.jsonl"),
+            "--region-features", str(synth_dir / "region_features.bin"),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--no-transfer-init", *settings, "--out", str(out)])
+        assert_error_exit(proc, f"lstm_language.W_x: shape ({4 * hidden}, 1000) is beyond "
+                                "the largest array numpy can hold")
+        assert not out.exists()
+
     def test_failed_allocation_exit_1(self, synth_dir, tmp_path, monkeypatch):
         def cap_address_space():
             # parameters of hidden dim 300000 need 1.3 TiB; under the cap their
