@@ -72,6 +72,8 @@ class ParamTensor:
 
     @classmethod
     def zeros(cls, name: str, shape, dtype=np.float32) -> "ParamTensor":
+        if math.prod(shape) * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:
+            raise ConfigError(f"{name}: shape {shape} is beyond the largest array numpy can hold")
         return cls(name, np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
 
     def zero_grad(self):
