@@ -151,6 +151,14 @@ class _Cursor:
                 f"{self.what}: truncated at byte {self.off} "
                 f"(needed {n} more, have {self.left()})")
 
+    def fail(self, off: int, n: int):
+        """Raises the error for the n-byte field at byte off that was read
+        outside the cursor: the file's size cannot hold it, so nothing was
+        read, or it read short, and the file's position says by how much."""
+        self.off = off
+        self._need(n)
+        self._advance(n, self.f.tell() - off)
+
     def skip(self, n: int):
         self._need(n)
         self.f.seek(n, os.SEEK_CUR)
@@ -191,22 +199,18 @@ def _read_entries(cur: _Cursor, keys: dict[str, np.ndarray], matrix: np.ndarray)
     """Reads the feature store entries that follow the header, field by field:
     each key into keys, mapped to its row of matrix, and each vector into that
     row. A field that the file's size cannot hold is not read, and one that
-    reads short stops the load; either way cur.off moves to the field's first
-    byte and cur raises the error that names it."""
+    reads short stops the load; either way cur.fail raises the error that
+    names it."""
     f, size, off = cur.f, cur.size, cur.off
     vec = 4 * matrix.shape[1]
     rows = memoryview(matrix.reshape(-1)).cast("B")
     for i, row in enumerate(matrix):
         if off + 2 > size or len(raw := f.read(2)) != 2:
-            cur.off = off
-            cur._need(2)
-            cur._advance(2, len(raw))
+            cur.fail(off, 2)
         (klen,) = _KEY_LEN.unpack(raw)
         key_off = off + 2
         if key_off + klen > size or len(raw := f.read(klen)) != klen:
-            cur.off = key_off
-            cur._need(klen)
-            cur._advance(klen, len(raw))
+            cur.fail(key_off, klen)
         try:
             key = raw.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -214,10 +218,8 @@ def _read_entries(cur: _Cursor, keys: dict[str, np.ndarray], matrix: np.ndarray)
         if key in keys:
             raise FormatError(f"feature store: duplicate key {key!r} at byte {off}")
         off = key_off + klen
-        if off + vec > size or (got := f.readinto(rows[i * vec:(i + 1) * vec])) != vec:
-            cur.off = off
-            cur._need(vec)
-            cur._advance(vec, got)
+        if off + vec > size or f.readinto(rows[i * vec:(i + 1) * vec]) != vec:
+            cur.fail(off, vec)
         keys[key] = row
         off += vec
     cur.off = off
