@@ -152,9 +152,9 @@ class _Cursor:
                 f"(needed {n} more, have {self.left()})")
 
     def fail(self, off: int, n: int):
-        """Raises the error for the n-byte field at byte off that was read
-        outside the cursor: the file's size cannot hold it, so nothing was
-        read, or it read short, and the file's position says by how much."""
+        """Raises the error for the n-byte field at byte off, read outside the
+        cursor: a truncation if the file's size cannot hold the field (then
+        nothing was read), else a short read, whose end is the file position."""
         self.off = off
         self._need(n)
         self._advance(n, self.f.tell() - off)
