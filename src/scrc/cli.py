@@ -47,33 +47,13 @@ def _emit(obj):
 
 
 def _load_config_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge integer, deep nesting
-        raise ConfigError(f"{path}: invalid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    out = {}
-    for key, value in raw.items():
+    with open(path, "rb") as f:
+        raw = datastore.json_object(f.read(), str(path), ConfigError)
+    for key in raw:
         if key not in _SETTINGS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        want = _SETTINGS[key][0]
-        if want is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{path}: key {key!r} must be a boolean")
-        elif want is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{path}: key {key!r} must be a number")
-            try:
-                value = float(value)
-            except OverflowError:  # an integer beyond float64's range
-                raise ConfigError(f"{path}: key {key!r} is beyond float64's range") from None
-        else:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{path}: key {key!r} must be an integer")
-        out[key] = value
-    return out
+    return {key: datastore.json_value(value, _SETTINGS[key][0], f"{path}: key {key!r}",
+                                      ConfigError) for key, value in raw.items()}
 
 
 def _resolve_config(args, phase: str):

@@ -27,14 +27,14 @@ import stat
 import struct
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import ConfigError, FormatError, InputError
 from .geometry import BoundingBox, ImageSize, encode_spatial
 from .model import ScrcConfig, ScrcParams
 from .textproc import TokenSequence, Vocabulary, encode_nonempty
@@ -287,6 +287,36 @@ class CaptionRecord:
     captions: list[str]
 
 
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a JSON array", dict: "a JSON object"}
+
+
+def json_object(text, where: str, error=FormatError) -> dict:
+    """Parses a JSON document, given as text or as UTF-8 bytes, that must be
+    an object; error names where it came from. Every JSON input is read here."""
+    try:
+        obj = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge integer, deep nesting
+        raise error(f"{where}: invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{where} is not a JSON object")
+    return obj
+
+
+def json_value(value, kind, what: str, error=FormatError):
+    """A parsed JSON value checked against kind: bool, int, float, str, list
+    or dict. bool is never a number, and an int is taken as a float."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise error(f"{what} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond float64's range
+            raise error(f"{what} is beyond float64's range") from None
+    return value
+
+
 def _iter_jsonl(path):
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -297,12 +327,7 @@ def _iter_jsonl(path):
                     f"{path}: line {lineno}: invalid UTF-8 at byte {e.start} of the line") from None
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as e:  # bad JSON, a huge integer, deep nesting
-                raise FormatError(f"{path}: line {lineno}: invalid JSON: {e}") from None
-            if not isinstance(obj, dict):
-                raise FormatError(f"{path}: line {lineno}: expected a JSON object")
+            obj = json_object(line, f"{path}: line {lineno}")
             if "\\u" in line:  # strict UTF-8 never decodes to a surrogate; an escape can
                 try:
                     json.dumps(obj, ensure_ascii=False).encode("utf-8")
@@ -315,18 +340,7 @@ def _iter_jsonl(path):
 def _field(obj, name, kind, path, lineno):
     if name not in obj:
         raise FormatError(f"{path}: line {lineno}: missing field {name!r}")
-    v = obj[name]
-    if kind is float:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise FormatError(f"{path}: line {lineno}: field {name!r} must be a number")
-        try:
-            return float(v)
-        except OverflowError:  # an integer beyond float64's range
-            raise FormatError(
-                f"{path}: line {lineno}: field {name!r} is beyond float64's range") from None
-    if not isinstance(v, kind):
-        raise FormatError(f"{path}: line {lineno}: field {name!r} must be {kind.__name__}")
-    return v
+    return json_value(obj[name], kind, f"{path}: line {lineno}: field {name!r}")
 
 
 def _parse_box(raw, where: str) -> BoundingBox:
@@ -457,7 +471,7 @@ def save_checkpoint(params: ScrcParams, config: ScrcConfig, vocab: Vocabulary, p
                     else "non-finite values")
             raise InputError(f"{path}: tensor {t.name!r} holds {what}; no checkpoint written")
     header = {"format_version": FORMAT_VERSION,
-              "config": config.to_dict(),
+              "config": asdict(config),
               "vocab": list(vocab.tokens)}
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with _atomic_write(path) as f:
@@ -492,22 +506,25 @@ def load_checkpoint(path):
         version, hlen = cur.unpack("<II")
         if version != FORMAT_VERSION:
             raise FormatError(f"checkpoint: unsupported version {version}")
-        try:
-            header = json.loads(cur.take(hlen).decode("utf-8"))
-        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, huge integer, deep nesting
-            raise FormatError(f"{path}: checkpoint: invalid header JSON: {e}") from None
-        if not isinstance(header, dict):
-            raise FormatError("checkpoint: header is not a JSON object")
+        header = json_object(cur.take(hlen), f"{path}: checkpoint: header")
         for key in ("format_version", "config", "vocab"):
             if key not in header:
                 raise FormatError(f"checkpoint: header missing {key!r}")
-        if header["format_version"] != FORMAT_VERSION:
-            raise FormatError(
-                f"checkpoint: unsupported format_version {header['format_version']}")
+        version = json_value(header["format_version"], int, f"{path}: checkpoint: format_version")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"checkpoint: unsupported format_version {version}")
+        kinds = get_type_hints(ScrcConfig)
+        fields = json_value(header["config"], dict, f"{path}: checkpoint: config", ConfigError)
+        for key, value in fields.items():
+            if key not in kinds:
+                raise ConfigError(f"{path}: checkpoint: unknown config key {key!r}")
+            json_value(value, kinds[key], f"{path}: checkpoint: config key {key!r}", ConfigError)
         try:
-            config = ScrcConfig.from_dict(header["config"])
-            vocab = Vocabulary(header["vocab"])
-        except (TypeError, InputError) as e:
+            config = ScrcConfig(**fields)
+            vocab = Vocabulary(json_value(header["vocab"], list, f"{path}: checkpoint: vocab"))
+        except ConfigError as e:
+            raise ConfigError(f"{path}: checkpoint: {e}") from None
+        except (TypeError, InputError) as e:  # a config key missing, a bad vocabulary token
             raise FormatError(f"checkpoint: invalid header: {e}") from None
         if len(vocab) != config.vocab_size:
             raise FormatError(f"checkpoint: vocabulary of {len(vocab)} tokens, config "

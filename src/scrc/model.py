@@ -35,9 +35,6 @@ from .nncore import (DEFAULT_INIT_RADIUS, LstmParams, LstmState, LstmTrace, Para
                      init_uniform, log_softmax, lstm_bptt, lstm_step)
 from .textproc import BOS_ID, EOS_ID
 
-_MODE_KEYS = ("caption_mode", "mask_spatial", "mask_context")
-_CONFIG_KEYS = ("vocab_size", "embed_dim", "hidden_dim", "feat_dim", "spatial_dim") + _MODE_KEYS
-
 
 @dataclass(frozen=True)
 class ScrcConfig:
@@ -66,22 +63,6 @@ class ScrcConfig:
     @property
     def global_input_dim(self) -> int:
         return self.hidden_dim + self.feat_dim
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _CONFIG_KEYS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScrcConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in d.items():
-            kind = bool if key in _MODE_KEYS else int
-            if type(value) is not kind:
-                raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
-        return cls(**d)
 
     def replace(self, **changes) -> "ScrcConfig":
         return dataclasses.replace(self, **changes)

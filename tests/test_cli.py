@@ -214,7 +214,7 @@ class TestTransfer:
         bad.write_bytes(data[:12] + struct.pack("<I", len(header)) + header + data[16 + hlen:])
         out = tmp_path / "x.ckpt"
         proc = run_cli_subprocess(["transfer", "--in", str(bad), "--out", str(out)])
-        assert_error_exit(proc, f"{bad}: checkpoint: invalid header JSON")
+        assert_error_exit(proc, f"{bad}: checkpoint: header: invalid JSON")
         assert not out.exists()
 
     def test_rejects_full_mode_input(self, transferred, tmp_path):

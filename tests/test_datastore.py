@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -743,7 +744,7 @@ class TestCheckpoint:
         header = b"[" * 100000 + b"]" * 100000
         path.write_bytes(data[:12] + struct.pack("<I", len(header)) + header + data[16 + hlen:])
         with pytest.raises(FormatError,
-                           match=re.escape(f"{path}: checkpoint: invalid header JSON")):
+                           match=re.escape(f"{path}: checkpoint: header: invalid JSON")):
             load_checkpoint(path)
 
     def test_unexpected_tensor_between_expected_is_skipped_and_named(self, tmp_path):
@@ -763,7 +764,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, config, vocab, path)
         huge = config.replace(embed_dim=400000, hidden_dim=400000)
-        rewrite_header(path, config=huge.to_dict())
+        rewrite_header(path, config=dataclasses.asdict(huge))
         size = path.stat().st_size
         hlen = struct.unpack("<I", path.read_bytes()[12:16])[0]
         with pytest.raises(FormatError, match=(
@@ -777,7 +778,7 @@ class TestCheckpoint:
         params, config, vocab = small_checkpoint_parts()
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, config, vocab, path)
-        rewrite_header(path, config={**config.to_dict(), key: value})
+        rewrite_header(path, config={**dataclasses.asdict(config), key: value})
         with pytest.raises(ConfigError, match=f"config key {key!r} must be"):
             load_checkpoint(path)
 
@@ -796,6 +797,30 @@ class TestCheckpoint:
                             feat_dim=dims[2])
         assert _param_bytes(config) == sum(
             t.value.nbytes for t in ScrcParams(config).tensors())
+
+    @pytest.mark.parametrize("flags", [{}, {"caption_mode": True},
+                                       {"mask_spatial": True, "mask_context": True}])
+    def test_header_config_round_trips_every_field(self, tmp_path, flags):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        data = path.read_bytes()
+        (hlen,) = struct.unpack("<I", data[12:16])
+        written = json.loads(data[16:16 + hlen])["config"]
+        assert list(written) == sorted(f.name for f in dataclasses.fields(ScrcConfig))
+        assert len(written) == 8
+        want = config.replace(**flags)
+        rewrite_header(path, config=dataclasses.asdict(want))
+        assert load_checkpoint(path)[1] == want
+
+    def test_unknown_header_config_key_named(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        rewrite_header(path, config={**dataclasses.asdict(config), "bogus": 1})
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}: checkpoint: unknown config key 'bogus'")):
+            load_checkpoint(path)
 
     def test_header_config_that_is_not_an_object(self, tmp_path):
         params, config, vocab = small_checkpoint_parts()

@@ -433,16 +433,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScrcConfig(vocab_size=5, embed_dim=2, hidden_dim=2, feat_dim=2, spatial_dim=9)
 
-    def test_dict_roundtrip(self):
-        config = tiny_config(mask_spatial=True)
-        assert ScrcConfig.from_dict(config.to_dict()) == config
-
-    def test_unknown_key_rejected(self):
-        d = tiny_config().to_dict()
-        d["bogus"] = 1
-        with pytest.raises(ConfigError):
-            ScrcConfig.from_dict(d)
-
     def test_params_config_mismatch(self):
         params = ScrcParams(tiny_config())
         other = tiny_config(hidden_dim=9)
