@@ -138,44 +138,35 @@ class _Cursor:
     def left(self) -> int:
         return self.size - self.off
 
-    def _advance(self, n: int, got: int):
-        """Moves past n bytes, of which got were read."""
-        if got != n:
-            raise FormatError(f"{self.what}: truncated at byte {self.off + got} "
-                              f"(the file shrank while it was read)")
-        self.off += n
-
-    def _need(self, n: int):
-        if n > self.left():
-            raise FormatError(
-                f"{self.what}: truncated at byte {self.off} "
-                f"(needed {n} more, have {self.left()})")
-
     def fail(self, off: int, n: int):
-        """Raises the error for the n-byte field at byte off, read outside the
-        cursor: a truncation if the file's size cannot hold the field (then
-        nothing was read), else a short read, whose end is the file position."""
-        self.off = off
-        self._need(n)
-        self._advance(n, self.f.tell() - off)
+        """Raises the error for the n-byte field at byte off: a truncation if
+        the file's size cannot hold the field (then nothing was read), else a
+        short read, whose end is the file position."""
+        if off + n > self.size:
+            raise FormatError(f"{self.what}: truncated at byte {off} "
+                              f"(needed {n} more, have {self.size - off})")
+        raise FormatError(f"{self.what}: truncated at byte {self.f.tell()} "
+                          f"(the file shrank while it was read)")
 
     def skip(self, n: int):
-        self._need(n)
+        if n > self.left():
+            self.fail(self.off, n)
         self.f.seek(n, os.SEEK_CUR)
         self.off += n
 
     def take(self, n: int) -> bytes:
-        self._need(n)
-        data = self.f.read(n)
-        self._advance(n, len(data))
+        if n > self.left() or len(data := self.f.read(n)) != n:
+            self.fail(self.off, n)
+        self.off += n
         return data
 
     def into(self, array: np.ndarray):
         """Fills a C-contiguous float32 array with the next array.nbytes bytes,
         read as little-endian."""
         view = memoryview(array).cast("B")
-        self._need(view.nbytes)
-        self._advance(view.nbytes, self.f.readinto(view))
+        if view.nbytes > self.left() or self.f.readinto(view) != view.nbytes:
+            self.fail(self.off, view.nbytes)
+        self.off += view.nbytes
         if sys.byteorder == "big":
             array.byteswap(inplace=True)
 

@@ -897,6 +897,9 @@ class _ShortReads:
     def readinto(self, buf):
         return self.f.readinto(buf[:len(buf) // 2])
 
+    def tell(self):
+        return self.f.tell()
+
 
 class TestReader:
     def test_fifo_rejected_without_waiting(self, tmp_path):
