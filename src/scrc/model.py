@@ -55,6 +55,9 @@ class ScrcConfig:
             raise ConfigError(f"spatial_dim is fixed at {SPATIAL_DIM}, got {self.spatial_dim}")
         if self.vocab_size < 3:
             raise ConfigError("vocab_size must cover the three reserved tokens")
+        if self.caption_mode and self.mask_context:
+            raise ConfigError("caption_mode with mask_context would read neither the box "
+                              "nor the context")
 
     @property
     def local_input_dim(self) -> int:
@@ -375,8 +378,9 @@ def forward_trace(params: ScrcParams, config: ScrcConfig, request: ScoreRequest)
     return forward_batch(params, config, [request], keep_trace=True)
 
 
-# Columns (queries x candidates) of one scoring pass. An image with more is
-# scored in query chunks, so memory does not grow with its query count.
+# Columns of one decoder pass: queries x candidates when scoring, beams when
+# generating. An image with more is scored in query chunks, so memory does not
+# grow with its query count; a wider beam is refused.
 MAX_PASS_COLUMNS = 1024
 
 
@@ -501,8 +505,8 @@ def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_contex
     Live beams advance as one batch; each round sorts only the extensions
     at or above the beam_width-th best, which hold all a full sort would pick.
     """
-    if beam_width < 1:
-        raise InputError(f"beam_width must be >= 1, got {beam_width}")
+    if not 1 <= beam_width <= MAX_PASS_COLUMNS:
+        raise InputError(f"beam_width must be from 1 to {MAX_PASS_COLUMNS}, got {beam_width}")
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
     params.check_config(config)

@@ -328,6 +328,23 @@ class TestRetrieve:
         args[args.index(flag) + 1] = "inf"
         assert_error_exit(run_cli_subprocess(args), "image size must be finite and positive")
 
+    def test_caption_mode_checkpoint_with_masked_context_exit_1(self, synth_dir, pretrained,
+                                                                tmp_path):
+        data = pretrained.read_bytes()
+        hlen = struct.unpack("<I", data[12:16])[0]
+        header = json.loads(data[16:16 + hlen])
+        header["config"]["mask_context"] = True
+        hb = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "masked.ckpt"
+        bad.write_bytes(data[:12] + struct.pack("<I", len(hb)) + hb + data[16 + hlen:])
+        one_box = tmp_path / "proposals.jsonl"
+        one_box.write_text(json.dumps({"image_id": "img00", "boxes": [[20, 90, 100, 150]],
+                                       "region_keys": ["img00:left"]}) + "\n")
+        args = self.retrieve_args(synth_dir, bad)
+        args[args.index("--proposals") + 1] = str(one_box)
+        assert_error_exit(run_cli_subprocess(args),
+                          f"{bad}: checkpoint: caption_mode with mask_context")
+
     def test_unknown_image_exit_1(self, synth_dir, finetuned):
         code, _, err = run_cli(self.retrieve_args(synth_dir, finetuned, image="img99"))
         assert code == 1
@@ -653,6 +670,14 @@ class TestGenerate:
         assert set(out) == {"tokens", "text", "log_prob"}
         assert out["log_prob"] <= 0.0
         assert len(out["tokens"]) <= 6
+
+    def test_beam_wider_than_a_decoder_pass_exit_1(self, synth_dir, finetuned):
+        proc = run_cli_subprocess([
+            "generate", "--model", str(finetuned), "--region-key", "img00:left",
+            "--image-id", "img00", "--box", "20,90,100,150", "--width", "320",
+            "--height", "240", "--region-features", str(synth_dir / "region_features.bin"),
+            "--context-features", str(synth_dir / "context_features.bin"), "--beam", "1025"])
+        assert_error_exit(proc, "beam_width must be from 1 to 1024, got 1025")
 
     def test_bad_box_rejected(self, synth_dir, finetuned):
         code, _, err = run_cli(["generate", "--model", str(finetuned),

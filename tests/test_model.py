@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from scrc.errors import ConfigError, ContractError, InputError, ShapeError
-from scrc.model import (ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch,
-                        forward_trace, generate_description, initial_state, prepare_features,
+from scrc.model import (MAX_PASS_COLUMNS, ScoreRequest, ScrcConfig, ScrcParams, backward,
+                        forward_batch, forward_trace, generate_description, initial_state, prepare_features,
                         score_candidates, sequence_log_prob, step_logits)
 from scrc.nncore import log_softmax, make_rng, softmax
 from scrc.textproc import BOS_ID, EOS_ID
@@ -421,6 +421,10 @@ class TestGenerate:
         with pytest.raises(InputError):
             generate_description(params, config, np.zeros(3), np.zeros(3), np.zeros(8),
                                  beam_width=0, max_len=3)
+        with pytest.raises(InputError, match=f"beam_width must be from 1 to {MAX_PASS_COLUMNS}, "
+                                             f"got {MAX_PASS_COLUMNS + 1}"):
+            generate_description(params, config, np.zeros(3), np.zeros(3), np.zeros(8),
+                                 beam_width=MAX_PASS_COLUMNS + 1, max_len=3)
         with pytest.raises(InputError):
             generate_description(params, config, np.zeros(3), np.zeros(3), np.zeros(8),
                                  beam_width=2, max_len=0)
@@ -432,6 +436,11 @@ class TestConfig:
             ScrcConfig(vocab_size=0, embed_dim=2, hidden_dim=2, feat_dim=2)
         with pytest.raises(ConfigError):
             ScrcConfig(vocab_size=5, embed_dim=2, hidden_dim=2, feat_dim=2, spatial_dim=9)
+
+    def test_caption_mode_with_mask_context_rejected(self):
+        with pytest.raises(ConfigError, match="caption_mode with mask_context would read "
+                                              "neither the box nor the context"):
+            tiny_config(caption_mode=True, mask_context=True)
 
     def test_params_config_mismatch(self):
         params = ScrcParams(tiny_config())
