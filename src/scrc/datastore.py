@@ -278,6 +278,7 @@ class CaptionRecord:
     captions: list[str]
 
 
+_CONFIG_KINDS = get_type_hints(ScrcConfig)  # the header config's keys and their types
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                list: "a JSON array", dict: "a JSON object"}
 
@@ -297,8 +298,8 @@ def json_object(text, where: str, error=FormatError) -> dict:
 def json_value(value, kind, what: str, error=FormatError):
     """A parsed JSON value checked against kind: bool, int, float, str, list
     or dict. bool is never a number, and an int is taken as a float."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(
-            value, (int, float) if kind is float else kind):
+    types = (int, float) if kind is float else kind
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
         raise error(f"{what} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
     if kind is float:
         try:
@@ -329,9 +330,14 @@ def _iter_jsonl(path):
 
 
 def _field(obj, name, kind, path, lineno):
+    """obj[name] checked as kind. Every field of every record comes through
+    here, so the file and line go into a message only once it is refused."""
     if name not in obj:
         raise FormatError(f"{path}: line {lineno}: missing field {name!r}")
-    return json_value(obj[name], kind, f"{path}: line {lineno}: field {name!r}")
+    try:
+        return json_value(obj[name], kind, repr(name))
+    except FormatError as e:
+        raise FormatError(f"{path}: line {lineno}: field {e}") from None
 
 
 def _parse_box(raw, where: str) -> BoundingBox:
@@ -504,12 +510,12 @@ def load_checkpoint(path):
         version = json_value(header["format_version"], int, f"{path}: checkpoint: format_version")
         if version != FORMAT_VERSION:
             raise FormatError(f"checkpoint: unsupported format_version {version}")
-        kinds = get_type_hints(ScrcConfig)
         fields = json_value(header["config"], dict, f"{path}: checkpoint: config", ConfigError)
         for key, value in fields.items():
-            if key not in kinds:
+            if key not in _CONFIG_KINDS:
                 raise ConfigError(f"{path}: checkpoint: unknown config key {key!r}")
-            json_value(value, kinds[key], f"{path}: checkpoint: config key {key!r}", ConfigError)
+            json_value(value, _CONFIG_KINDS[key], f"{path}: checkpoint: config key {key!r}",
+                       ConfigError)
         try:
             config = ScrcConfig(**fields)
             vocab = Vocabulary(json_value(header["vocab"], list, f"{path}: checkpoint: vocab"))
