@@ -298,6 +298,8 @@ def json_object(text, where: str, error=FormatError) -> dict:
 def json_value(value, kind, what: str, error=FormatError):
     """A parsed JSON value checked against kind: bool, int, float, str, list
     or dict. bool is never a number, and an int is taken as a float."""
+    if type(value) is kind:  # the common case, and the JSON-lines loaders' hot path
+        return value
     types = (int, float) if kind is float else kind
     if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
         raise error(f"{what} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
