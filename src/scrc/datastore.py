@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence, get_type_hints
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -129,7 +129,7 @@ class _Cursor:
     def __init__(self, f, what: str):
         st = os.fstat(f.fileno())
         if not stat.S_ISREG(st.st_mode):
-            raise InputError(f"{what} {f.name}: not a regular file")
+            raise InputError(f"{f.name}: not a regular file")
         self.f = f
         self.size = st.st_size
         self.off = 0
@@ -342,14 +342,17 @@ def _field(obj, name, kind, path, lineno):
         raise FormatError(f"{path}: line {lineno}: field {e}") from None
 
 
-def _parse_box(raw, where: str) -> BoundingBox:
-    if (not isinstance(raw, list) or len(raw) != 4
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
-        raise FormatError(f"{where}: box must be [x1, y1, x2, y2]")
+def _parse_box(raw, where: str, lineno: Optional[int] = None) -> BoundingBox:
+    """A box from its JSON value. where, and the line if given, go into a
+    message only once the box is refused."""
     try:
+        if (not isinstance(raw, list) or len(raw) != 4
+                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
+            raise FormatError("box must be [x1, y1, x2, y2]")
         return BoundingBox(*(float(v) for v in raw))
-    except (InputError, OverflowError) as e:
-        raise FormatError(f"{where}: {e}") from None
+    except (FormatError, InputError, OverflowError) as e:
+        place = where if lineno is None else f"{where}: line {lineno}"
+        raise FormatError(f"{place}: {e}") from None
 
 
 def _parse_boxes(raw_boxes: list, where: str) -> np.ndarray:
@@ -376,7 +379,7 @@ def load_annotations(path) -> list[AnnotationRecord]:
         image_id = _field(obj, "image_id", str, path, lineno)
         width = _field(obj, "width", float, path, lineno)
         height = _field(obj, "height", float, path, lineno)
-        box = _parse_box(_field(obj, "box", list, path, lineno), f"{path}: line {lineno}")
+        box = _parse_box(_field(obj, "box", list, path, lineno), path, lineno)
         region_key = _field(obj, "region_key", str, path, lineno)
         descriptions = _field(obj, "descriptions", list, path, lineno)
         if not descriptions or not all(isinstance(d, str) for d in descriptions):
@@ -497,43 +500,44 @@ def _param_bytes(config: ScrcConfig) -> int:
 
 def load_checkpoint(path):
     """Returns (params, config, vocab); tensors come back bit-exact."""
+    where = f"{path}: checkpoint"
     with open(path, "rb", opener=_open_nonblocking) as f:
-        cur = _Cursor(f, "checkpoint")
+        cur = _Cursor(f, where)
         magic = cur.take(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"checkpoint: bad magic {magic!r} at byte 0")
+            raise FormatError(f"{where}: bad magic {magic!r} at byte 0")
         version, hlen = cur.unpack("<II")
         if version != FORMAT_VERSION:
-            raise FormatError(f"checkpoint: unsupported version {version}")
-        header = json_object(cur.take(hlen), f"{path}: checkpoint: header")
+            raise FormatError(f"{where}: unsupported version {version}")
+        header = json_object(cur.take(hlen), f"{where}: header")
         for key in ("format_version", "config", "vocab"):
             if key not in header:
-                raise FormatError(f"checkpoint: header missing {key!r}")
-        version = json_value(header["format_version"], int, f"{path}: checkpoint: format_version")
+                raise FormatError(f"{where}: header missing {key!r}")
+        version = json_value(header["format_version"], int, f"{where}: format_version")
         if version != FORMAT_VERSION:
-            raise FormatError(f"checkpoint: unsupported format_version {version}")
-        fields = json_value(header["config"], dict, f"{path}: checkpoint: config", ConfigError)
+            raise FormatError(f"{where}: unsupported format_version {version}")
+        fields = json_value(header["config"], dict, f"{where}: config", ConfigError)
         for key, value in fields.items():
             if key not in _CONFIG_KINDS:
-                raise ConfigError(f"{path}: checkpoint: unknown config key {key!r}")
-            json_value(value, _CONFIG_KINDS[key], f"{path}: checkpoint: config key {key!r}",
+                raise ConfigError(f"{where}: unknown config key {key!r}")
+            json_value(value, _CONFIG_KINDS[key], f"{where}: config key {key!r}",
                        ConfigError)
         try:
             config = ScrcConfig(**fields)
-            vocab = Vocabulary(json_value(header["vocab"], list, f"{path}: checkpoint: vocab"))
+            vocab = Vocabulary(json_value(header["vocab"], list, f"{where}: vocab"))
         except ConfigError as e:
-            raise ConfigError(f"{path}: checkpoint: {e}") from None
+            raise ConfigError(f"{where}: {e}") from None
         except (TypeError, InputError) as e:  # a config key missing, a bad vocabulary token
-            raise FormatError(f"checkpoint: invalid header: {e}") from None
+            raise FormatError(f"{where}: invalid header: {e}") from None
         if len(vocab) != config.vocab_size:
-            raise FormatError(f"checkpoint: vocabulary of {len(vocab)} tokens, config "
+            raise FormatError(f"{where}: vocabulary of {len(vocab)} tokens, config "
                               f"vocab_size {config.vocab_size}")
 
         (count,) = cur.unpack("<I")
         need = _param_bytes(config)
         if need > cur.left():
             raise FormatError(
-                f"checkpoint: the header's config needs {need} bytes of tensor data, "
+                f"{where}: the header's config needs {need} bytes of tensor data, "
                 f"the file has {cur.left()} left at byte {cur.off}")
         params = ScrcParams(config, dtype=np.float32)
         expected = {t.name: t for t in params.tensors()}
@@ -544,7 +548,7 @@ def load_checkpoint(path):
             (nlen,) = cur.unpack("<H")
             name = cur.text(nlen)
             if name in seen:
-                raise FormatError(f"checkpoint: duplicate tensor {name!r} at byte {rec_off}")
+                raise FormatError(f"{where}: duplicate tensor {name!r} at byte {rec_off}")
             seen.add(name)
             (rank,) = cur.unpack("<B")
             dims = cur.unpack(f"<{rank}I")
@@ -554,16 +558,16 @@ def load_checkpoint(path):
                 cur.skip(4 * math.prod(dims))
             elif dims != t.value.shape:
                 raise FormatError(
-                    f"checkpoint: tensor {name!r} has shape {dims}, expected {t.value.shape}")
+                    f"{where}: tensor {name!r} has shape {dims}, expected {t.value.shape}")
             else:
                 cur.into(t.value)
                 if not np.isfinite(t.value).all():
-                    raise FormatError(f"checkpoint: tensor {name!r} holds non-finite values")
+                    raise FormatError(f"{where}: tensor {name!r} holds non-finite values")
         cur.done()
 
     missing = set(expected) - seen
     if missing or extra:
         raise FormatError(
-            f"checkpoint: tensor names do not match (missing {sorted(missing)}, "
+            f"{where}: tensor names do not match (missing {sorted(missing)}, "
             f"unexpected {sorted(extra)})")
     return params, config, vocab

@@ -228,19 +228,34 @@ ROW_BLOCK = 16
 
 
 def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures):
-    """The local and global units' fixed inputs as columns: each unit's input
-    projection plus bias (None if skipped), and r shaped like a column of
-    logits."""
+    """The local and global units' fixed inputs: each unit's input projection
+    plus bias (None if skipped), shaped for lstm_step's x_proj, (4H, Q, 1)
+    with a column per row, or (4H, 1, N) with one per candidate; and r
+    shaped like a column of logits."""
     H = config.hidden_dim
+    per_row = feats.x_context.shape[1] > 1
     local = glob = None
     if not config.caption_mode:
         unit = params.lstm_local
-        local_in = np.concatenate([feats.x_box, feats.x_spatial])
-        local = unit.W_x.value[:, H:] @ local_in + unit.b.value[:, None]
+        local = (unit.W_x.value[:, H:] @ np.concatenate([feats.x_box, feats.x_spatial])
+                 + unit.b.value[:, None])
+        local = local[:, :, None] if per_row else local[:, None]
     if not config.mask_context:
         unit = params.lstm_global
-        glob = unit.W_x.value[:, H:] @ feats.x_context + unit.b.value[:, None]
+        glob = (unit.W_x.value[:, H:] @ feats.x_context + unit.b.value[:, None])[:, :, None]
     return local, glob, params.r.value[:, None]
+
+
+def _local_head(params: ScrcParams, x_local: np.ndarray, prev: Optional[LstmState],
+                fixed_local: np.ndarray, context: np.ndarray):
+    """The local unit's step from its input product, and the head: logits
+    (V, Q * N), W_local h_local plus the context term W_global h_global + r
+    (V, Q or 1), whose query column broadcasts over its candidates; the new
+    state and the gates."""
+    local, gates = lstm_step(params.lstm_local, x_local, prev, fixed_local)
+    logits = params.W_local.value @ local.h
+    logits.reshape(len(logits), context.shape[1], -1)[...] += context[:, :, None]
+    return logits, local, gates
 
 
 def _advance(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
@@ -250,19 +265,19 @@ def _advance(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
     or beam, and the local unit one per (query, candidate), query-major, or
     per row or beam; logits are (V, Q * N), or (V, Q) without the local unit."""
     fixed_local, fixed_glob, r = fixed
-    lang, gates_lang = lstm_step(params.lstm_language, x_word, state.lang)
-    local, gates_local = state.local, None
-    glob, gates_glob = state.glob, None
-    logits = r.copy()
+    H = config.hidden_dim
+    lang, gates_lang = lstm_step(params.lstm_language, params.lstm_language.W_x.value @ x_word,
+                                 state.lang)
+    glob, gates_glob, logits = state.glob, None, r
     if not config.mask_context:
-        glob, gates_glob = lstm_step(params.lstm_global, lang.h, state.glob, fixed_glob)
-        logits = params.W_global.value @ glob.h + logits
+        glob, gates_glob = lstm_step(params.lstm_global,
+                                     params.lstm_global.W_x.value[:, :H] @ lang.h, state.glob,
+                                     fixed_glob)
+        logits = params.W_global.value @ glob.h + r
+    local, gates_local = state.local, None
     if not config.caption_mode:
-        local, gates_local = lstm_step(params.lstm_local, lang.h, state.local, fixed_local)
-        head = params.W_local.value @ local.h
-        # a query's logits column broadcasts over its candidates
-        head.reshape(len(head), logits.shape[1], -1)[...] += logits[:, :, None]
-        logits = head
+        logits, local, gates_local = _local_head(
+            params, params.lstm_local.W_x.value[:, :H] @ lang.h, state.local, fixed_local, logits)
     return logits, DecoderState(lang, local, glob), (gates_lang, gates_local, gates_glob)
 
 
@@ -313,6 +328,20 @@ def _rows(feats: Sequence[PreparedFeatures]) -> PreparedFeatures:
     return out
 
 
+def _recur(unit: LstmParams, inputs: np.ndarray, prev: Optional[LstmState], fixed,
+           cols: list[slice], trace: Optional[LstmTrace], first: int):
+    """Run a unit over a block of steps from their input products (4H, .),
+    step k's at columns cols[k]: the last state, and every step's h at its
+    columns. trace records step first + k."""
+    h = np.empty((unit.hidden_dim, inputs.shape[1]), inputs.dtype)
+    for t, step in enumerate(cols, first):
+        prev, gates = lstm_step(unit, inputs[:, step], prev, fixed)
+        h[:, step] = prev.h
+        if trace is not None:
+            trace.record(t, prev, gates)
+    return prev, h
+
+
 def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
             feats: PreparedFeatures, keep_trace: bool = False) -> ForwardTrace:
     """Sum the target log-probs of <bos> + query + <eos> in float64, in step
@@ -321,38 +350,57 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
     and x_context per query, then dummy columns: the sum is (Q,), and only
     rows keep a trace's caches. Or they are N candidates that every query is
     scored against, sharing x_context (dim, 1): the sum is then (Q, N), or
-    (Q, 1) if no unit reads the box."""
+    (Q, 1) if no unit reads the box.
+
+    The units run one after another over blocks of steps whose query
+    columns fit MAX_PASS_COLUMNS, from the zero state. Each unit's input
+    products over a block are one matrix product, and so is W_global
+    h_global + r; the local unit, the W_local head and log_softmax run step
+    by step, so no (Q * N)-column array outlives its step."""
     per_row = feats.x_context.shape[1] > 1
     # the dummy columns of rows feed <eos> and count in no sum and no trace
     width = feats.x_context.shape[1] if per_row else len(queries)
     ids, live = _token_grid(queries, width)
     steps, rows = live.shape
-    fixed = _fix(params, config, feats)
-    state = initial_state(config, params.dtype,
-                          columns=(width, 1 if per_row else feats.x_box.shape[1]))
-    units = probs = None
+    H = config.hidden_dim
+    fixed_local, fixed_glob, r = _fix(params, config, feats)
+    units, probs = (None, None, None), None
     if keep_trace:
-        H, dtype = config.hidden_dim, params.dtype
-        units = tuple(None if skip else LstmTrace.zeros(steps, rows, H, dtype)
+        units = tuple(None if skip else LstmTrace.zeros(steps, rows, H, params.dtype)
                       for skip in (False, config.caption_mode, config.mask_context))
-        probs = np.zeros((steps, rows, config.vocab_size), dtype=dtype)
+        probs = np.zeros((steps, rows, config.vocab_size), dtype=params.dtype)
     total = np.float64(0.0)
     every_query = np.arange(width)
-    for t in range(steps):
-        logits, state, gates = _advance(params, config, params.E.value[:, ids[t]], state, fixed)
-        logp = log_softmax(logits)
-        # query q's targets are row ids[t + 1, q] of its columns
-        picked = logp.reshape(len(logp), width, -1)[ids[t + 1], every_query][:rows]
-        total = total + np.where(live[t][:, None], picked, 0.0)
-        if keep_trace:
-            for unit, unit_state, unit_gates in zip(units, vars(state).values(), gates):
-                if unit is not None:
-                    unit.record(t, unit_state, unit_gates)
-            probs[t] = np.exp(logp[:, :rows]).T
+    lang = local = glob = None
+    block = max(1, MAX_PASS_COLUMNS // width)
+    for first in range(0, steps, block):
+        cols = [slice(k * width, (k + 1) * width) for k in range(min(block, steps - first))]
+        words = params.E.value[:, ids[first:first + len(cols)].ravel()]
+        lang, h_lang = _recur(params.lstm_language, params.lstm_language.W_x.value @ words,
+                              lang, None, cols, units[0], first)
+        context = np.broadcast_to(r, (len(r), h_lang.shape[1]))
+        if not config.mask_context:
+            glob, h_glob = _recur(params.lstm_global, params.lstm_global.W_x.value[:, :H] @ h_lang,
+                                  glob, fixed_glob, cols, units[2], first)
+            context = params.W_global.value @ h_glob + r
+        local_in = None if config.caption_mode else params.lstm_local.W_x.value[:, :H] @ h_lang
+        for t, step in enumerate(cols, first):
+            logits = context[:, step]
+            if local_in is not None:
+                logits, local, gates = _local_head(params, local_in[:, step], local, fixed_local,
+                                                   logits)
+                if keep_trace:
+                    units[1].record(t, local, gates)
+            logp = log_softmax(logits)
+            # query q's targets are row ids[t + 1, q] of its columns
+            picked = logp.reshape(len(logp), width, -1)[ids[t + 1], every_query][:rows]
+            total = total + np.where(live[t][:, None], picked, 0.0)
+            if keep_trace:
+                probs[t] = np.exp(logp[:, :rows]).T
     fixed_rows = (np.concatenate([feats.x_box, feats.x_spatial])[:, :rows].T,
                   feats.x_context[:, :rows].T) if keep_trace else None
     return ForwardTrace([q + [EOS_ID] for q in queries], total[:, 0] if per_row else total,
-                        ids[:, :rows], live, units, fixed_rows, probs)
+                        ids[:, :rows], live, units if keep_trace else None, fixed_rows, probs)
 
 
 def forward_batch(params: ScrcParams, config: ScrcConfig, requests: Sequence[ScoreRequest],

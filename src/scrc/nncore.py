@@ -143,40 +143,50 @@ class LstmState:
         return cls(np.zeros(hidden_dim, dtype=dtype), np.zeros(hidden_dim, dtype=dtype))
 
 
-def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState,
+def lstm_step(params: LstmParams, x: np.ndarray, prev: Optional[LstmState],
               x_proj: Optional[np.ndarray] = None):
     """One forward step; returns the new state and the activated gates
-    (4H, ...), fused i, f, o, g along axis 0 as the weights are.
+    (4H, ...), fused i, f, o, g along axis 0 as the weights are. prev None
+    is the zero state: the step then skips W_h @ h and f * c, which would
+    add exactly zero.
 
-    x and the state are vectors, or query-major columns: x (input, Q) and
-    the state (H, Q * N), x's column q broadcasting over query q's N
-    columns. With x_proj, x holds only the leading input rows and x_proj the
-    rest's precomputed W_x columns @ input + b, for inputs fixed over a
-    sequence: its P columns (1, N or Q * N) repeat across the state's
-    columns.
+    Vectors: x is the input (input,) and the state (H,). Query-major
+    columns: x is the step's input product (4H, Q), W_x's leading columns @
+    the input, and the state is (H, Q * N), query q's N columns taking x's
+    column q. x_proj, by default b, is the rest of the pre-activation, for
+    inputs fixed over a sequence: W_x's other columns @ those inputs + b,
+    (4H, 1 or Q, 1 or N), broadcast over the gates viewed as (4H, Q, N).
     """
     hidden, input_dim = params.hidden_dim, params.input_dim
-    k = len(x) if x.ndim else 0
-    if x.ndim not in (1, 2) or not (k == input_dim if x_proj is None else 0 < k < input_dim):
-        raise ShapeError(f"lstm input: expected ({input_dim},), got {x.shape}")
-    if (prev.h.ndim != x.ndim or len(prev.h) != hidden or prev.c.shape != prev.h.shape
-            or (x.ndim == 2 and prev.h.shape[1] % x.shape[1])):
+    vector = x.shape == (input_dim,)
+    if not vector and not (x.ndim == 2 and len(x) == 4 * hidden):
+        raise ShapeError(f"lstm input: expected ({input_dim},) or ({4 * hidden}, Q), "
+                         f"got {x.shape}")
+    if prev is not None and (prev.h.ndim != x.ndim or len(prev.h) != hidden
+                             or prev.c.shape != prev.h.shape
+                             or (x.ndim == 2 and prev.h.shape[1] % x.shape[1])):
         raise ShapeError(
             f"lstm state: expected ({hidden},), got h {prev.h.shape} c {prev.c.shape}")
-    gates = params.W_h.value @ prev.h
-    if x_proj is None:
-        x_proj = params.b.value if gates.ndim == 1 else params.b.value[:, None]
-    if gates.ndim == 2:  # views of gates, which the matrix product made C-contiguous
-        gates.reshape(len(gates), x.shape[1], -1)[...] += (params.W_x.value[:, :k] @ x)[:, :, None]
-        gates.reshape(len(gates), -1, x_proj.shape[1])[...] += x_proj[:, None]
+    if vector:
+        x, x_proj = params.W_x.value @ x, params.b.value
     else:
-        gates += params.W_x.value[:, :k] @ x
-        gates += x_proj
+        x = x[:, :, None]
+        x_proj = params.b.value[:, None, None] if x_proj is None else x_proj
+    if prev is None:
+        gates = x + x_proj
+        if not vector:
+            gates = gates.reshape(len(gates), -1)
+    else:
+        gates = params.W_h.value @ prev.h
+        # a view of gates, which the matrix product made C-contiguous
+        view = gates if vector else gates.reshape(len(gates), x.shape[1], -1)
+        view += x
+        view += x_proj
     ifo, g = gates[:3 * hidden], gates[3 * hidden:]
     sigmoid(ifo, ifo)
     np.tanh(g, g)
     i, f, o = ifo[:hidden], ifo[hidden:2 * hidden], ifo[2 * hidden:]
-    c = f * prev.c + i * g
+    c = i * g if prev is None else f * prev.c + i * g
     h = o * np.tanh(c)
     return LstmState(h, c), gates
 
@@ -317,6 +327,7 @@ class SgdOptimizer:
         scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         for p, v in zip(self.params, self._velocity):
             v *= self.momentum
-            v -= (self.lr * scale) * p.grad
+            # the gradient is zeroed below, so it can hold lr * scale * g
+            v -= np.multiply(p.grad, self.lr * scale, out=p.grad)
             p.value += v
             p.grad[...] = 0.0

@@ -217,6 +217,19 @@ class TestTransfer:
         assert_error_exit(proc, f"{bad}: checkpoint: header: invalid JSON")
         assert not out.exists()
 
+    def test_checkpoint_header_without_vocab_names_file(self, pretrained, tmp_path):
+        data = pretrained.read_bytes()
+        hlen = struct.unpack("<I", data[12:16])[0]
+        header = json.loads(data[16:16 + hlen])
+        del header["vocab"]
+        hb = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "novocab.ckpt"
+        bad.write_bytes(data[:12] + struct.pack("<I", len(hb)) + hb + data[16 + hlen:])
+        out = tmp_path / "x.ckpt"
+        proc = run_cli_subprocess(["transfer", "--in", str(bad), "--out", str(out)])
+        assert_error_exit(proc, f"error: {bad}: checkpoint: header missing 'vocab'")
+        assert not out.exists()
+
     def test_rejects_full_mode_input(self, transferred, tmp_path):
         code, _, err = run_cli(["transfer", "--in", str(transferred),
                                 "--out", str(tmp_path / "x.ckpt")])

@@ -844,6 +844,61 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("spoil, refusal", [
+        (lambda d: b"WRONGMAG" + d[8:], "bad magic"),
+        (lambda d: d[:8] + struct.pack("<I", 2) + d[12:], "unsupported version 2"),
+        (lambda d: with_header(d, lambda h: h.pop("vocab")), "header missing 'vocab'"),
+        (lambda d: with_header(d, lambda h: h.update(format_version=2)),
+         "unsupported format_version 2"),
+        (lambda d: with_header(d, lambda h: h["vocab"].__setitem__(3, 7)),
+         "invalid header: vocabulary token 3 is not a string"),
+        (lambda d: with_header(d, lambda h: h.update(vocab=h["vocab"][:4])),
+         "vocabulary of 4 tokens"),
+        (lambda d: with_header(d, lambda h: h["config"].update(bogus=1)),
+         "unknown config key 'bogus'"),
+        (lambda d: d[:16] + b"x" + d[17:], "header: invalid JSON"),
+        (lambda d: with_records(d, lambda r: r.insert(1, r[0])), "duplicate tensor 'E'"),
+        (lambda d: with_records(d, lambda r: r.__setitem__(0, r[0][:4] + struct.pack("<I", 1)
+                                                          + r[0][8:])),
+         "tensor 'E' has shape (1,"),
+        (lambda d: with_records(d, lambda r: r.__setitem__(-1, r[-1][:8] + struct.pack("<f", np.nan)
+                                                           + r[-1][12:])),
+         "tensor 'r' holds non-finite values"),
+        (lambda d: with_records(d, lambda r: r.pop()), "tensor names do not match"),
+        (lambda d: with_records(d, lambda r: r.__setitem__(0, r[0][:2] + b"\xff" + r[0][3:])),
+         "invalid UTF-8 at byte"),
+        (lambda d: d[:-11], "truncated at byte"),
+        (lambda d: d + b"\0", "1 trailing bytes"),
+    ], ids=["magic", "version", "no vocab", "format_version", "token type", "vocab size",
+            "unknown config key", "header JSON", "duplicate tensor", "tensor shape",
+            "non-finite tensor", "tensor names", "tensor name UTF-8", "truncated", "trailing"])
+    def test_every_refusal_starts_with_the_path(self, tmp_path, spoil, refusal):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        path.write_bytes(spoil(path.read_bytes()))
+        with pytest.raises((FormatError, ConfigError)) as err:
+            load_checkpoint(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}: checkpoint: ") and refusal in message, message
+        assert message.count(str(path)) == 1, message
+
+
+def with_header(data: bytes, edit) -> bytes:
+    """A checkpoint's bytes with edit applied to its parsed JSON header."""
+    hlen = struct.unpack("<I", data[12:16])[0]
+    header = json.loads(data[16:16 + hlen])
+    edit(header)
+    hb = json.dumps(header).encode("utf-8")
+    return data[:12] + struct.pack("<I", len(hb)) + hb + data[16 + hlen:]
+
+
+def with_records(data: bytes, edit) -> bytes:
+    """A checkpoint's bytes with edit applied to its list of tensor records."""
+    prefix, records = split_checkpoint(data)
+    edit(records)
+    return prefix + struct.pack("<I", len(records)) + b"".join(records)
+
 
 def split_checkpoint(data: bytes):
     """(the bytes before the tensor count, one bytes object per tensor record)."""

@@ -147,6 +147,26 @@ class TestLstmStep:
         with pytest.raises(ShapeError):
             lstm_step(p, np.zeros(5), LstmState.zeros(3, np.float64))
 
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_zero_state_equals_explicit_zeros_bitwise(self, dtype):
+        """prev None skips W_h @ h and f * c; both add exactly zero."""
+        rng = make_rng(8)
+        p = LstmParams.init("u", 5, 4, rng, radius=0.9, dtype=dtype)
+        p.b.value[...] = rng.normal(size=20)
+
+        def assert_same_bits(x, zeros, x_proj=None):
+            (got, got_gates), (want, want_gates) = (lstm_step(p, x, prev, x_proj)
+                                                    for prev in (None, zeros))
+            for a, b in ((got.h, want.h), (got.c, want.c), (got_gates, want_gates)):
+                assert a.dtype == dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        assert_same_bits(rng.normal(size=4).astype(dtype), LstmState.zeros(5, dtype))
+        # columns: the input product of 3 queries, with each layout of x_proj
+        x_in = p.W_x.value @ rng.normal(size=(4, 3)).astype(dtype)
+        for x_proj, width in ((None, 3), (rng.normal(size=(20, 3, 1)).astype(dtype), 3),
+                              (rng.normal(size=(20, 1, 2)).astype(dtype), 6)):
+            assert_same_bits(x_in, LstmState.zeros((5, width), dtype), x_proj)
+
 
 class TestLstmBackward:
     def test_zero_upstream(self):

@@ -70,6 +70,8 @@ def test_permuting_queries_permutes_rows():
 @pytest.mark.parametrize("columns", (1, 4, 7))
 @pytest.mark.parametrize("candidates", (1, 2, 5))
 def test_chunked_passes_equal_one_pass(monkeypatch, columns, candidates):
+    """Query chunks, and the blocks of steps within each pass, which the
+    same bound sizes, give the scores of one pass of one block."""
     config = small_config()
     rng = make_rng(43)
     params = random_params(config, rng)
