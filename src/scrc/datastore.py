@@ -97,9 +97,12 @@ def _atomic_write(path):
         with open(tmp, "wb") as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            # name the file the caller asked for, not the temp file
+            raise OSError(e.errno, e.strerror, path) from e
         raise
 
 

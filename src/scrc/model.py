@@ -1,11 +1,12 @@
 """The retrieval scorer: word-sequence likelihood conditioned on a region
 descriptor, its spatial layout, and whole-image context.
 
-Three LSTM units run in lockstep over the token sequence. A language unit
-consumes the embedded words; at every step a local unit consumes
-[language state, region feature, spatial descriptor] and a global unit
-consumes [language state, context feature]. A linear two-branch head turns
-their states into next-word logits:
+Three LSTM units run over the token sequence. A language unit consumes the
+embedded words; at every step a local unit consumes [language state, region
+feature, spatial descriptor] and a global unit consumes [language state,
+context feature]. The units run one after another over a block of steps,
+the language unit first. A linear two-branch head turns their states into
+next-word logits:
 
     logits_t = W_local h_local_t + W_global h_global_t + r
 
@@ -145,21 +146,16 @@ class PreparedFeatures:
 
 @dataclass
 class DecoderState:
-    lang: LstmState
-    local: LstmState
-    glob: LstmState
+    """Each unit's state; None is the zero state."""
+
+    lang: Optional[LstmState]
+    local: Optional[LstmState]
+    glob: Optional[LstmState]
 
 
-def initial_state(config: ScrcConfig, dtype=np.float32,
-                  columns: Optional[tuple] = None) -> DecoderState:
-    """All-zero (H,) vectors; or columns (Q, N): Q per language and global
-    unit, Q * N local."""
-    H = config.hidden_dim
-    shared = local = (H,)
-    if columns is not None:
-        shared, local = (H, columns[0]), (H, columns[0] * columns[1])
-    return DecoderState(LstmState.zeros(shared, dtype), LstmState.zeros(local, dtype),
-                        LstmState.zeros(shared, dtype))
+def initial_state(config: ScrcConfig, dtype=np.float32) -> DecoderState:
+    """All-zero (H,) vectors."""
+    return DecoderState(*(LstmState.zeros(config.hidden_dim, dtype) for _ in range(3)))
 
 
 def prepare_features(config: ScrcConfig, x_box, x_context, x_spatial,
@@ -246,55 +242,19 @@ def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures):
     return local, glob, params.r.value[:, None]
 
 
-def _local_head(params: ScrcParams, x_local: np.ndarray, prev: Optional[LstmState],
-                fixed_local: np.ndarray, context: np.ndarray):
-    """The local unit's step from its input product, and the head: logits
-    (V, Q * N), W_local h_local plus the context term W_global h_global + r
-    (V, Q or 1), whose query column broadcasts over its candidates; the new
-    state and the gates."""
-    local, gates = lstm_step(params.lstm_local, x_local, prev, fixed_local)
-    logits = params.W_local.value @ local.h
-    logits.reshape(len(logits), context.shape[1], -1)[...] += context[:, :, None]
-    return logits, local, gates
-
-
-def _advance(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
-             state: DecoderState, fixed: tuple):
-    """The decoder core's step: logits, new state and each unit's gates (None
-    if skipped). The language and global units run one column per query, row
-    or beam, and the local unit one per (query, candidate), query-major, or
-    per row or beam; logits are (V, Q * N), or (V, Q) without the local unit."""
-    fixed_local, fixed_glob, r = fixed
-    H = config.hidden_dim
-    lang, gates_lang = lstm_step(params.lstm_language, params.lstm_language.W_x.value @ x_word,
-                                 state.lang)
-    glob, gates_glob, logits = state.glob, None, r
-    if not config.mask_context:
-        glob, gates_glob = lstm_step(params.lstm_global,
-                                     params.lstm_global.W_x.value[:, :H] @ lang.h, state.glob,
-                                     fixed_glob)
-        logits = params.W_global.value @ glob.h + r
-    local, gates_local = state.local, None
-    if not config.caption_mode:
-        logits, local, gates_local = _local_head(
-            params, params.lstm_local.W_x.value[:, :H] @ lang.h, state.local, fixed_local, logits)
-    return logits, DecoderState(lang, local, glob), (gates_lang, gates_local, gates_glob)
-
-
 def step_logits(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
                 state: DecoderState, feats: PreparedFeatures):
     """Advance one step from vectors: next-word logits and the updated
-    decoder state. The step runs as a row of ROW_BLOCK columns, as
-    sequence_log_prob's steps do."""
+    decoder state. The step runs as a one-step block of ROW_BLOCK columns,
+    as sequence_log_prob's steps do."""
     def row(v):
         return np.repeat(v[:, None], ROW_BLOCK, axis=1)
 
     fixed = _fix(params, config, PreparedFeatures(*map(row, vars(feats).values())))
-    state = DecoderState(*(LstmState(row(s.h), row(s.c))
-                           for s in (state.lang, state.local, state.glob)))
-    logits, state, _ = _advance(params, config, row(x_word), state, fixed)
+    state = DecoderState(*(LstmState(row(s.h), row(s.c)) for s in vars(state).values()))
+    (logits,) = _block(params, config, row(x_word), ROW_BLOCK, fixed, state)
     return logits[:, 0], DecoderState(*(LstmState(s.h[:, 0], s.c[:, 0])
-                                        for s in (state.lang, state.local, state.glob)))
+                                        for s in vars(state).values()))
 
 
 def _check_query(config: ScrcConfig, query: Sequence[int]) -> list[int]:
@@ -342,6 +302,41 @@ def _recur(unit: LstmParams, inputs: np.ndarray, prev: Optional[LstmState], fixe
     return prev, h
 
 
+def _block(params: ScrcParams, config: ScrcConfig, words: np.ndarray, width: int,
+           fixed: tuple, state: DecoderState, units=(None,) * 3, first: int = 0):
+    """Run a block of steps from their embedded words (E, k * width), step
+    k's at columns k * width onward: one column per query, row or beam. Yield
+    each step's logits, (V, width * N) with N candidates per query when
+    scoring, or (V, width) without the local unit. state, whose None fields
+    are zero states, advances in place; units' traces record steps first on.
+    Each unit's input products over the block are one matrix product, as is
+    W_global h_global + r; the local unit and the W_local head run step by
+    step, so no (Q * N)-column array outlives its step."""
+    fixed_local, fixed_glob, r = fixed
+    H = config.hidden_dim
+    cols = [slice(k * width, (k + 1) * width) for k in range(words.shape[1] // width)]
+    state.lang, h_lang = _recur(params.lstm_language, params.lstm_language.W_x.value @ words,
+                                state.lang, None, cols, units[0], first)
+    context = np.broadcast_to(r, (len(r), h_lang.shape[1]))
+    if not config.mask_context:
+        state.glob, h_glob = _recur(params.lstm_global,
+                                    params.lstm_global.W_x.value[:, :H] @ h_lang, state.glob,
+                                    fixed_glob, cols, units[2], first)
+        context = params.W_global.value @ h_glob + r
+    local_in = None if config.caption_mode else params.lstm_local.W_x.value[:, :H] @ h_lang
+    for t, step in enumerate(cols, first):
+        logits = context[:, step]
+        if local_in is not None:
+            state.local, gates = lstm_step(params.lstm_local, local_in[:, step], state.local,
+                                           fixed_local)
+            if units[1] is not None:
+                units[1].record(t, state.local, gates)
+            # a query's context column broadcasts over its candidates
+            logits = params.W_local.value @ state.local.h
+            logits.reshape(len(logits), width, -1)[...] += context[:, step, None]
+        yield logits
+
+
 def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
             feats: PreparedFeatures, keep_trace: bool = False) -> ForwardTrace:
     """Sum the target log-probs of <bos> + query + <eos> in float64, in step
@@ -352,45 +347,28 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
     scored against, sharing x_context (dim, 1): the sum is then (Q, N), or
     (Q, 1) if no unit reads the box.
 
-    The units run one after another over blocks of steps whose query
-    columns fit MAX_PASS_COLUMNS, from the zero state. Each unit's input
-    products over a block are one matrix product, and so is W_global
-    h_global + r; the local unit, the W_local head and log_softmax run step
-    by step, so no (Q * N)-column array outlives its step."""
+    The steps run in _blocks whose query columns fit MAX_PASS_COLUMNS, from
+    the zero state."""
     per_row = feats.x_context.shape[1] > 1
     # the dummy columns of rows feed <eos> and count in no sum and no trace
     width = feats.x_context.shape[1] if per_row else len(queries)
     ids, live = _token_grid(queries, width)
     steps, rows = live.shape
-    H = config.hidden_dim
-    fixed_local, fixed_glob, r = _fix(params, config, feats)
+    fixed = _fix(params, config, feats)
     units, probs = (None, None, None), None
     if keep_trace:
-        units = tuple(None if skip else LstmTrace.zeros(steps, rows, H, params.dtype)
+        units = tuple(None if skip else LstmTrace.zeros(steps, rows, config.hidden_dim,
+                                                        params.dtype)
                       for skip in (False, config.caption_mode, config.mask_context))
         probs = np.zeros((steps, rows, config.vocab_size), dtype=params.dtype)
     total = np.float64(0.0)
     every_query = np.arange(width)
-    lang = local = glob = None
+    state = DecoderState(None, None, None)
     block = max(1, MAX_PASS_COLUMNS // width)
     for first in range(0, steps, block):
-        cols = [slice(k * width, (k + 1) * width) for k in range(min(block, steps - first))]
-        words = params.E.value[:, ids[first:first + len(cols)].ravel()]
-        lang, h_lang = _recur(params.lstm_language, params.lstm_language.W_x.value @ words,
-                              lang, None, cols, units[0], first)
-        context = np.broadcast_to(r, (len(r), h_lang.shape[1]))
-        if not config.mask_context:
-            glob, h_glob = _recur(params.lstm_global, params.lstm_global.W_x.value[:, :H] @ h_lang,
-                                  glob, fixed_glob, cols, units[2], first)
-            context = params.W_global.value @ h_glob + r
-        local_in = None if config.caption_mode else params.lstm_local.W_x.value[:, :H] @ h_lang
-        for t, step in enumerate(cols, first):
-            logits = context[:, step]
-            if local_in is not None:
-                logits, local, gates = _local_head(params, local_in[:, step], local, fixed_local,
-                                                   logits)
-                if keep_trace:
-                    units[1].record(t, local, gates)
+        words = params.E.value[:, ids[first:min(first + block, steps)].ravel()]
+        for t, logits in enumerate(_block(params, config, words, width, fixed, state, units,
+                                          first), first):
             logp = log_softmax(logits)
             # query q's targets are row ids[t + 1, q] of its columns
             picked = logp.reshape(len(logp), width, -1)[ids[t + 1], every_query][:rows]
@@ -430,6 +408,9 @@ def forward_trace(params: ScrcParams, config: ScrcConfig, request: ScoreRequest)
 # generating. An image with more is scored in query chunks, so memory does not
 # grow with its query count; a wider beam is refused.
 MAX_PASS_COLUMNS = 1024
+# Tokens of a generated description before the forced <eos>: each is a decoder
+# step, so an unbounded max_len could run without end.
+MAX_GENERATE_LEN = 1024
 
 
 def score_candidates(params: ScrcParams, config: ScrcConfig,
@@ -555,22 +536,22 @@ def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_contex
     """
     if not 1 <= beam_width <= MAX_PASS_COLUMNS:
         raise InputError(f"beam_width must be from 1 to {MAX_PASS_COLUMNS}, got {beam_width}")
-    if max_len < 1:
-        raise InputError(f"max_len must be >= 1, got {max_len}")
+    if not 1 <= max_len <= MAX_GENERATE_LEN:
+        raise InputError(f"max_len must be from 1 to {MAX_GENERATE_LEN}, got {max_len}")
     params.check_config(config)
     feats = prepare_features(config, x_box, x_context, x_spatial, dtype=params.dtype)
     fixed = _fix(params, config, PreparedFeatures(feats.x_box[:, None], feats.x_spatial[:, None],
                                                   feats.x_context[:, None]))
-    state = initial_state(config, params.dtype, columns=(1, 1))
+    state = DecoderState(None, None, None)
     content = np.array([t for t in range(config.vocab_size) if t != BOS_ID])
     beams = [(0.0, (), 0, BOS_ID)]  # (log-prob, tokens, parent column, last token)
     finished: list[tuple[float, tuple[int, ...]]] = []
     while beams:
         parents = [b[2] for b in beams]
-        state = DecoderState(*(LstmState(s.h[:, parents], s.c[:, parents])
-                               for s in (state.lang, state.local, state.glob)))
-        logits, state, _ = _advance(params, config, params.E.value[:, [b[3] for b in beams]],
-                                    state, fixed)
+        state = DecoderState(*(None if s is None else LstmState(s.h[:, parents], s.c[:, parents])
+                               for s in vars(state).values()))
+        (logits,) = _block(params, config, params.E.value[:, [b[3] for b in beams]], len(beams),
+                           fixed, state)
         choices = content if len(beams[0][1]) < max_len else np.array([EOS_ID])
         totals = (np.array([b[0] for b in beams])[:, None]
                   + log_softmax(logits).T[:, choices]).ravel()

@@ -38,16 +38,21 @@ def run_json(argv):
     return json.loads(out)
 
 
-def run_cli_subprocess(argv, preexec_fn=None):
-    """Invoke the CLI in a subprocess, so that an uncaught exception shows as a
-    traceback on stderr; returns the CompletedProcess. preexec_fn runs in the
-    child before the CLI starts."""
+def run_python(args, preexec_fn=None):
+    """Run python with args, the package under test importable; returns the
+    CompletedProcess. preexec_fn runs in the child before python starts."""
     src = str(Path(scrc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from scrc.cli import main; sys.exit(main())",
-         *argv], env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=preexec_fn)
+
+
+def run_cli_subprocess(argv, preexec_fn=None):
+    """Invoke the CLI in a subprocess, so that an uncaught exception shows as a
+    traceback on stderr; returns the CompletedProcess."""
+    return run_python(["-c", "import sys; from scrc.cli import main; sys.exit(main())", *argv],
+                      preexec_fn)
 
 
 def assert_error_exit(proc, *fragments):
@@ -118,6 +123,33 @@ class TestSynth:
                       "--images", "4"])
         assert m["images"] == 4
         assert m["annotations"] == 16
+
+
+def test_module_run_prints_usage():
+    proc = run_python(["-m", "scrc.cli", "--help"])
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: ")
+
+
+class TestWriteErrors:
+    """A failed write names the path asked for, not the temp file behind it."""
+
+    def test_checkpoint_into_missing_directory(self, synth_dir, tmp_path):
+        out = tmp_path / "nodir" / "x.ckpt"
+        code, _, err = run_cli([
+            "pretrain", "--captions", str(synth_dir / "captions.jsonl"),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--config", str(synth_dir / "config.json"), "--out", str(out), "--steps", "1"])
+        assert code == 1
+        assert err.startswith("error: ") and err.endswith(f": '{out}'\n")
+
+    def test_feature_store_over_directory(self, tmp_path):
+        (tmp_path / "region_features.bin").mkdir()
+        code, _, err = run_cli(["synth", "--out-dir", str(tmp_path), "--images", "1"])
+        assert code == 1
+        assert err.startswith("error: ")
+        assert err.endswith(f": '{tmp_path / 'region_features.bin'}'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["region_features.bin"]
 
 
 class TestPretrain:
@@ -691,6 +723,15 @@ class TestGenerate:
             "--height", "240", "--region-features", str(synth_dir / "region_features.bin"),
             "--context-features", str(synth_dir / "context_features.bin"), "--beam", "1025"])
         assert_error_exit(proc, "beam_width must be from 1 to 1024, got 1025")
+
+    def test_max_len_above_bound_exit_1(self, synth_dir, finetuned):
+        proc = run_cli_subprocess([
+            "generate", "--model", str(finetuned), "--region-key", "img00:left",
+            "--image-id", "img00", "--box", "20,90,100,150", "--width", "320",
+            "--height", "240", "--region-features", str(synth_dir / "region_features.bin"),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--max-len", "1000000000000"])
+        assert_error_exit(proc, "max_len must be from 1 to 1024, got 1000000000000")
 
     def test_bad_box_rejected(self, synth_dir, finetuned):
         code, _, err = run_cli(["generate", "--model", str(finetuned),

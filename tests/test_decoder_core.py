@@ -10,9 +10,8 @@ import scrc.model
 from scrc.datastore import load_checkpoint, save_checkpoint
 from scrc.errors import InputError, ShapeError
 from scrc.model import (MAX_PASS_COLUMNS, ROW_BLOCK, ScoreRequest, ScrcConfig, ScrcParams,
-                        _advance, _fix, _rows, forward_batch, generate_description,
-                        initial_state, prepare_features, score_candidates, sequence_log_prob,
-                        step_logits)
+                        forward_batch, generate_description, initial_state, prepare_features,
+                        score_candidates, sequence_log_prob, step_logits)
 from scrc.nncore import SgdOptimizer, log_softmax, make_rng
 from scrc.textproc import BOS_ID, EOS_ID, build_vocab
 
@@ -99,70 +98,30 @@ def random_rows(rng, config, count):
             for _ in range(count)]
 
 
-def advance_walk(params, config, requests):
-    """forward_batch's pass stepped through _advance, every unit at every step
-    from explicit zero states: per step, the log-probs (V, width) and each
-    unit's state and gates (None for a skipped unit)."""
-    feats = _rows([prepare_features(config, r.x_box, r.x_context, r.x_spatial, params.dtype)
-                   for r in requests])
-    width = feats.x_context.shape[1]
-    ids = np.full((max(len(r.query) for r in requests) + 2, width), EOS_ID)
-    ids[0] = BOS_ID
-    for b, r in enumerate(requests):
-        ids[1:len(r.query) + 1, b] = r.query
-    fixed = _fix(params, config, feats)
-    state = initial_state(config, params.dtype, columns=(width, 1))
-    walk = []
-    for t in range(len(ids) - 1):
-        logits, state, gates = _advance(params, config, params.E.value[:, ids[t]], state, fixed)
-        walk.append((log_softmax(logits), vars(state).values(), gates))
-    return walk
-
-
+@pytest.mark.parametrize("count", (3, ROW_BLOCK, ROW_BLOCK + 5))
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
-def test_trace_equals_step_major_walk_bitwise_in_float32(mode):
-    """The unit-by-unit schedule, with its step blocks, hoisted input
-    products and step-0 skip, gives the step-major core's bits on rows."""
-    config = small_config(**mode)
-    rng = make_rng(46)
-    params = random_params(config, rng, np.float32)
-    for count in (3, ROW_BLOCK, ROW_BLOCK + 5):
-        requests = random_rows(rng, config, count)
-        trace = forward_batch(params, config, requests)
-        walk = advance_walk(params, config, requests)
-        assert len(walk) == len(trace.live)
-        total = np.float64(0.0)
-        for t, (logp, states, gates) in enumerate(walk):
-            assert np.exp(logp[:, :count]).T.tobytes() == trace.probs[t].tobytes()
-            for unit, state, unit_gates in zip(trace.units, states, gates):
-                assert (unit is None) == (unit_gates is None)
-                if unit is not None:
-                    assert unit_gates.T[:count].tobytes() == unit.gates[t].tobytes()
-                    assert state.h.T[:count].tobytes() == unit.h[t + 1].tobytes()
-                    assert state.c.T[:count].tobytes() == unit.c[t + 1].tobytes()
-            picked = logp[trace.ids[t + 1], np.arange(count)]
-            total = total + np.where(trace.live[t], picked, 0.0)
-        assert total.tobytes() == trace.log_probs.tobytes()
-
-
 @pytest.mark.parametrize("columns", (1, 4, 7, 2 * ROW_BLOCK + 3))
 @pytest.mark.parametrize("dtype", (np.float32, np.float64))
-def test_step_blocks_equal_one_block_on_rows(monkeypatch, columns, dtype):
+def test_step_blocks_equal_one_block_on_rows(monkeypatch, columns, dtype, mode, count):
     """A pass of rows split into blocks of steps, as MAX_PASS_COLUMNS bounds
-    them, gives the unblocked trace bit for bit. (Score groups: see
+    them, gives the unblocked trace bit for bit: every step's probs, every
+    unit's gates and states, and the log-probs. With one column, every
+    block is one step, as in beam search. (Score groups: see
     test_score_image.py::test_chunked_passes_equal_one_pass.)"""
-    config = small_config()
+    config = small_config(**mode)
     rng = make_rng(47)
-    params = ScrcParams.init(config, rng, radius=0.9, dtype=dtype)
-    requests = random_rows(rng, config, ROW_BLOCK + 5)
+    params = random_params(config, rng, dtype)
+    requests = random_rows(rng, config, count)
     whole = forward_batch(params, config, requests)
     monkeypatch.setattr(scrc.model, "MAX_PASS_COLUMNS", columns)
     blocked = forward_batch(params, config, requests)
     for name in ("log_probs", "probs"):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
     for unit, unit_whole in zip(blocked.units, whole.units):
-        for a, b in zip(vars(unit).values(), vars(unit_whole).values()):
-            assert a.tobytes() == b.tobytes()
+        assert (unit is None) == (unit_whole is None)
+        if unit is not None:
+            for a, b in zip(vars(unit).values(), vars(unit_whole).values()):
+                assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("candidates", (1, 5, 40))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from scrc.errors import ConfigError, ContractError, InputError, ShapeError
-from scrc.model import (MAX_PASS_COLUMNS, ScoreRequest, ScrcConfig, ScrcParams, backward,
-                        forward_batch, forward_trace, generate_description, initial_state, prepare_features,
-                        score_candidates, sequence_log_prob, step_logits)
+from scrc.model import (MAX_GENERATE_LEN, MAX_PASS_COLUMNS, ScoreRequest, ScrcConfig,
+                        ScrcParams, backward, forward_batch, forward_trace, generate_description,
+                        initial_state, prepare_features, score_candidates, sequence_log_prob,
+                        step_logits)
 from scrc.nncore import log_softmax, make_rng, softmax
 from scrc.textproc import BOS_ID, EOS_ID
 
@@ -428,6 +429,15 @@ class TestGenerate:
         with pytest.raises(InputError):
             generate_description(params, config, np.zeros(3), np.zeros(3), np.zeros(8),
                                  beam_width=2, max_len=0)
+
+    def test_max_len_bounded(self):
+        config = tiny_config()
+        params = ScrcParams(config)
+        args = (params, config, np.zeros(3), np.zeros(3), np.zeros(8), 2)
+        with pytest.raises(InputError, match=f"max_len must be from 1 to {MAX_GENERATE_LEN}, "
+                                             f"got {MAX_GENERATE_LEN + 1}"):
+            generate_description(*args, max_len=MAX_GENERATE_LEN + 1)
+        assert generate_description(*args, max_len=MAX_GENERATE_LEN)[0] == []
 
 
 class TestConfig:
