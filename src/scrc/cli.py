@@ -47,13 +47,9 @@ def _emit(obj):
 
 
 def _load_config_file(path) -> dict:
-    with open(path, "rb") as f:
+    with open(path, "rb", opener=datastore.open_regular) as f:
         raw = datastore.json_object(f.read(), str(path), ConfigError)
-    for key in raw:
-        if key not in _SETTINGS:
-            raise ConfigError(f"{path}: unknown config key {key!r}")
-    return {key: datastore.json_value(value, _SETTINGS[key][0], f"{path}: key {key!r}",
-                                      ConfigError) for key, value in raw.items()}
+    return datastore.json_settings(raw, {k: kind for k, (kind, _) in _SETTINGS.items()}, str(path))
 
 
 def _resolve_config(args, phase: str):
@@ -73,16 +69,23 @@ def _resolve_config(args, phase: str):
     return values, explicit
 
 
+def _records(loader, path) -> list:
+    """The records of a JSON-lines file, of which a command needs at least one."""
+    if not (records := loader(path)):
+        raise InputError(f"{path}: no records")
+    return records
+
+
 def _fields(cls, values: dict) -> dict:
     """The settings that are fields of the dataclass cls."""
     return {f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values}
 
 
-def _check_feat_dim(config: ScrcConfig, store: datastore.FeatureStore, name: str):
-    if store.dim != config.feat_dim:
-        raise ConfigError(
-            f"{name} store has dim {store.dim} but the model expects feat_dim "
-            f"{config.feat_dim}")
+def _check_feat_dim(config: ScrcConfig, *stores: datastore.FeatureStore):
+    for store in stores:
+        if store.dim != config.feat_dim:
+            raise ConfigError(f"{store.where} has dim {store.dim} but the model expects "
+                              f"feat_dim {config.feat_dim}")
 
 
 def _add_config_flags(p: argparse.ArgumentParser, masks: bool = False):
@@ -165,13 +168,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pretrain(args) -> int:
     values, _ = _resolve_config(args, "pretrain")
-    captions = datastore.load_captions(args.captions)
+    captions = _records(datastore.load_captions, args.captions)
     context_store = datastore.load_feature_store(args.context_features)
     vocab = build_vocab((c for rec in captions for c in rec.captions),
                         min_count=values["min_count"])
     config = ScrcConfig(vocab_size=len(vocab), caption_mode=True,
                         **{key: values[key] for key in _DIM_KEYS})
-    _check_feat_dim(config, context_store, "context feature")
+    _check_feat_dim(config, context_store)
     params = ScrcParams.init(config, make_rng(values["seed"]))
     report = pretrain_captioning(params, config, captions, context_store, vocab,
                                  TrainConfig(**_fields(TrainConfig, values)))
@@ -193,7 +196,7 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_finetune(args) -> int:
     values, explicit = _resolve_config(args, "finetune")
-    records = datastore.load_annotations(args.annotations)
+    records = _records(datastore.load_annotations, args.annotations)
     region_store = datastore.load_feature_store(args.region_features)
     context_store = datastore.load_feature_store(args.context_features)
 
@@ -219,8 +222,7 @@ def _cmd_finetune(args) -> int:
         config = config.replace(mask_spatial=values["mask_spatial"],
                                 mask_context=values["mask_context"])
 
-    _check_feat_dim(config, region_store, "region feature")
-    _check_feat_dim(config, context_store, "context feature")
+    _check_feat_dim(config, region_store, context_store)
     tuples = datastore.build_training_tuples(records, region_store, context_store, vocab)
     report = finetune_retrieval(params, config, tuples, region_store, context_store,
                                 TrainConfig(**_fields(TrainConfig, values)))
@@ -233,8 +235,7 @@ def _load_scorer(args):
     params, config, vocab = datastore.load_checkpoint(args.model)
     stores = [datastore.load_feature_store(args.region_features),
               datastore.load_feature_store(args.context_features)]
-    for store, name in zip(stores, ("region feature", "context feature")):
-        _check_feat_dim(config, store, name)
+    _check_feat_dim(config, *stores)
     return (params, config, vocab, *stores)
 
 
@@ -264,10 +265,9 @@ def _cmd_retrieve(args) -> int:
     params, config, vocab, region_store, context_store = _load_scorer(args)
     if args.top_k < 1:
         raise InputError(f"--top-k must be >= 1, got {args.top_k}")
-    by_image = {p.image_id: p for p in datastore.load_proposals(args.proposals)}
-    if args.image_id not in by_image:
-        raise InputError(f"image {args.image_id!r} not present in proposals")
-    pset = by_image[args.image_id]
+    pset = {p.image_id: p for p in datastore.load_proposals(args.proposals)}.get(args.image_id)
+    if pset is None:
+        raise InputError(f"{args.proposals}: no proposals for image {args.image_id!r}")
     _note_truncation(pset)
     query_ids = encode_nonempty(vocab, args.query, "query")
     inputs = _candidate_inputs(pset, ImageSize(args.width, args.height), region_store,
@@ -282,7 +282,7 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_eval(args) -> int:
     params, config, vocab, region_store, context_store = _load_scorer(args)
-    records = datastore.load_annotations(args.annotations)
+    records = _records(datastore.load_annotations, args.annotations)
 
     by_image: dict[str, list[datastore.AnnotationRecord]] = {}
     for rec in records:
@@ -304,7 +304,7 @@ def _cmd_eval(args) -> int:
             cands = datastore.ProposalSet(image_id, np.array([r.box.as_list() for r in recs]),
                                           [r.region_key for r in recs])
         elif image_id not in by_pset:
-            raise InputError(f"image {image_id!r} not present in proposals")
+            raise InputError(f"{args.proposals}: no proposals for image {image_id!r}")
         else:
             cands = by_pset[image_id]
             _note_truncation(cands)
@@ -354,10 +354,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.images < 1:
-        raise InputError(f"--images must be >= 1, got {args.images}")
-    manifest = synth.generate_dataset(Path(args.out_dir), args.seed, n_images=args.images)
-    _emit(manifest)
+    _emit(synth.generate_dataset(Path(args.out_dir), args.seed, n_images=args.images))
     return 0
 
 

@@ -56,6 +56,8 @@ _KEY_LEN = struct.Struct("<H")
 class FeatureStore:
     """Map from UTF-8 keys to fixed-dimension float32 feature vectors."""
 
+    where = "feature store"  # how errors name it; load_feature_store puts its path first
+
     def __init__(self, dim: int):
         if dim <= 0:
             raise InputError(f"feature dimension must be positive, got {dim}")
@@ -76,10 +78,7 @@ class FeatureStore:
         try:
             return self.entries[key]
         except KeyError:
-            raise InputError(f"feature key not found: {key!r}") from None
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
+            raise InputError(f"{self.where}: key {key!r} not found") from None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -119,22 +118,23 @@ def save_feature_store(store: FeatureStore, path):
             f.write(vec.astype("<f4", copy=False).tobytes())
 
 
-def _open_nonblocking(path, flags):
-    # open() of a FIFO with no writer would wait for one; _Cursor refuses it
-    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
+def open_regular(path, flags):
+    """Every input file's opener: it never waits (a FIFO would) and admits only a regular file."""
+    fd = os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise InputError(f"{path}: not a regular file")
+    return fd
 
 
 class _Cursor:
-    """Reads an open regular file front to back. Every read is checked
-    against the file's size first, so a truncation raises FormatError naming
-    its byte offset before anything is read or allocated."""
+    """Reads a file opened by open_regular front to back. Every read is
+    checked against the file's size first, so a truncation raises FormatError
+    naming its byte offset before anything is read or allocated."""
 
     def __init__(self, f, what: str):
-        st = os.fstat(f.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise InputError(f"{f.name}: not a regular file")
         self.f = f
-        self.size = st.st_size
+        self.size = os.fstat(f.fileno()).st_size
         self.off = 0
         self.what = what
 
@@ -184,6 +184,15 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def magic(self, magic: bytes):
+        """Reads and checks the magic and u32 format version that start the file."""
+        got = self.take(len(magic))
+        if got != magic:
+            raise FormatError(f"{self.what}: bad magic {got!r} at byte 0")
+        (version,) = self.unpack("<I")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{self.what}: unsupported version {version} at byte {len(magic)}")
+
     def done(self):
         if self.left():
             raise FormatError(f"{self.what}: {self.left()} trailing bytes at byte {self.off}")
@@ -208,9 +217,9 @@ def _read_entries(cur: _Cursor, keys: dict[str, np.ndarray], matrix: np.ndarray)
         try:
             key = raw.decode("utf-8")
         except UnicodeDecodeError as e:
-            raise FormatError(f"feature store: invalid UTF-8 at byte {key_off + e.start}") from None
+            raise FormatError(f"{cur.what}: invalid UTF-8 at byte {key_off + e.start}") from None
         if key in keys:
-            raise FormatError(f"feature store: duplicate key {key!r} at byte {off}")
+            raise FormatError(f"{cur.what}: duplicate key {key!r} at byte {off}")
         off = key_off + klen
         if off + vec > size or f.readinto(rows[i * vec:(i + 1) * vec]) != vec:
             cur.fail(off, vec)
@@ -222,22 +231,20 @@ def _read_entries(cur: _Cursor, keys: dict[str, np.ndarray], matrix: np.ndarray)
 
 
 def load_feature_store(path) -> FeatureStore:
-    with open(path, "rb", buffering=FEATURE_CHUNK_BYTES, opener=_open_nonblocking) as f:
-        cur = _Cursor(f, "feature store")
-        magic = cur.take(len(FEATURE_MAGIC))
-        if magic != FEATURE_MAGIC:
-            raise FormatError(f"feature store: bad magic {magic!r} at byte 0")
-        version, dim, count = cur.unpack("<III")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"feature store: unsupported version {version} at byte 8")
+    where = f"{path}: feature store"
+    with open(path, "rb", buffering=FEATURE_CHUNK_BYTES, opener=open_regular) as f:
+        cur = _Cursor(f, where)
+        cur.magic(FEATURE_MAGIC)
+        dim, count = cur.unpack("<II")
         if dim == 0:
-            raise FormatError("feature store: zero feature dimension at byte 12")
+            raise FormatError(f"{where}: zero feature dimension at byte 12")
         need = count * (2 + 4 * dim)  # every entry has a key length and dim floats
         if need > cur.left():
             raise FormatError(
-                f"feature store: {count} entries of dim {dim} need at least {need} bytes, "
+                f"{where}: {count} entries of dim {dim} need at least {need} bytes, "
                 f"the file has {cur.left()} left at byte {cur.off}")
         store = FeatureStore(dim)
+        store.where = where
         matrix = np.empty((count, dim), dtype=np.float32)
         entries_off = cur.off
         _read_entries(cur, store.entries, matrix)
@@ -246,7 +253,7 @@ def load_feature_store(path) -> FeatureStore:
         row = int(np.argmin(np.isfinite(matrix).all(axis=1)))
         keys = list(store.entries)
         off = entries_off + sum(2 + len(k.encode("utf-8")) + 4 * dim for k in keys[:row])
-        raise FormatError(f"feature store: non-finite values for key {keys[row]!r} "
+        raise FormatError(f"{where}: non-finite values for key {keys[row]!r} "
                           f"in the entry at byte {off}")
     return store
 
@@ -314,8 +321,17 @@ def json_value(value, kind, what: str, error=FormatError):
     return value
 
 
+def json_settings(obj: dict, kinds: dict, where: str) -> dict:
+    """A config file's or checkpoint header's settings, checked against kinds."""
+    for key in obj:
+        if key not in kinds:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+    return {key: json_value(value, kinds[key], f"{where}: config key {key!r}", ConfigError)
+            for key, value in obj.items()}
+
+
 def _iter_jsonl(path):
-    with open(path, "rb") as f:
+    with open(path, "rb", opener=open_regular) as f:
         for lineno, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8")
@@ -345,15 +361,22 @@ def _field(obj, name, kind, path, lineno):
         raise FormatError(f"{path}: line {lineno}: field {e}") from None
 
 
+def _strings(obj, name, path, lineno) -> list[str]:
+    """obj[name], refused unless it is a list of one or more strings."""
+    items = _field(obj, name, list, path, lineno)
+    if not items or not all(isinstance(s, str) for s in items):
+        raise FormatError(f"{path}: line {lineno}: {name} must be a non-empty list of strings")
+    return list(items)
+
+
 def _parse_box(raw, where: str, lineno: Optional[int] = None) -> BoundingBox:
     """A box from its JSON value. where, and the line if given, go into a
     message only once the box is refused."""
     try:
-        if (not isinstance(raw, list) or len(raw) != 4
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
+        if not isinstance(raw, list) or len(raw) != 4:
             raise FormatError("box must be [x1, y1, x2, y2]")
-        return BoundingBox(*(float(v) for v in raw))
-    except (FormatError, InputError, OverflowError) as e:
+        return BoundingBox(*(json_value(v, float, "box coordinate") for v in raw))
+    except (FormatError, InputError) as e:
         place = where if lineno is None else f"{where}: line {lineno}"
         raise FormatError(f"{place}: {e}") from None
 
@@ -384,18 +407,12 @@ def load_annotations(path) -> list[AnnotationRecord]:
         height = _field(obj, "height", float, path, lineno)
         box = _parse_box(_field(obj, "box", list, path, lineno), path, lineno)
         region_key = _field(obj, "region_key", str, path, lineno)
-        descriptions = _field(obj, "descriptions", list, path, lineno)
-        if not descriptions or not all(isinstance(d, str) for d in descriptions):
-            raise FormatError(
-                f"{path}: line {lineno}: descriptions must be a non-empty list of strings")
+        descriptions = _strings(obj, "descriptions", path, lineno)
         try:
-            img = ImageSize(width, height)
-            if not img.contains(box):
-                raise InputError(f"box {box.as_list()} exceeds the {width}x{height} image")
+            ImageSize(width, height).check(box)
         except InputError as e:
             raise FormatError(f"{path}: line {lineno}: {e}") from None
-        records.append(AnnotationRecord(image_id, width, height, box, region_key,
-                                        list(descriptions)))
+        records.append(AnnotationRecord(image_id, width, height, box, region_key, descriptions))
     return records
 
 
@@ -426,11 +443,7 @@ def load_captions(path) -> list[CaptionRecord]:
     records = []
     for lineno, obj in _iter_jsonl(path):
         image_id = _field(obj, "image_id", str, path, lineno)
-        captions = _field(obj, "captions", list, path, lineno)
-        if not captions or not all(isinstance(c, str) for c in captions):
-            raise FormatError(
-                f"{path}: line {lineno}: captions must be a non-empty list of strings")
-        records.append(CaptionRecord(image_id, list(captions)))
+        records.append(CaptionRecord(image_id, _strings(obj, "captions", path, lineno)))
     return records
 
 
@@ -446,13 +459,12 @@ class TrainingTuple:
 
 def build_training_tuples(records: Sequence[AnnotationRecord], region_store: FeatureStore,
                           context_store: FeatureStore, vocab: Vocabulary) -> list[TrainingTuple]:
-    """Expand records into one tuple per (object, description) pair."""
+    """Expand records into one tuple per (object, description) pair; a store
+    lacking a record's key refuses it."""
     tuples = []
     for rec in records:
-        if rec.region_key not in region_store:
-            raise InputError(f"region feature key not found: {rec.region_key!r}")
-        if rec.image_id not in context_store:
-            raise InputError(f"context feature key not found: {rec.image_id!r}")
+        region_store.get(rec.region_key)
+        context_store.get(rec.image_id)
         spatial = encode_spatial(rec.box, ImageSize(rec.width, rec.height))
         for desc in rec.descriptions:
             ids = encode_nonempty(vocab, desc, "description")
@@ -504,14 +516,10 @@ def _param_bytes(config: ScrcConfig) -> int:
 def load_checkpoint(path):
     """Returns (params, config, vocab); tensors come back bit-exact."""
     where = f"{path}: checkpoint"
-    with open(path, "rb", opener=_open_nonblocking) as f:
+    with open(path, "rb", opener=open_regular) as f:
         cur = _Cursor(f, where)
-        magic = cur.take(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"{where}: bad magic {magic!r} at byte 0")
-        version, hlen = cur.unpack("<II")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{where}: unsupported version {version}")
+        cur.magic(CHECKPOINT_MAGIC)
+        (hlen,) = cur.unpack("<I")
         header = json_object(cur.take(hlen), f"{where}: header")
         for key in ("format_version", "config", "vocab"):
             if key not in header:
@@ -519,12 +527,8 @@ def load_checkpoint(path):
         version = json_value(header["format_version"], int, f"{where}: format_version")
         if version != FORMAT_VERSION:
             raise FormatError(f"{where}: unsupported format_version {version}")
-        fields = json_value(header["config"], dict, f"{where}: config", ConfigError)
-        for key, value in fields.items():
-            if key not in _CONFIG_KINDS:
-                raise ConfigError(f"{where}: unknown config key {key!r}")
-            json_value(value, _CONFIG_KINDS[key], f"{where}: config key {key!r}",
-                       ConfigError)
+        fields = json_settings(json_value(header["config"], dict, f"{where}: config",
+                                          ConfigError), _CONFIG_KINDS, where)
         try:
             config = ScrcConfig(**fields)
             vocab = Vocabulary(json_value(header["vocab"], list, f"{where}: vocab"))

@@ -59,17 +59,17 @@ class ImageSize:
             raise InputError(
                 f"image size must be finite and positive, got {self.width}x{self.height}")
 
-    def contains(self, box: BoundingBox) -> bool:
-        return (box.x_min >= 0 and box.y_min >= 0
-                and box.x_max <= self.width and box.y_max <= self.height)
+    def check(self, box: BoundingBox):
+        if not (box.x_min >= 0 and box.y_min >= 0
+                and box.x_max <= self.width and box.y_max <= self.height):
+            raise InputError(
+                f"box {box.as_list()} not contained in {self.width}x{self.height} image")
 
 
 def encode_spatial(box: BoundingBox, img: ImageSize) -> np.ndarray:
     """8-d descriptor [x_min, y_min, x_max, y_max, x_center, y_center, w, h]
     in image-centered coordinates where both image sides span [-1, 1]."""
-    if not img.contains(box):
-        raise InputError(
-            f"box {box.as_list()} not contained in {img.width}x{img.height} image")
+    img.check(box)
     # dividing first keeps 2.0 * x from overflowing; doubling is exact either way
     x0 = 2.0 * (box.x_min / img.width) - 1.0
     y0 = 2.0 * (box.y_min / img.height) - 1.0

@@ -16,12 +16,16 @@ import json
 from pathlib import Path
 
 from .datastore import FeatureStore, save_feature_store
+from .errors import InputError
 from .nncore import make_rng
 
 COLORS = ("red", "green", "blue", "yellow")
 POSITIONS = ("left", "right", "top", "bottom")
 
 IMG_W, IMG_H = 320, 240
+
+# Images of one dataset, all built in memory before anything is written
+MAX_IMAGES = 100_000
 
 _BASE_BOXES = {
     "left": (20.0, 90.0, 100.0, 150.0),
@@ -50,6 +54,8 @@ DEFAULT_CONFIG = {
 def generate_dataset(out_dir, seed: int, n_images: int = 16) -> dict:
     """Write features, annotations, captions, proposals and a suggested
     model config into out_dir; returns a manifest of what was written."""
+    if not 1 <= n_images <= MAX_IMAGES:
+        raise InputError(f"images must be from 1 to {MAX_IMAGES}, got {n_images}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = make_rng(seed)

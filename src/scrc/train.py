@@ -113,15 +113,9 @@ def _run_sgd(params: ScrcParams, config: ScrcConfig, requests: list[ScoreRequest
 
 def caption_requests(captions: Sequence[CaptionRecord], context_store: FeatureStore,
                      vocab: Vocabulary) -> list[ScoreRequest]:
-    requests = []
-    for rec in captions:
-        if rec.image_id not in context_store:
-            raise InputError(f"context feature key not found: {rec.image_id!r}")
-        x_context = context_store.get(rec.image_id)
-        for caption in rec.captions:
-            requests.append(ScoreRequest(encode_nonempty(vocab, caption, "caption"), None,
-                                         x_context, None))
-    return requests
+    return [ScoreRequest(encode_nonempty(vocab, caption, "caption"), None,
+                         context_store.get(rec.image_id), None)
+            for rec in captions for caption in rec.captions]
 
 
 def tuple_requests(tuples: Sequence[TrainingTuple], region_store: FeatureStore,
@@ -170,7 +164,5 @@ def finetune_retrieval(params: ScrcParams, config: ScrcConfig,
     description) tuple, all parameters trainable subject to the masks."""
     if config.caption_mode:
         raise ConfigError("fine-tuning requires full (non-caption) mode")
-    if not tuples:
-        raise InputError("empty tuple set")
     return _run_sgd(params, config, tuple_requests(tuples, region_store, context_store), cfg,
                     "finetune")

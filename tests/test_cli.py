@@ -818,7 +818,7 @@ class TestSettings:
             "--region-features", str(synth_dir / "region_features.bin"),
             "--context-features", str(synth_dir / "context_features.bin"),
             "--no-transfer-init", "--config", str(cfg), "--out", str(out)])
-        assert_error_exit(proc, f"{cfg}: key 'lr' is beyond float64's range")
+        assert_error_exit(proc, f"{cfg}: config key 'lr' is beyond float64's range")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])

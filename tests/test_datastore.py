@@ -14,6 +14,7 @@ from scrc.datastore import (FeatureStore, _Cursor, _param_bytes, build_training_
                             load_annotations,
                             load_captions, load_checkpoint, load_feature_store,
                             load_proposals, save_checkpoint, save_feature_store)
+from scrc.cli import _load_config_file
 from scrc.errors import ConfigError, FormatError, InputError
 from scrc.model import ScrcConfig, ScrcParams
 from scrc.nncore import make_rng
@@ -232,7 +233,7 @@ class TestFeatureStore:
         report_size(monkeypatch, reported)
         with pytest.raises(FormatError) as err:
             load_feature_store(path)
-        assert str(err.value) == (f"feature store: truncated at byte {cut} "
+        assert str(err.value) == (f"{path}: feature store: truncated at byte {cut} "
                                   f"(the file shrank while it was read)")
 
     @pytest.mark.parametrize("field", [3, 4, 5, None])
@@ -247,9 +248,8 @@ class TestFeatureStore:
         else:
             off, size = entry_fields(keys, 3)[field]
             cut = off + max(1, size // 2)
-        cut_path = tmp_path / "cut.bin"
-        cut_path.write_bytes(data[:cut])
-        want = load_outcome(cut_path)
+        path.write_bytes(data[:cut])
+        want = load_outcome(path)
         path.write_bytes(data + b"more bytes, written after the size was read")
         report_size(monkeypatch, cut)
         assert load_outcome(path) == want
@@ -258,6 +258,13 @@ class TestFeatureStore:
         store = FeatureStore(2)
         with pytest.raises(InputError, match="nope"):
             store.get("nope")
+
+    def test_loaded_store_names_its_path_for_a_missing_key(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_feature_store(path, 2, [("a", [1, 2])])
+        with pytest.raises(InputError) as err:
+            load_feature_store(path).get("nope")
+        assert str(err.value) == f"{path}: feature store: key 'nope' not found"
 
     def test_duplicate_add_rejected(self):
         store = FeatureStore(2)
@@ -325,7 +332,7 @@ class TestFeatureStoreChunks:
             cut_path.write_bytes(data[:cut])
             with pytest.raises(FormatError) as err:
                 load_feature_store(cut_path)
-            assert str(err.value) == truncation_message(STRADDLING_KEYS, dim, cut)
+            assert str(err.value) == f"{cut_path}: {truncation_message(STRADDLING_KEYS, dim, cut)}"
 
     def test_straddling_errors_name_offsets(self, tmp_path):
         path = tmp_path / "f.bin"
@@ -452,16 +459,16 @@ class TestProposalsAndCaptions:
 
     @pytest.mark.parametrize("max_boxes", [100, 2])  # 2: the bad box is past the kept ones
     @pytest.mark.parametrize("bad, message", [
-        ([0, True, 5, 5], r"box must be \[x1, y1, x2, y2\]"),
-        ([0, "0", 5, 5], r"box must be \[x1, y1, x2, y2\]"),
+        ([0, True, 5, 5], "box coordinate must be a number, got bool"),
+        ([0, "0", 5, 5], "box coordinate must be a number, got str"),
         ([0, 0, 5], r"box must be \[x1, y1, x2, y2\]"),
-        ([[0, 0], 0, 5, 5], r"box must be \[x1, y1, x2, y2\]"),
+        ([[0, 0], 0, 5, 5], "box coordinate must be a number, got list"),
         ({"x1": 0}, r"box must be \[x1, y1, x2, y2\]"),
         ([float("nan"), 0, 5, 5], r"box coordinates must be finite, got \(nan, 0.0, 5.0, 5.0\)"),
         ([0, 0, float("inf"), 5], r"box coordinates must be finite, got \(0.0, 0.0, inf, 5.0\)"),
         ([2, 0, 2, 5], r"degenerate box \(2.0, 0.0, 2.0, 5.0\)"),
         ([5, 5, 0, 0], r"degenerate box \(5.0, 5.0, 0.0, 0.0\)"),
-        ([0, 0, 10 ** 400, 5], "int too large to convert to float"),
+        ([0, 0, 10 ** 400, 5], "box coordinate is beyond float64's range"),
     ], ids=["bool", "string", "three", "nested", "object", "nan", "inf", "degenerate",
             "inverted", "huge-int"])
     def test_bad_box_names_line_and_index(self, tmp_path, monkeypatch, bad, message, max_boxes):
@@ -957,6 +964,12 @@ class _ShortReads:
 
 
 class TestReader:
+    def test_directory_rejected_by_every_reader(self, tmp_path):
+        for reader in (load_feature_store, load_checkpoint, load_annotations, load_proposals,
+                       load_captions, _load_config_file):
+            with pytest.raises(InputError, match=f"^{tmp_path}: not a regular file$"):
+                reader(tmp_path)
+
     def test_fifo_rejected_without_waiting(self, tmp_path):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)

@@ -53,6 +53,19 @@ def test_only_json_object_parses_json(path):
     assert json_parses(owner) == 1
 
 
+@pytest.mark.parametrize("refusal", ["unknown config key", "non-empty list of strings"])
+def test_refusal_written_in_one_place(refusal):
+    assert sum(p.read_text(encoding="utf-8").count(refusal) for p in MODULES) == 1
+
+
+def test_config_file_refuses_an_unknown_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"steps": 3, "bogus": 1}))
+    with pytest.raises(ConfigError) as err:
+        _load_config_file(path)
+    assert str(err.value) == f"{path}: unknown config key 'bogus'"
+
+
 # a JSON value, the kind of key it is wrong for, and how it is refused
 BAD_VALUES = [pytest.param(True, int, "must be an integer, got bool", id="true-for-int"),
               pytest.param(4.0, int, "must be an integer, got float", id="float-for-int"),
@@ -67,7 +80,7 @@ def test_config_file_refuses(tmp_path, value, kind, refusal):
     key = CONFIG_KEYS[kind]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: value}))
-    with pytest.raises(ConfigError, match=re.escape(f"{path}: key {key!r} {refusal}")):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: config key {key!r} {refusal}")):
         _load_config_file(path)
 
 

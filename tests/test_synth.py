@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from scrc.datastore import load_annotations, load_captions, load_feature_store, load_proposals
+from scrc.errors import InputError
 from scrc.geometry import iou
-from scrc.synth import COLORS, POSITIONS, generate_dataset
+from scrc.synth import COLORS, MAX_IMAGES, POSITIONS, generate_dataset
 from scrc.textproc import build_vocab, encode, UNK_ID
 
 
@@ -57,3 +59,11 @@ def test_caption_vocab_covers_queries(tmp_path):
     for rec in load_annotations(out / "annotations.jsonl"):
         for desc in rec.descriptions:
             assert UNK_ID not in encode(vocab, desc)
+
+
+def test_image_count_beyond_the_bound_refused_before_writing(tmp_path):
+    out = tmp_path / "data"
+    with pytest.raises(InputError, match=f"images must be from 1 to {MAX_IMAGES}, got "
+                                         f"{MAX_IMAGES + 1}"):
+        generate_dataset(out, seed=0, n_images=MAX_IMAGES + 1)
+    assert not out.exists()
