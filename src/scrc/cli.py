@@ -19,7 +19,7 @@ from . import datastore, evalmetrics, synth
 from .errors import ConfigError, InputError, ScrcError
 from .geometry import BoundingBox, ImageSize, encode_spatial
 from .gradcheck import DEFAULT_CHECK_SEED, finite_difference_check
-from .model import ScrcConfig, ScrcParams, generate_description, score_image
+from .model import ScrcConfig, ScrcParams, generate_description, score_image, score_images
 from .nncore import make_rng
 from .textproc import build_vocab, decode, encode_nonempty
 from .train import TrainConfig, finetune_retrieval, pretrain_captioning, transfer_weights
@@ -245,14 +245,11 @@ def _candidate_inputs(pset: datastore.ProposalSet, img: ImageSize, region_store,
     if not len(pset.coords):
         raise InputError(f"image {pset.image_id!r} has an empty proposal set")
     x_context = context_store.get(pset.image_id)
-    rows, spatials = [], []
-    for k, (box, key) in enumerate(zip(pset.boxes, pset.region_keys)):
-        rows.append(region_store.get(key))
-        try:
-            spatials.append(encode_spatial(box, img))
-        except InputError as e:
-            raise InputError(f"image {pset.image_id!r}: box {k}: {e}") from None
-    return np.stack(rows), np.stack(spatials), x_context
+    rows = np.stack([region_store.get(key) for key in pset.region_keys])
+    try:
+        return rows, encode_spatial(pset.coords, img), x_context
+    except InputError as e:
+        raise InputError(f"image {pset.image_id!r}: {e}") from None
 
 
 def _note_truncation(pset: datastore.ProposalSet):
@@ -292,28 +289,32 @@ def _cmd_eval(args) -> int:
         if not args.proposals:
             raise ConfigError("--proposals is required for the proposals scenario")
         by_pset = {p.image_id: p for p in datastore.load_proposals(args.proposals)}
-    results = []
-    for image_id, recs in by_image.items():
-        img = ImageSize(recs[0].width, recs[0].height)
-        for rec in recs[1:]:
-            if (rec.width, rec.height) != (img.width, img.height):
-                raise InputError(
-                    f"image {image_id!r}: annotation records disagree on its size, "
-                    f"{img.width:g}x{img.height:g} and {rec.width:g}x{rec.height:g}")
-        if args.scenario == "gt":
-            cands = datastore.ProposalSet(image_id, np.array([r.box.as_list() for r in recs]),
-                                          [r.region_key for r in recs])
-        elif image_id not in by_pset:
-            raise InputError(f"{args.proposals}: no proposals for image {image_id!r}")
-        else:
-            cands = by_pset[image_id]
-            _note_truncation(cands)
-        inputs = _candidate_inputs(cands, img, region_store, context_store)
-        queries = [(rec, desc) for rec in recs for desc in rec.descriptions]
-        scores = score_image(params, config,
-                             [encode_nonempty(vocab, d, "query") for _, d in queries], *inputs)
-        results += [evalmetrics.RankedResult.build(desc, image_id, cands.boxes, row, rec.box)
-                    for (rec, desc), row in zip(queries, scores.tolist())]
+    scored = []  # id, candidates, (record, description) pairs of each image pulled so far
+
+    def images():
+        for image_id, recs in by_image.items():
+            img = ImageSize(recs[0].width, recs[0].height)
+            for rec in recs[1:]:
+                if (rec.width, rec.height) != (img.width, img.height):
+                    raise InputError(
+                        f"image {image_id!r}: annotation records disagree on its size, "
+                        f"{img.width:g}x{img.height:g} and {rec.width:g}x{rec.height:g}")
+            if args.scenario == "gt":
+                cands = datastore.ProposalSet(image_id, np.array([r.box.as_list() for r in recs]),
+                                              [r.region_key for r in recs])
+            elif image_id not in by_pset:
+                raise InputError(f"{args.proposals}: no proposals for image {image_id!r}")
+            else:
+                cands = by_pset[image_id]
+                _note_truncation(cands)
+            inputs = _candidate_inputs(cands, img, region_store, context_store)
+            scored.append((image_id, cands, [(rec, d) for rec in recs for d in rec.descriptions]))
+            yield [encode_nonempty(vocab, d, "query") for _, d in scored[-1][2]], *inputs
+
+    results = [evalmetrics.RankedResult.build(desc, image_id, cands.boxes, row, rec.box)
+               for scores, (image_id, cands, queries) in zip(score_images(params, config,
+                                                                          images()), scored)
+               for (rec, desc), row in zip(queries, scores.tolist())]
     report = (evalmetrics.eval_gt_scenario(results) if args.scenario == "gt"
               else evalmetrics.eval_proposal_scenario(results))
 

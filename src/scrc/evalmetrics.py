@@ -8,8 +8,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import InputError
-from .geometry import BoundingBox, iou, is_hit
+from .geometry import IOU_HIT_THRESHOLD, BoundingBox, iou
 
 RECALL_KS = (1, 10)  # the paper's R@1 and R@10
 
@@ -78,6 +80,14 @@ def eval_gt_scenario(results: Sequence[RankedResult]) -> MetricsReport:
     return MetricsReport("gt_boxes", len(results), p_at_1=hits / len(results))
 
 
+def _overlaps(results: Sequence[RankedResult]) -> list[list[float]]:
+    """Each result's ranked boxes' IoU with its ground truth, from one array IoU."""
+    pairs = np.fromiter((b.as_list() + gt for r in results for gt in [r.gt_box.as_list()]
+                         for b in r.boxes), (float, 8))
+    ious = iter(iou(pairs[:, :4], pairs[:, 4:]).tolist())
+    return [[next(ious) for _ in r.boxes] for r in results]
+
+
 def eval_proposal_scenario(results: Sequence[RankedResult]) -> MetricsReport:
     """R@k for k in RECALL_KS (any hit among the k best-scored proposals) and
     Oracle (any hit among all proposals, independent of scores)."""
@@ -85,10 +95,10 @@ def eval_proposal_scenario(results: Sequence[RankedResult]) -> MetricsReport:
         raise InputError("no results to evaluate")
     r_hits = {k: 0 for k in RECALL_KS}
     oracle_hits = 0
-    for r in results:
+    for r, overlaps in zip(results, _overlaps(results)):
         if not r.boxes:
             raise InputError(f"query {r.query!r}: empty candidate list")
-        flags = [is_hit(b, r.gt_box) for b in r.boxes]
+        flags = [v >= IOU_HIT_THRESHOLD for v in overlaps]
         for k in RECALL_KS:
             r_hits[k] += any(flags[:k])
         oracle_hits += any(flags)
@@ -104,10 +114,8 @@ def write_per_query_csv(results: Sequence[RankedResult], scenario: str, path):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["query", "image_id", "rank1_iou", "hit_at_1", "hit_at_10", "hit_any"])
-        for r in results:
-            if scenario == "gt_boxes":
-                flags = [b == r.gt_box for b in r.boxes]
-            else:
-                flags = [is_hit(b, r.gt_box) for b in r.boxes]
-            writer.writerow([r.query, r.image_id, f"{iou(r.boxes[0], r.gt_box):.6f}",
+        for r, overlaps in zip(results, _overlaps(results)):
+            flags = ([b == r.gt_box for b in r.boxes] if scenario == "gt_boxes"
+                     else [v >= IOU_HIT_THRESHOLD for v in overlaps])
+            writer.writerow([r.query, r.image_id, f"{overlaps[0]:.6f}",
                              int(any(flags[:1])), int(any(flags[:10])), int(any(flags))])

@@ -59,36 +59,48 @@ class ImageSize:
             raise InputError(
                 f"image size must be finite and positive, got {self.width}x{self.height}")
 
-    def check(self, box: BoundingBox):
-        if not (box.x_min >= 0 and box.y_min >= 0
-                and box.x_max <= self.width and box.y_max <= self.height):
-            raise InputError(
-                f"box {box.as_list()} not contained in {self.width}x{self.height} image")
+    def check(self, box):
+        """Refuse a BoundingBox, or the first row of (n, 4) box coordinates,
+        that the image does not contain; a row is named by its index."""
+        x0, y0, x1, y1 = corners = _corners(box)
+        inside = (x0 >= 0) & (y0 >= 0) & (x1 <= self.width) & (y1 <= self.height)
+        if inside is not True and not np.all(inside):
+            k = int(np.argmin(inside))
+            raise InputError(f"{'' if isinstance(box, BoundingBox) else f'box {k}: '}box "
+                             f"{np.reshape(corners, (4, -1))[:, k].tolist()} not contained in "
+                             f"{self.width}x{self.height} image")
 
 
-def encode_spatial(box: BoundingBox, img: ImageSize) -> np.ndarray:
+def _corners(box):
+    """A BoundingBox's x_min, y_min, x_max, y_max, or the (n, 4) rows' columns."""
+    return box.as_list() if isinstance(box, BoundingBox) else np.transpose(box)
+
+
+def encode_spatial(box, img: ImageSize) -> np.ndarray:
     """8-d descriptor [x_min, y_min, x_max, y_max, x_center, y_center, w, h]
-    in image-centered coordinates where both image sides span [-1, 1]."""
+    in image-centered coordinates where both image sides span [-1, 1]: (8,)
+    for a BoundingBox, or (n, 8) for (n, 4) box coordinates."""
     img.check(box)
+    x_min, y_min, x_max, y_max = _corners(box)
     # dividing first keeps 2.0 * x from overflowing; doubling is exact either way
-    x0 = 2.0 * (box.x_min / img.width) - 1.0
-    y0 = 2.0 * (box.y_min / img.height) - 1.0
-    x1 = 2.0 * (box.x_max / img.width) - 1.0
-    y1 = 2.0 * (box.y_max / img.height) - 1.0
+    x0 = 2.0 * (x_min / img.width) - 1.0
+    y0 = 2.0 * (y_min / img.height) - 1.0
+    x1 = 2.0 * (x_max / img.width) - 1.0
+    y1 = 2.0 * (y_max / img.height) - 1.0
     return np.array([x0, y0, x1, y1,
                      (x0 + x1) / 2.0, (y0 + y1) / 2.0,
-                     x1 - x0, y1 - y0], dtype=np.float64)
+                     x1 - x0, y1 - y0], dtype=np.float64).T
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+def iou(a, b):
+    """IoU of two BoundingBoxes, or row by row of (n, 4) box coordinates."""
+    ax0, ay0, ax1, ay1 = _corners(a)
+    bx0, by0, bx1, by1 = _corners(b)
+    inter = (np.maximum(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0.0)
+             * np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0.0))
+    return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
 
 
-def is_hit(candidate: BoundingBox, gt: BoundingBox) -> bool:
+def is_hit(candidate, gt):
     """True iff the candidate overlaps the ground truth by at least 50% IoU."""
     return iou(candidate, gt) >= IOU_HIT_THRESHOLD

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -223,22 +223,21 @@ class ForwardTrace:
 ROW_BLOCK = 16
 
 
-def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures):
-    """The local and global units' fixed inputs: each unit's input projection
-    plus bias (None if skipped), shaped for lstm_step's x_proj, (4H, Q, 1)
-    with a column per row, or (4H, 1, N) with one per candidate; and r
-    shaped like a column of logits."""
-    H = config.hidden_dim
-    per_row = feats.x_context.shape[1] > 1
+def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures, image=()):
+    """lstm_step's x_proj for the local and global units (None if skipped):
+    one matrix product each over a pass's G images, feats holding N candidates
+    each, (dim, G * N), and one x_context each, (dim, G), expanded by image,
+    each query column's image, to (4H, Q, N) and (4H, Q, 1); and r as a column."""
+    H, count = config.hidden_dim, feats.x_context.shape[1]
+    expand = image if len(image) > count > 1 else slice(None)
     local = glob = None
     if not config.caption_mode:
         unit = params.lstm_local
         local = (unit.W_x.value[:, H:] @ np.concatenate([feats.x_box, feats.x_spatial])
-                 + unit.b.value[:, None])
-        local = local[:, :, None] if per_row else local[:, None]
+                 + unit.b.value[:, None]).reshape(4 * H, count, -1)[:, expand]
     if not config.mask_context:
         unit = params.lstm_global
-        glob = (unit.W_x.value[:, H:] @ feats.x_context + unit.b.value[:, None])[:, :, None]
+        glob = (unit.W_x.value[:, H:] @ feats.x_context + unit.b.value[:, None])[:, expand, None]
     return local, glob, params.r.value[:, None]
 
 
@@ -276,16 +275,6 @@ def _token_grid(queries: list[list[int]], width: int):
     for b, q in enumerate(queries):
         ids[1:len(q) + 1, b] = q
     return ids, np.arange(len(ids) - 1)[:, None] < lengths
-
-
-def _rows(feats: Sequence[PreparedFeatures]) -> PreparedFeatures:
-    """Per-row features as columns (dim, C), one per row, and zero dummy
-    columns up to C, the next multiple of ROW_BLOCK."""
-    width = len(feats) + -len(feats) % ROW_BLOCK
-    out = PreparedFeatures(*(np.zeros((len(v), width), v.dtype) for v in vars(feats[0]).values()))
-    for cols, field in zip(vars(out).values(), zip(*(vars(f).values() for f in feats))):
-        cols[:, :len(feats)] = np.array(field).T
-    return out
 
 
 def _recur(unit: LstmParams, inputs: np.ndarray, prev: Optional[LstmState], fixed,
@@ -338,23 +327,27 @@ def _block(params: ScrcParams, config: ScrcConfig, words: np.ndarray, width: int
 
 
 def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
-            feats: PreparedFeatures, keep_trace: bool = False) -> ForwardTrace:
+            feats: Sequence[PreparedFeatures], keep_trace: bool = False) -> ForwardTrace:
     """Sum the target log-probs of <bos> + query + <eos> in float64, in step
-    order, the queries padded to the longest and masked. feats are columns
-    (dim, .). Either they are rows from _rows, a column of x_box, x_spatial
-    and x_context per query, then dummy columns: the sum is (Q,), and only
-    rows keep a trace's caches. Or they are N candidates that every query is
-    scored against, sharing x_context (dim, 1): the sum is then (Q, N), or
-    (Q, 1) if no unit reads the box.
-
+    order, the queries padded to the longest and masked: (Q, N). feats[q] is
+    query q's image, x_box and x_spatial rows of its N candidates (the same N
+    for all) and x_context; consecutive queries with the same feats share it.
+    One-candidate images run as rows, one per query, with zero dummy rows up
+    to whole ROW_BLOCKs, which feed <eos> and count in no sum and no trace.
     The steps run in _blocks whose query columns fit MAX_PASS_COLUMNS, from
     the zero state."""
-    per_row = feats.x_context.shape[1] > 1
-    # the dummy columns of rows feed <eos> and count in no sum and no trace
-    width = feats.x_context.shape[1] if per_row else len(queries)
+    single = len(np.atleast_2d(feats[0].x_box)) == 1
+    new = [single or k == 0 or f is not feats[k - 1] for k, f in enumerate(feats)]
+    images = [f for f, first in zip(feats, new) if first]
+    pad = -len(images) % ROW_BLOCK if single else 0
+    cols = PreparedFeatures(*(
+        np.concatenate([*map(np.atleast_2d, field), np.zeros((pad, field[0].shape[-1]),
+                                                               params.dtype)]).T
+        for field in zip(*(vars(f).values() for f in images))))
+    width = len(queries) + pad
     ids, live = _token_grid(queries, width)
     steps, rows = live.shape
-    fixed = _fix(params, config, feats)
+    fixed = _fix(params, config, cols, np.cumsum(new) - 1)
     units, probs = (None, None, None), None
     if keep_trace:
         units = tuple(None if skip else LstmTrace.zeros(steps, rows, config.hidden_dim,
@@ -375,10 +368,10 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
             total = total + np.where(live[t][:, None], picked, 0.0)
             if keep_trace:
                 probs[t] = np.exp(logp[:, :rows]).T
-    fixed_rows = (np.concatenate([feats.x_box, feats.x_spatial])[:, :rows].T,
-                  feats.x_context[:, :rows].T) if keep_trace else None
-    return ForwardTrace([q + [EOS_ID] for q in queries], total[:, 0] if per_row else total,
-                        ids[:, :rows], live, units if keep_trace else None, fixed_rows, probs)
+    fixed_rows = (np.concatenate([cols.x_box, cols.x_spatial])[:, :rows].T,
+                  cols.x_context[:, :rows].T) if keep_trace else None
+    return ForwardTrace([q + [EOS_ID] for q in queries], total, ids[:, :rows], live,
+                        units if keep_trace else None, fixed_rows, probs)
 
 
 def forward_batch(params: ScrcParams, config: ScrcConfig, requests: Sequence[ScoreRequest],
@@ -391,7 +384,8 @@ def forward_batch(params: ScrcParams, config: ScrcConfig, requests: Sequence[Sco
     queries = [_check_query(config, r.query) for r in requests]
     feats = [prepare_features(config, r.x_box, r.x_context, r.x_spatial, dtype=params.dtype)
              for r in requests]
-    return _decode(params, config, queries, _rows(feats), keep_trace)
+    trace = _decode(params, config, queries, feats, keep_trace)
+    return dataclasses.replace(trace, log_probs=trace.log_probs[:, 0])
 
 
 def sequence_log_prob(params: ScrcParams, config: ScrcConfig, request: ScoreRequest) -> float:
@@ -415,10 +409,10 @@ MAX_GENERATE_LEN = 1024
 
 def score_candidates(params: ScrcParams, config: ScrcConfig,
                      requests: Sequence[ScoreRequest]) -> list[float]:
-    """Score each request; output order matches input order. Per group of
-    requests sharing query and context, the language and global units and
-    the W_global h_global + r term run once, and the local unit and W_local
-    head run on all the group's candidates as one matrix product per step.
+    """Score each request; output order matches input order. Each group of
+    requests sharing query and context is an image of score_images with one
+    query, so the language and global units and the W_global h_global + r
+    term run once per group, and groups of equal size share passes.
     """
     if not requests:
         raise InputError("empty candidate list")
@@ -434,10 +428,10 @@ def score_candidates(params: ScrcParams, config: ScrcConfig,
         groups.setdefault((tuple(query), feats.x_context.tobytes()), []).append((idx, feats))
 
     scores = [0.0] * len(requests)
-    for (query, _), members in groups.items():
-        feats = [f for _, f in members]
-        total = score_image(params, config, [query], np.stack([f.x_box for f in feats]),
-                            np.stack([f.x_spatial for f in feats]), feats[0].x_context)
+    images = (([query], np.stack([f.x_box for _, f in members]),
+               np.stack([f.x_spatial for _, f in members]), members[0][1].x_context)
+              for (query, _), members in groups.items())
+    for members, total in zip(groups.values(), score_images(params, config, images)):
         for (idx, _), score in zip(members, total[0].tolist()):
             scores[idx] = score
     return scores
@@ -447,26 +441,41 @@ def score_image(params: ScrcParams, config: ScrcConfig, queries: Sequence[Sequen
                 x_boxes, x_spatials, x_context) -> np.ndarray:
     """Score each of Q queries against each of an image's N candidates:
     (Q, N) float64 log p(query, <eos> | box, spatial code, context). x_boxes
-    is (N, feat) and x_spatials (N, 8), one row per candidate. A decoder
-    pass runs the language and global units on Q query columns and the
-    local unit and W_local head on Q * N, up to MAX_PASS_COLUMNS; more
-    queries run in chunks. A lone candidate runs as one row per query,
-    exactly as sequence_log_prob does."""
+    is (N, feat) and x_spatials (N, 8), one row per candidate."""
+    return next(score_images(params, config, [(queries, x_boxes, x_spatials, x_context)]))
+
+
+def score_images(params: ScrcParams, config: ScrcConfig, images) -> Iterator[np.ndarray]:
+    """score_image over an iterable of (queries, x_boxes, x_spatials, x_context),
+    yielding each image's scores in turn. A decoder pass takes consecutive
+    queries of images with the same N, MAX_PASS_COLUMNS // N of them or one; a
+    new N starts the next, so memory is bounded by one pass and its images."""
     params.check_config(config)
-    queries = [_check_query(config, q) for q in queries]
-    if not queries or not len(x_boxes):
-        raise InputError("scoring needs at least one query and one candidate")
-    count = len(x_boxes)
-    feats = prepare_features(config, x_boxes, x_context, x_spatials, params.dtype, count)
-    lone = PreparedFeatures(feats.x_box[0], feats.x_spatial[0], feats.x_context)
-    feats = PreparedFeatures(feats.x_box.T, feats.x_spatial.T, feats.x_context[:, None])
-    chunk = max(1, MAX_PASS_COLUMNS // count)
-    out = []
-    for part in (queries[lo:lo + chunk] for lo in range(0, len(queries), chunk)):
-        layout = feats if count > 1 else _rows([lone] * len(part))
-        total = _decode(params, config, part, layout).log_probs.reshape(len(part), -1)
-        out.append(np.broadcast_to(total, (len(part), count)))
-    return np.concatenate(out)
+    waiting, batch = [], []  # unyielded images' scores; the pass: (query, feats, scores, row)
+
+    def run():
+        if batch:
+            total = _decode(params, config, [b[0] for b in batch], [b[1] for b in batch])
+            for (_, _, scores, row), got in zip(batch, total.log_probs):
+                scores[row] = got
+        batch.clear()
+
+    for queries, x_boxes, x_spatials, x_context in images:
+        queries, count = [_check_query(config, q) for q in queries], len(x_boxes)
+        if not queries or not count:
+            raise InputError("scoring needs at least one query and one candidate")
+        feats = prepare_features(config, x_boxes, x_context, x_spatials, params.dtype, count)
+        if batch and len(batch[0][1].x_box) != count:
+            run()
+        waiting.append(np.empty((len(queries), count)))
+        for row, query in enumerate(queries):
+            batch.append((query, feats, waiting[-1], row))
+            if len(batch) == max(1, MAX_PASS_COLUMNS // count):
+                run()
+        while waiting and not (batch and batch[0][2] is waiting[0]):
+            yield waiting.pop(0)
+    run()
+    yield from waiting
 
 
 def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,

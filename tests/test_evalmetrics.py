@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from scrc.errors import InputError
-from scrc.evalmetrics import (RankedResult, eval_gt_scenario,
+from scrc.evalmetrics import (RECALL_KS, RankedResult, eval_gt_scenario,
                               eval_proposal_scenario, rank_candidates, write_per_query_csv)
-from scrc.geometry import BoundingBox
+from scrc.geometry import BoundingBox, iou, is_hit
 from scrc.nncore import make_rng
 
 
@@ -167,3 +167,37 @@ class TestPerQueryCsv:
         rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[1][3] == "1"
         assert rows[1][2] == "1.000000"  # rank-1 box is the gt box itself
+
+
+class TestOneIouForAllResults:
+    """Hit flags from one array IoU over all results give the report and the
+    CSV that one is_hit call per box gives."""
+
+    def results(self):
+        rng = make_rng(21)
+        out = []
+        for q in range(60):
+            count = int(rng.integers(1, 15))
+            corners = rng.uniform(0, 50, size=(count + 1, 2))
+            sides = rng.uniform(1, 30, size=(count + 1, 2))
+            boxes = [BoundingBox(*c, *(c + s)) for c, s in zip(corners, sides)]
+            if q % 3 == 0:
+                boxes[int(rng.integers(count))] = boxes[-1]
+            out.append(RankedResult.build(f"q{q}", "img", boxes[:-1],
+                                          rng.normal(size=count).tolist(), boxes[-1]))
+        return out
+
+    def test_report_and_csv_equal_per_box_hits(self, tmp_path):
+        results = self.results()
+        flags = [[is_hit(b, r.gt_box) for b in r.boxes] for r in results]
+        report = eval_proposal_scenario(results)
+        n = len(results)
+        assert report.r_at_k == {k: sum(any(f[:k]) for f in flags) / n for k in RECALL_KS}
+        assert report.oracle == sum(any(f) for f in flags) / n
+        assert 0 < report.oracle < 1
+        path = tmp_path / "q.csv"
+        write_per_query_csv(results, "proposals", path)
+        want = ["query,image_id,rank1_iou,hit_at_1,hit_at_10,hit_any"] + [
+            f"{r.query},{r.image_id},{iou(r.boxes[0], r.gt_box):.6f},"
+            f"{int(any(f[:1]))},{int(any(f[:10]))},{int(any(f))}" for r, f in zip(results, flags)]
+        assert path.read_text().splitlines() == want

@@ -133,3 +133,44 @@ class TestIsHit:
 
     def test_just_below_half_misses(self):
         assert not is_hit(BoundingBox(0, 0, 1, 1.99), BoundingBox(0, 0, 2, 2))
+
+
+class TestBoxRows:
+    """The rules over (n, 4) box coordinates give each row the bits of the
+    same rule on that row's BoundingBox."""
+
+    def boxes(self, seed, count=200):
+        rng = make_rng(seed)
+        boxes = [random_box(rng) for _ in range(count)]
+        return boxes, np.array([b.as_list() for b in boxes])
+
+    def test_spatial_codes_equal_per_box_bitwise(self):
+        boxes, coords = self.boxes(11)
+        for img in (ImageSize(101, 101), ImageSize(1e300, 101.5), ImageSize(2 ** 20, 3e5)):
+            got = encode_spatial(coords, img)
+            assert got.shape == (len(boxes), 8) and got.dtype == np.float64
+            assert got.tobytes() == np.stack([encode_spatial(b, img) for b in boxes]).tobytes()
+
+    def test_check_names_the_first_row_outside(self):
+        _, coords = self.boxes(12, 10)
+        coords[[3, 7], 2] = 150.0
+        with pytest.raises(InputError, match=r"^box 3: box \[.*, 150\.0, .*\] not contained "
+                                             r"in 101x101 image$"):
+            encode_spatial(coords, ImageSize(101, 101))
+        with pytest.raises(InputError, match=r"^box \[0\.0, 0\.0, 102\.0, 5\.0\] not contained"):
+            ImageSize(101, 101).check(BoundingBox(0.0, 0.0, 102.0, 5.0))
+
+    def test_iou_and_hits_equal_per_pair_bitwise(self):
+        boxes, coords = self.boxes(13)
+        gts, gt_coords = self.boxes(14)
+        # identical, disjoint and edge-touching pairs as well as random ones
+        boxes += [gts[0], BoundingBox(0, 0, 1, 1), BoundingBox(0, 0, 1, 2)]
+        gts += [gts[0], BoundingBox(5, 5, 6, 6), BoundingBox(1, 0, 2, 2)]
+        coords = np.array([b.as_list() for b in boxes])
+        gt_coords = np.array([b.as_list() for b in gts])
+        want = [iou(a, b) for a, b in zip(boxes, gts)]
+        assert iou(coords, gt_coords).tolist() == want
+        assert want[-3:] == [1.0, 0.0, 0.0]
+        assert is_hit(coords, gt_coords).tolist() == [is_hit(a, b) for a, b in zip(boxes, gts)]
+        # one BoundingBox meets every row
+        assert iou(coords, gts[0]).tolist() == [iou(a, gts[0]) for a in boxes]
