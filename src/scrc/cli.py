@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -57,7 +58,7 @@ def _resolve_config(args, phase: str):
     values = {key: default for key, (_, default) in _SETTINGS.items()}
     values.update(_PHASE_DEFAULTS[phase])
     explicit = set()
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         file_vals = _load_config_file(args.config)
         values.update(file_vals)
         explicit.update(file_vals)
@@ -98,6 +99,7 @@ def _add_config_flags(p: argparse.ArgumentParser, masks: bool = False):
             p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
 
 
+@functools.cache  # one parser per process: building it costs milliseconds per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scrc",
                                      description="Natural-language object retrieval")
@@ -271,7 +273,7 @@ def _cmd_retrieve(args) -> int:
                                context_store)
     scores = score_image(params, config, [query_ids], *inputs)[0].tolist()
     order = evalmetrics.rank_candidates(scores)
-    ranked = [{"box": pset.boxes[i].as_list(), "region_key": pset.region_keys[i],
+    ranked = [{"box": pset.coords[i].tolist(), "region_key": pset.region_keys[i],
                "log_prob": scores[i]} for i in order[:args.top_k]]
     _emit(ranked)
     return 0
@@ -311,14 +313,14 @@ def _cmd_eval(args) -> int:
             scored.append((image_id, cands, [(rec, d) for rec in recs for d in rec.descriptions]))
             yield [encode_nonempty(vocab, d, "query") for _, d in scored[-1][2]], *inputs
 
-    results = [evalmetrics.RankedResult.build(desc, image_id, cands.boxes, row, rec.box)
+    results = [evalmetrics.RankedResult.build(desc, image_id, cands.coords, row, rec.box)
                for scores, (image_id, cands, queries) in zip(score_images(params, config,
                                                                           images()), scored)
                for (rec, desc), row in zip(queries, scores.tolist())]
     report = (evalmetrics.eval_gt_scenario(results) if args.scenario == "gt"
               else evalmetrics.eval_proposal_scenario(results))
 
-    if args.per_query:
+    if args.per_query is not None:
         evalmetrics.write_per_query_csv(results, report.scenario, args.per_query)
     _emit(report.to_dict())
     return 0

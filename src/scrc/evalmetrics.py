@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import IOU_HIT_THRESHOLD, BoundingBox, iou
+from .geometry import IOU_HIT_THRESHOLD, iou
 
 RECALL_KS = (1, 10)  # the paper's R@1 and R@10
 
@@ -26,24 +26,25 @@ def rank_candidates(scores: Sequence[float]) -> list[int]:
 
 @dataclass
 class RankedResult:
-    """One query's candidates in descending-score order."""
+    """One query's candidates as (n, 4) box rows in descending-score order,
+    and its ground-truth box as a (4,) row."""
 
     query: str
     image_id: str
-    boxes: list[BoundingBox]
-    scores: list[float]
-    gt_box: BoundingBox
+    boxes: np.ndarray
+    gt_box: np.ndarray
 
     @classmethod
-    def build(cls, query: str, image_id: str, boxes: Sequence[BoundingBox],
-              scores: Sequence[float], gt_box: BoundingBox) -> "RankedResult":
+    def build(cls, query: str, image_id: str, boxes, scores: Sequence[float],
+              gt_box) -> "RankedResult":
+        """boxes and gt_box are box coordinates or BoundingBoxes."""
+        boxes = np.asarray(boxes, dtype=np.float64)
         if len(boxes) != len(scores):
             raise InputError(f"{len(boxes)} boxes but {len(scores)} scores")
-        if not boxes:
+        if not len(boxes):
             raise InputError(f"query {query!r}: empty candidate list")
-        order = rank_candidates(scores)
-        return cls(query, image_id, [boxes[i] for i in order],
-                   [scores[i] for i in order], gt_box)
+        return cls(query, image_id, boxes[rank_candidates(scores)],
+                   np.asarray(gt_box, dtype=np.float64))
 
 
 @dataclass
@@ -66,56 +67,54 @@ class MetricsReport:
         return out
 
 
+def _hits(results: Sequence[RankedResult], scenario: str):
+    """The hit table from one IoU over every ranked box: a (len(RECALL_KS) + 1,
+    len(results)) array, each result's hit within each k of RECALL_KS and then
+    its hit anywhere, and each result's rank-1 IoU. A hit is the ground-truth
+    box itself for "gt_boxes", and an IoU of at least IOU_HIT_THRESHOLD otherwise."""
+    if not results:
+        raise InputError("no results to evaluate")
+    counts = [len(r.boxes) for r in results]
+    if not all(counts):  # reduceat would read an empty segment as its next box
+        raise InputError(f"query {results[counts.index(0)].query!r}: empty candidate list")
+    boxes = np.concatenate([r.boxes for r in results])
+    gts = np.repeat([r.gt_box for r in results], counts, axis=0)
+    overlaps = iou(boxes, gts)
+    flags = (boxes == gts).all(axis=1) if scenario == "gt_boxes" else overlaps >= IOU_HIT_THRESHOLD
+    starts = np.cumsum([0] + counts[:-1])
+    rank = np.arange(len(boxes)) - np.repeat(starts, counts)
+    return (np.array([np.logical_or.reduceat(flags & (rank < k), starts)
+                      for k in (*RECALL_KS, np.inf)]), overlaps[starts])
+
+
 def eval_gt_scenario(results: Sequence[RankedResult]) -> MetricsReport:
     """P@1 over annotated-box candidate sets: the top-ranked box must be the
     ground-truth box itself (exact coordinates, not IoU)."""
-    if not results:
-        raise InputError("no results to evaluate")
-    hits = 0
-    for r in results:
-        if r.gt_box not in r.boxes:
-            raise InputError(
-                f"query {r.query!r} on {r.image_id!r}: ground-truth box not in candidates")
-        hits += r.boxes[0] == r.gt_box
-    return MetricsReport("gt_boxes", len(results), p_at_1=hits / len(results))
-
-
-def _overlaps(results: Sequence[RankedResult]) -> list[list[float]]:
-    """Each result's ranked boxes' IoU with its ground truth, from one array IoU."""
-    pairs = np.fromiter((b.as_list() + gt for r in results for gt in [r.gt_box.as_list()]
-                         for b in r.boxes), (float, 8))
-    ious = iter(iou(pairs[:, :4], pairs[:, 4:]).tolist())
-    return [[next(ious) for _ in r.boxes] for r in results]
+    hits, _ = _hits(results, "gt_boxes")
+    if not hits[-1].all():
+        r = results[int(np.argmin(hits[-1]))]
+        raise InputError(
+            f"query {r.query!r} on {r.image_id!r}: ground-truth box not in candidates")
+    return MetricsReport("gt_boxes", len(results),
+                         p_at_1=int(hits[RECALL_KS.index(1)].sum()) / len(results))
 
 
 def eval_proposal_scenario(results: Sequence[RankedResult]) -> MetricsReport:
     """R@k for k in RECALL_KS (any hit among the k best-scored proposals) and
     Oracle (any hit among all proposals, independent of scores)."""
-    if not results:
-        raise InputError("no results to evaluate")
-    r_hits = {k: 0 for k in RECALL_KS}
-    oracle_hits = 0
-    for r, overlaps in zip(results, _overlaps(results)):
-        if not r.boxes:
-            raise InputError(f"query {r.query!r}: empty candidate list")
-        flags = [v >= IOU_HIT_THRESHOLD for v in overlaps]
-        for k in RECALL_KS:
-            r_hits[k] += any(flags[:k])
-        oracle_hits += any(flags)
-    n = len(results)
-    return MetricsReport("proposals", n,
-                         r_at_k={k: v / n for k, v in r_hits.items()},
-                         oracle=oracle_hits / n)
+    hits, _ = _hits(results, "proposals")
+    rates = (hits.sum(axis=1) / len(results)).tolist()
+    return MetricsReport("proposals", len(results), r_at_k=dict(zip(RECALL_KS, rates)),
+                         oracle=rates[-1])
 
 
 def write_per_query_csv(results: Sequence[RankedResult], scenario: str, path):
     """One row per query: rank-1 IoU against ground truth plus hit flags
     (identity-based for the annotated-box scenario, IoU-based otherwise)."""
+    hits, rank1 = _hits(results, scenario)
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["query", "image_id", "rank1_iou", "hit_at_1", "hit_at_10", "hit_any"])
-        for r, overlaps in zip(results, _overlaps(results)):
-            flags = ([b == r.gt_box for b in r.boxes] if scenario == "gt_boxes"
-                     else [v >= IOU_HIT_THRESHOLD for v in overlaps])
-            writer.writerow([r.query, r.image_id, f"{overlaps[0]:.6f}",
-                             int(any(flags[:1])), int(any(flags[:10])), int(any(flags))])
+        writer.writerow(["query", "image_id", "rank1_iou",
+                         *(f"hit_at_{k}" for k in RECALL_KS), "hit_any"])
+        for r, overlap, *flags in zip(results, rank1.tolist(), *hits.astype(int).tolist()):
+            writer.writerow([r.query, r.image_id, f"{overlap:.6f}", *flags])

@@ -33,20 +33,12 @@ class BoundingBox:
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise InputError(f"degenerate box {vals}: max corner must exceed min corner")
 
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def as_list(self) -> list[float]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
+
+    def __array__(self, dtype=None, copy=None):
+        """A new (4,) row: numpy reads a box, or a list of boxes, as coordinates."""
+        return np.array(self.as_list(), dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -93,9 +85,12 @@ def encode_spatial(box, img: ImageSize) -> np.ndarray:
 
 
 def iou(a, b):
-    """IoU of two BoundingBoxes, or row by row of (n, 4) box coordinates."""
-    ax0, ay0, ax1, ay1 = _corners(a)
-    bx0, by0, bx1, by1 = _corners(b)
+    """IoU of two BoundingBoxes, or row by row of (n, 4) box coordinates. Each
+    pair is first scaled by the power of two that brings its largest coordinate
+    into [0.5, 1): exact, and its areas can then neither overflow nor underflow."""
+    corners = np.array(np.broadcast_arrays(*_corners(a), *_corners(b)))
+    _, exp = np.frexp(np.abs(corners).max(axis=0))
+    ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 = np.ldexp(corners, -exp)
     inter = (np.maximum(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0.0)
              * np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0.0))
     return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import scrc
-from scrc import cli, evalmetrics, gradcheck
+from scrc import cli, datastore, evalmetrics, gradcheck
 from scrc.cli import _build_parser, _load_config_file, main
 from scrc.datastore import (load_annotations, load_checkpoint, load_feature_store,
                             load_proposals, save_checkpoint)
@@ -503,6 +503,11 @@ class TestEval:
         assert len(lines) == 33  # header + one row per query
         assert lines[0].startswith("query,image_id,rank1_iou")
 
+    def test_empty_per_query_path_exit_1(self, synth_dir, finetuned):
+        code, out, err = run_cli(self.eval_args(synth_dir, finetuned, "gt") + ["--per-query", ""])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "''" in err
+
     def test_proposals_flag_required(self, synth_dir, finetuned):
         code, _, err = run_cli(["eval", "--model", str(finetuned), "--scenario", "proposals",
                                 "--annotations", str(synth_dir / "annotations.jsonl"),
@@ -661,6 +666,23 @@ class TestPerImageScoring:
         assert (code, err) == (0, "")
         assert out == json.dumps(want, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("command", ("gt", "proposals", "retrieve"))
+    def test_scoring_builds_no_box_objects(self, synth_dir, finetuned, tmp_path, monkeypatch,
+                                           command):
+        """eval and retrieve rank coordinate rows; ProposalSet.boxes is never built."""
+        csv_path = tmp_path / "q.csv"
+        args = (TestRetrieve().retrieve_args(synth_dir, finetuned) if command == "retrieve"
+                else TestEval().eval_args(synth_dir, finetuned, command)
+                + ["--per-query", str(csv_path)])
+        want = run_cli(args), csv_path.read_bytes() if csv_path.exists() else None
+        assert want[0][0] == 0
+
+        def no_boxes(pset):
+            raise AssertionError(f"ProposalSet.boxes built for {pset.image_id!r}")
+        monkeypatch.setattr(datastore.ProposalSet, "boxes", property(no_boxes))
+        csv_path.unlink(missing_ok=True)
+        assert (run_cli(args), csv_path.read_bytes() if csv_path.exists() else None) == want
+
     @pytest.mark.parametrize("command", ("eval", "retrieve"))
     def test_box_outside_image_names_image_and_box(self, synth_dir, finetuned, tmp_path,
                                                    command):
@@ -756,6 +778,14 @@ class TestSettings:
         code, out, err = self.pretrain(synth_dir, tmp_path, {"steps": 3}, "--steps", "2")
         assert code == 0, err
         assert json.loads(out)["steps"] == 2
+
+    def test_empty_config_path_exit_1(self, synth_dir, tmp_path):
+        code, out, err = run_cli(["pretrain", "--captions", str(synth_dir / "captions.jsonl"),
+                                  "--context-features", str(synth_dir / "context_features.bin"),
+                                  "--config", "", "--steps", "1", "--out", str(tmp_path / "o")])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "''" in err
+        assert not (tmp_path / "o").exists()
 
     def test_integer_accepted_for_float_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

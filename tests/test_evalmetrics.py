@@ -68,7 +68,7 @@ class TestGtScenario:
             gt_idx = int(rng.integers(m))
             result = RankedResult.build("q", "img", boxes, list(rng.normal(size=m)),
                                         boxes[gt_idx])
-            hits += result.boxes[0] == result.gt_box
+            hits += np.array_equal(result.boxes[0], result.gt_box)
         assert abs(hits / trials - 1.0 / m) < 0.05
 
 
@@ -170,34 +170,61 @@ class TestPerQueryCsv:
 
 
 class TestOneIouForAllResults:
-    """Hit flags from one array IoU over all results give the report and the
-    CSV that one is_hit call per box gives."""
+    """Hit flags from one pass over all results' boxes give the report and the
+    CSV that one is_hit call, or one row comparison, per box gives."""
 
-    def results(self):
+    # 1-candidate results between results shorter and longer than R@10's 10
+    SEGMENT_EDGES = [1, 9, 1, 1, 10, 11, 2, 1, 30, 3, 12, 1, 10, 1]
+
+    def results(self, counts=None, gt_listed=False):
         rng = make_rng(21)
         out = []
-        for q in range(60):
-            count = int(rng.integers(1, 15))
+        for q in range(60 if counts is None else len(counts)):
+            count = int(rng.integers(1, 15)) if counts is None else counts[q]
             corners = rng.uniform(0, 50, size=(count + 1, 2))
             sides = rng.uniform(1, 30, size=(count + 1, 2))
             boxes = [BoundingBox(*c, *(c + s)) for c, s in zip(corners, sides)]
-            if q % 3 == 0:
+            if gt_listed or q % 3 == 0:
                 boxes[int(rng.integers(count))] = boxes[-1]
             out.append(RankedResult.build(f"q{q}", "img", boxes[:-1],
                                           rng.normal(size=count).tolist(), boxes[-1]))
         return out
 
     def test_report_and_csv_equal_per_box_hits(self, tmp_path):
-        results = self.results()
-        flags = [[is_hit(b, r.gt_box) for b in r.boxes] for r in results]
-        report = eval_proposal_scenario(results)
-        n = len(results)
-        assert report.r_at_k == {k: sum(any(f[:k]) for f in flags) / n for k in RECALL_KS}
-        assert report.oracle == sum(any(f) for f in flags) / n
-        assert 0 < report.oracle < 1
-        path = tmp_path / "q.csv"
-        write_per_query_csv(results, "proposals", path)
-        want = ["query,image_id,rank1_iou,hit_at_1,hit_at_10,hit_any"] + [
-            f"{r.query},{r.image_id},{iou(r.boxes[0], r.gt_box):.6f},"
-            f"{int(any(f[:1]))},{int(any(f[:10]))},{int(any(f))}" for r, f in zip(results, flags)]
-        assert path.read_text().splitlines() == want
+        for case, counts in enumerate([None, self.SEGMENT_EDGES]):
+            results = self.results(counts)
+            flags = [[is_hit(b, r.gt_box) for b in r.boxes] for r in results]
+            report = eval_proposal_scenario(results)
+            n = len(results)
+            assert report.r_at_k == {k: sum(any(f[:k]) for f in flags) / n for k in RECALL_KS}
+            assert report.oracle == sum(any(f) for f in flags) / n
+            assert 0 < report.oracle < 1
+            path = tmp_path / f"q{case}.csv"
+            write_per_query_csv(results, "proposals", path)
+            want = ["query,image_id,rank1_iou,hit_at_1,hit_at_10,hit_any"] + [
+                f"{r.query},{r.image_id},{iou(r.boxes[0], r.gt_box):.6f},"
+                f"{int(any(f[:1]))},{int(any(f[:10]))},{int(any(f))}"
+                for r, f in zip(results, flags)]
+            assert path.read_text().splitlines() == want
+
+    def test_gt_report_and_csv_equal_per_box_row_equality(self, tmp_path):
+        for case, counts in enumerate([None, self.SEGMENT_EDGES]):
+            results = self.results(counts, gt_listed=True)
+            flags = [[np.array_equal(b, r.gt_box) for b in r.boxes] for r in results]
+            assert all(map(any, flags))
+            report = eval_gt_scenario(results)
+            assert report.p_at_1 == sum(f[0] for f in flags) / len(results)
+            assert 0 < report.p_at_1 < 1
+            path = tmp_path / f"q{case}.csv"
+            write_per_query_csv(results, "gt_boxes", path)
+            want = ["query,image_id,rank1_iou,hit_at_1,hit_at_10,hit_any"] + [
+                f"{r.query},{r.image_id},{iou(r.boxes[0], r.gt_box):.6f},"
+                f"{int(f[0])},{int(any(f[:10]))},1" for r, f in zip(results, flags)]
+            assert path.read_text().splitlines() == want
+
+    def test_empty_segment_refused(self):
+        results = self.results(self.SEGMENT_EDGES[:3])
+        results.insert(1, RankedResult("q", "img", np.empty((0, 4)), results[0].gt_box))
+        for evaluate in (eval_gt_scenario, eval_proposal_scenario):
+            with pytest.raises(InputError, match="^query 'q': empty candidate list$"):
+                evaluate(results)

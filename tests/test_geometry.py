@@ -23,8 +23,10 @@ class TestBoundingBox:
         with pytest.raises(InputError):
             BoundingBox(0, 0, float("nan"), 1)
 
-    def test_area(self):
-        assert BoundingBox(1, 2, 4, 6).area == 12
+    def test_numpy_reads_boxes_as_rows(self):
+        rows = np.asarray([BoundingBox(1, 2, 4, 6), BoundingBox(0, 0, 1, 1)], dtype=np.float64)
+        assert rows.tolist() == [[1, 2, 4, 6], [0, 0, 1, 1]]
+        assert np.asarray(BoundingBox(1, 2, 4, 6)).tolist() == [1, 2, 4, 6]
 
 
 class TestEncodeSpatial:
@@ -174,3 +176,29 @@ class TestBoxRows:
         assert is_hit(coords, gt_coords).tolist() == [is_hit(a, b) for a, b in zip(boxes, gts)]
         # one BoundingBox meets every row
         assert iou(coords, gts[0]).tolist() == [iou(a, gts[0]) for a in boxes]
+
+
+class TestIouAtAnyScale:
+    """IoU is a number for boxes of any finite size: areas that overflow or
+    underflow float64 do not turn it into NaN, and scaling keeps the bits of
+    ordinary boxes."""
+
+    CASES = [([0, 0, 1e200, 1e200], [0, 0, 1e200, 1e200], 1.0),
+             ([0, 0, 1e200, 1e200], [0, 0, 5e199, 1e200], 0.5),
+             ([0, 0, 1e-200, 1e-200], [0, 0, 1e-200, 1e-200], 1.0)]
+
+    @pytest.mark.parametrize("a, b, want", CASES)
+    def test_boxes(self, a, b, want):
+        assert iou(BoundingBox(*a), BoundingBox(*b)) == pytest.approx(want, rel=1e-15)
+
+    def test_rows(self):
+        a, b, want = (np.array(column, dtype=np.float64) for column in zip(*self.CASES))
+        assert iou(a, b) == pytest.approx(want, rel=1e-15)
+
+    def test_ordinary_boxes_keep_their_bits(self):
+        rng = make_rng(15)
+        a, b = (np.array([random_box(rng).as_list() for _ in range(2000)]).T for _ in "ab")
+        inter = (np.maximum(np.minimum(a[2], b[2]) - np.maximum(a[0], b[0]), 0.0)
+                 * np.maximum(np.minimum(a[3], b[3]) - np.maximum(a[1], b[1]), 0.0))
+        want = inter / ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
+        assert iou(a.T, b.T).tobytes() == want.tobytes()
