@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -168,7 +170,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str):
+    """Raise now the error that writing the checkpoint to path would raise
+    after training: path is empty, in a missing directory, or a directory."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _cmd_pretrain(args) -> int:
+    _check_out(args.out)
     values, _ = _resolve_config(args, "pretrain")
     captions = _records(datastore.load_captions, args.captions)
     context_store = datastore.load_feature_store(args.context_features)
@@ -197,6 +209,7 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
+    _check_out(args.out)
     values, explicit = _resolve_config(args, "finetune")
     records = _records(datastore.load_annotations, args.annotations)
     region_store = datastore.load_feature_store(args.region_features)

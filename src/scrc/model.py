@@ -33,7 +33,8 @@ import numpy as np
 from .errors import ConfigError, ContractError, InputError, ShapeError
 from .geometry import SPATIAL_DIM
 from .nncore import (DEFAULT_INIT_RADIUS, LstmParams, LstmState, LstmTrace, ParamTensor,
-                     init_uniform, log_softmax, lstm_bptt, lstm_step)
+                     init_uniform, log_softmax, lstm_bptt, lstm_step, pack_rows,
+                     packed_row_sums)
 from .textproc import BOS_ID, EOS_ID
 
 
@@ -199,7 +200,9 @@ class ForwardTrace:
     each row's real steps. With caches, units holds the language, local and
     global units' activations (None for a skipped unit), fixed each row's
     [box, spatial] and context inputs, and probs (T, B, V) each step's
-    next-word distribution: enough for backprop, which spends them."""
+    next-word distribution: enough for backprop, which spends them.
+    forward_batch runs the rows longest first, so that each step's live rows
+    are a prefix; its targets and log_probs stay in request order."""
 
     targets: list[list[int]]
     log_probs: np.ndarray
@@ -377,15 +380,23 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
 def forward_batch(params: ScrcParams, config: ScrcConfig, requests: Sequence[ScoreRequest],
                   keep_trace: bool = True) -> ForwardTrace:
     """One forward pass over the requests, one column per row, with per-row
-    log probabilities equal to sequence_log_prob's bit for bit."""
+    log probabilities equal to sequence_log_prob's bit for bit. The rows run
+    longest first, in a stable sort, so that each step's live rows are a
+    prefix of the columns: the layout that backward packs. The trace's
+    targets and log_probs are in request order."""
     if not requests:
         raise InputError("empty batch")
     params.check_config(config)
     queries = [_check_query(config, r.query) for r in requests]
     feats = [prepare_features(config, r.x_box, r.x_context, r.x_spatial, dtype=params.dtype)
              for r in requests]
-    trace = _decode(params, config, queries, feats, keep_trace)
-    return dataclasses.replace(trace, log_probs=trace.log_probs[:, 0])
+    order = sorted(range(len(queries)), key=lambda k: -len(queries[k]))
+    trace = _decode(params, config, [queries[k] for k in order], [feats[k] for k in order],
+                    keep_trace)
+    log_probs = np.empty(len(order))
+    log_probs[order] = trace.log_probs[:, 0]
+    return dataclasses.replace(trace, targets=[q + [EOS_ID] for q in queries],
+                               log_probs=log_probs)
 
 
 def sequence_log_prob(params: ScrcParams, config: ScrcConfig, request: ScoreRequest) -> float:
@@ -481,54 +492,52 @@ def score_images(params: ScrcParams, config: ScrcConfig, images) -> Iterator[np.
 def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,
              targets: Sequence[list[int]], scale: float = 1.0):
     """Accumulate gradients of scale * (-log-likelihood), summed over the
-    trace's rows, into params: one backward pass through time over all
-    rows, and one matrix product over all T * B steps per weight gradient.
+    trace's rows, into params: one backward pass through time over the
+    packed layout, the L live (step, row) cells in step order, and one
+    matrix product over those L steps per weight gradient. No padded cell
+    of the trace is read.
 
-    Padded steps add exactly zero. Branches disabled by the mode flags
-    receive exactly zero gradient; so do the spatial input columns of the
-    local unit when mask_spatial is set. Gradients overwrite the trace's
-    probs and gate buffers, which saves their copies; the trace is then
-    spent.
+    Branches disabled by the mode flags receive exactly zero gradient; so
+    do the spatial input columns of the local unit when mask_spatial is set.
+    Gradients overwrite the trace's probs and gate buffers, packed in place,
+    which saves their copies; the trace is then spent.
     """
     params.check_config(config)
     if list(targets) != trace.targets:
         raise ContractError("trace was produced for a different target sequence")
     if trace.probs is None:
         raise ContractError("trace lacks per-step caches or backward spent them; use forward_trace")
-    steps, rows = trace.live.shape
+    live = trace.live
+    counts = live.sum(axis=1)
+    if not np.array_equal(live, np.arange(live.shape[1]) < counts[:, None]):
+        raise ContractError("trace rows do not run longest first; use forward_batch")
     H = config.hidden_dim
 
-    def flat(a):  # (T, B, ...) -> (T * B, ...)
-        return a.reshape(steps * rows, -1)
-
-    dlogits = trace.probs
-    t, b = np.nonzero(trace.live)
-    dlogits[t, b, trace.ids[t + 1, b]] -= 1.0
-    dlogits[~trace.live] = 0.0
+    dlogits = pack_rows(trace.probs, counts)
+    trace.probs = None
+    dlogits[np.arange(len(dlogits)), trace.ids[1:][live]] -= 1.0
     if scale != 1.0:
         dlogits *= scale
-    dlogits = flat(dlogits)
     params.r.grad += dlogits.sum(axis=0)
     lang, local, glob = trace.units
-    h_lang = flat(lang.h[1:])
+    h_lang = lang.h[1:][live]
     dh_lang = np.zeros_like(h_lang)
     for unit, W, unit_trace, fixed in ((params.lstm_local, params.W_local, local, trace.fixed[0]),
                                        (params.lstm_global, params.W_global, glob, trace.fixed[1])):
         if unit_trace is None:
             continue
-        W.grad += dlogits.T @ flat(unit_trace.h[1:])
-        grads = lstm_bptt(unit, unit_trace, dlogits @ W.value)
+        W.grad += dlogits.T @ unit_trace.h[1:][live]
+        grads = lstm_bptt(unit, unit_trace, dlogits @ W.value, counts)
         unit.W_x.grad[:, :H] += grads.T @ h_lang
         # the fixed inputs are the same at every step of a row
-        unit.W_x.grad[:, H:] += grads.reshape(steps, rows, -1).sum(axis=0).T @ fixed
+        unit.W_x.grad[:, H:] += packed_row_sums(grads, counts).T @ fixed
         dh_lang += grads @ unit.W_x.value[:, :H]
         del grads  # one gradient buffer alive at a time keeps the peak memory down
     del dlogits
-    grads = lstm_bptt(params.lstm_language, lang, dh_lang)
-    inputs = trace.ids[:-1].ravel()
+    grads = lstm_bptt(params.lstm_language, lang, dh_lang, counts)
+    inputs = trace.ids[:-1][live]
     params.lstm_language.W_x.grad += grads.T @ params.E.value.T[inputs]
     np.add.at(params.E.grad.T, inputs, grads @ params.lstm_language.W_x.value)
-    trace.probs = None
 
 
 def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_context,

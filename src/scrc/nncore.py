@@ -253,27 +253,72 @@ class LstmTrace:
         self.c[t + 1] = state.c.T[:rows]
 
 
-def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray) -> np.ndarray:
-    """Backpropagate through time a forward pass over (T, B) steps and rows.
+def packed_slices(counts) -> list[slice]:
+    """Each step's rows in the packed layout of a pass whose step t has
+    counts[t] live rows: the live (step, row) cells in step order, so step
+    t's rows follow step t - 1's."""
+    ends = np.cumsum(counts).tolist()
+    return [slice(end - n, end) for end, n in zip(ends, counts)]
 
-    dh (T * B, H) is the loss gradient flowing into each step's h from
-    outside the unit. W_h and b gradients accumulate into params, each as
-    one product over all T * B rows; returns the gate pre-activation
-    gradients (T * B, 4H), from which the caller forms W_x's gradient and
-    the input gradients. Rows whose dh is zero from some step on add
-    exactly zero from that step on. The gradients overwrite trace.gates.
+
+def pack_rows(a: np.ndarray, counts) -> np.ndarray:
+    """The packed layout of a C-contiguous (T, B, ...) array whose step t has
+    its first counts[t] rows live, as an (L, ...) view: the live rows move to
+    the front of a's buffer, in place, and no padded row is read."""
+    flat = a.reshape(-1, *a.shape[2:])
+    rows = a.shape[1]
+    for t, step in enumerate(packed_slices(counts)):
+        if step.start != t * rows:
+            flat[step] = flat[t * rows:t * rows + step.stop - step.start]
+    return flat[:sum(counts)]
+
+
+def packed_row_sums(packed: np.ndarray, counts) -> np.ndarray:
+    """Each row's sum over its live steps of a packed (L, ...) array, in step
+    order: (counts[0], ...)."""
+    steps = packed_slices(counts)
+    total = packed[steps[0]].copy()
+    for step in steps[1:]:
+        total[:step.stop - step.start] += packed[step]
+    return total
+
+
+def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray, counts) -> np.ndarray:
+    """Backpropagate through time a forward pass over (T, B) steps and rows
+    whose step t has its first counts[t] rows live. The counts never rise
+    from step to step, as when rows run longest first.
+
+    The pass runs on the packed layout (packed_slices) of the L live cells,
+    and reads no padded cell of the trace. dh (L, H) is the loss gradient
+    flowing into each live step's h from outside the unit; the pass adds
+    the recurrent gradient into it. Step t's gate gradients and W_h products
+    take its counts[t] rows. W_h and b gradients accumulate into params,
+    each as one product over the live steps; returns the gate pre-activation
+    gradients (L, 4H), from which the caller forms W_x's gradient and the
+    input gradients. The gradients overwrite trace.gates, packed in place.
     """
     steps, rows, gates = trace.gates.shape
     hidden = gates // 4
-    dh = dh.reshape(steps, rows, hidden)
-    grads = trace.gates  # each step's gradients overwrite its activations
-    dh_next = dc_next = np.zeros((rows, hidden), dtype=grads.dtype)
-    for t in reversed(range(steps)):
-        grads[t], dc_next = lstm_gate_grads(trace.gates[t], trace.c[t], np.tanh(trace.c[t + 1]),
-                                            dh[t] + dh_next, dc_next)
-        dh_next = grads[t] @ params.W_h.value
-    grads = grads.reshape(steps * rows, gates)
-    params.W_h.grad += grads.T @ trace.h[:-1].reshape(steps * rows, hidden)
+    counts = [int(n) for n in counts]
+    if (len(counts) != steps or sorted(counts, reverse=True) != counts
+            or not rows >= counts[0] >= counts[-1] >= 0 or dh.shape != (sum(counts), hidden)):
+        raise ContractError(f"live rows per step {counts} do not fit a trace of {steps} steps "
+                            f"of {rows} rows and gradients {dh.shape}, or rise from step to step")
+    grads = pack_rows(trace.gates, counts)  # each step's gradients overwrite its activations
+    dc = np.zeros((counts[0], hidden), dtype=grads.dtype)
+    dh_next = np.zeros((0, hidden), dtype=grads.dtype)
+    for t, step in reversed(list(enumerate(packed_slices(counts)))):
+        n = step.stop - step.start
+        # rows that end at step t take no gradient from step t + 1; their dc rows are still zero
+        dh_t = dh[step]
+        dh_t[:len(dh_next)] += dh_next
+        grads[step], dc[:n] = lstm_gate_grads(grads[step], trace.c[t, :n],
+                                              np.tanh(trace.c[t + 1, :n]), dh_t, dc[:n])
+        if t:  # h_{-1} is the zero state, which takes no gradient
+            dh_next = grads[step] @ params.W_h.value
+    # the live h_{t-1} of steps 1 on; step 0's is zero and adds nothing
+    live = np.arange(rows) < np.array(counts)[:, None]
+    params.W_h.grad += grads[counts[0]:].T @ trace.h[1:-1][live[1:]]
     params.b.grad += grads.sum(axis=0)
     return grads
 

@@ -1,10 +1,11 @@
 """The three-phase pipeline: caption pretraining, weight transfer into the
 local branch, and retrieval fine-tuning, with deterministic minibatching.
 
-Each minibatch runs as one forward pass over its sequences as padded rows
-and one backward pass through time (model.forward_batch and backward),
-with gradients scaled by 1/batch_size; then one optimizer step is taken,
-so the step minimizes the mean per-tuple negative log-likelihood. The
+Each minibatch runs as one forward pass over its sequences as padded rows,
+longest first, and one backward pass through time over their live steps
+only (model.forward_batch and backward), with gradients scaled by
+1/batch_size; then one optimizer step is taken, so the step minimizes the
+mean per-tuple negative log-likelihood. The
 reported loss sums the rows' log-likelihoods in batch order, as the
 per-sequence scorer computes them.
 """

@@ -1,5 +1,5 @@
-"""The batched training core (forward_batch + backward over padded rows)
-against B = 1 passes of the same core."""
+"""The batched training core (forward_batch over padded rows, backward over
+their live steps) against B = 1 passes of the same core."""
 
 import copy
 
@@ -10,6 +10,7 @@ from scrc.gradcheck import (DEFAULT_CHECK_CONFIG, DEFAULT_CHECK_SEED, accumulate
                             check_instance)
 from scrc.model import (ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch,
                         forward_trace, sequence_log_prob)
+from scrc import nncore
 from scrc.nncore import make_rng
 from scrc.textproc import EOS_ID
 
@@ -97,9 +98,9 @@ def test_padded_short_row_gives_the_gradient_it_gives_alone():
     assert max_rel_diff({k: both[k] - alone[k] for k in both}, short_alone) < 1e-12
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
-def test_padded_steps_add_exactly_zero(mode):
-    """Whatever the padded steps cached, the gradient is the same bit for bit."""
+def assert_padding_unread(mode, fill):
+    """The gradients are the same bit for bit whatever fill(shape) writes over
+    every padded cell of the trace: its probs, gates, h and c."""
     config = small_config(**mode)
     rng = make_rng(45)
     params = random_params(config, rng)
@@ -113,16 +114,75 @@ def test_padded_steps_add_exactly_zero(mode):
     assert np.all(params.E.grad[:, EOS_ID] == 0)  # <eos> is only ever a padding input
 
     pad = ~perturbed.live
-    perturbed.probs[pad] = rng.uniform(size=perturbed.probs[pad].shape)
+    perturbed.probs[pad] = fill(perturbed.probs[pad].shape)
     for unit in perturbed.units:
         if unit is not None:
-            unit.gates[pad] = rng.uniform(size=unit.gates[pad].shape)
-            unit.h[1:][pad] = rng.normal(size=unit.h[1:][pad].shape)
-            unit.c[1:][pad] = rng.normal(size=unit.c[1:][pad].shape)
+            unit.gates[pad] = fill(unit.gates[pad].shape)
+            unit.h[1:][pad] = fill(unit.h[1:][pad].shape)
+            unit.c[1:][pad] = fill(unit.c[1:][pad].shape)
     params.zero_grads()
     backward(params, config, perturbed, perturbed.targets)
     for t in params.tensors():
         assert np.array_equal(t.grad, want[t.name]), t.name
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
+def test_padded_steps_add_exactly_zero(mode):
+    """Whatever the padded steps cached, the gradient is the same bit for bit."""
+    rng = make_rng(50)
+    assert_padding_unread(mode, lambda shape: rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
+def test_padded_cells_are_never_read(mode):
+    """NaN in every padded cell reaches no gradient: a padded cell multiplied
+    by a zero gradient would still spread it."""
+    assert_padding_unread(mode, lambda shape: np.full(shape, np.nan))
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
+def test_any_row_order_gives_each_request_its_log_prob(mode, dtype):
+    config = small_config(**mode)
+    rng = make_rng(51)
+    params = random_params(config, rng, dtype)
+    requests = mixed_requests(rng, config, lengths=(3, 1, 7, 2, 5, 4, 7, 1))
+    want = [sequence_log_prob(params, config, r) for r in requests]
+    grads = []
+    for order in ([0, 1, 2, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3, 2, 1, 0], [4, 1, 6, 0, 3, 7, 2, 5]):
+        batch = [requests[k] for k in order]
+        trace = forward_batch(params, config, batch)
+        assert trace.log_probs.tolist() == [want[k] for k in order]
+        assert trace.targets == [list(r.query) + [EOS_ID] for r in batch]
+        live_rows = trace.live.sum(axis=1)
+        assert np.array_equal(trace.live, np.arange(len(batch)) < live_rows[:, None])
+        params.zero_grads()
+        backward(params, config, trace, trace.targets)
+        grads.append({t.name: t.grad.copy() for t in params.tensors()})
+    if dtype == np.float64:
+        for other in grads[1:]:
+            assert max_rel_diff(grads[0], other) < 1e-12
+
+
+def test_recurrence_runs_only_live_rows(monkeypatch):
+    """Each step of each unit's backward recurrence takes that step's live
+    rows, and no padded row."""
+    config = small_config()
+    rng = make_rng(52)
+    params = random_params(config, rng)
+    trace = forward_batch(params, config, mixed_requests(rng, config, lengths=(1, 7, 3, 5)))
+    seen = []
+
+    def recording(gates, *rest):
+        seen.append(len(gates))
+        return gate_grads(gates, *rest)
+
+    gate_grads = nncore.lstm_gate_grads
+    monkeypatch.setattr(nncore, "lstm_gate_grads", recording)
+    backward(params, config, trace, trace.targets)
+    per_step = trace.live.sum(axis=1).tolist()
+    assert per_step == [4, 4, 3, 3, 2, 2, 1, 1]
+    assert seen == per_step[::-1] * 3  # local, global, then language
 
 
 @pytest.mark.parametrize("mode, silent", [
@@ -168,3 +228,15 @@ def test_wrong_targets_rejected():
     trace = forward_batch(params, config, mixed_requests(rng, config, lengths=(2, 3)))
     with pytest.raises(ContractError):
         backward(params, config, trace, trace.targets[::-1])
+
+
+def test_rows_out_of_order_rejected():
+    from scrc.errors import ContractError
+
+    config = small_config()
+    rng = make_rng(49)
+    params = random_params(config, rng)
+    trace = forward_batch(params, config, mixed_requests(rng, config, lengths=(2, 5)))
+    trace.live = trace.live[:, ::-1]  # the shorter row first: its live rows are no prefix
+    with pytest.raises(ContractError):
+        backward(params, config, trace, trace.targets)

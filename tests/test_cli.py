@@ -143,6 +143,28 @@ class TestWriteErrors:
         assert code == 1
         assert err.startswith("error: ") and err.endswith(f": '{out}'\n")
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("out", ["", "directory", "nodir/x.ckpt"])
+    def test_unwritable_checkpoint_path_refused_before_training(self, synth_dir, tmp_path,
+                                                                monkeypatch, command, out):
+        def train(*_):
+            raise AssertionError("trained for a checkpoint that cannot be written")
+
+        monkeypatch.setattr(cli, "pretrain_captioning", train)
+        monkeypatch.setattr(cli, "finetune_retrieval", train)
+        (tmp_path / "directory").mkdir()
+        out = str(tmp_path / out) if out else out
+        inputs = {
+            "pretrain": ["--captions", str(synth_dir / "captions.jsonl")],
+            "finetune": ["--annotations", str(synth_dir / "annotations.jsonl"),
+                         "--region-features", str(synth_dir / "region_features.bin"),
+                         "--no-transfer-init"]}[command]
+        code, stdout, err = run_cli([
+            command, *inputs, "--context-features", str(synth_dir / "context_features.bin"),
+            "--config", str(synth_dir / "config.json"), "--out", out, "--steps", "1"])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.endswith(f": '{out}'\n")
+
     def test_feature_store_over_directory(self, tmp_path):
         (tmp_path / "region_features.bin").mkdir()
         code, _, err = run_cli(["synth", "--out-dir", str(tmp_path), "--images", "1"])

@@ -296,10 +296,52 @@ class TestLstmBackward:
 
         p.W_h.zero_grad()
         p.b.zero_grad()
-        pre = lstm_bptt(p, trace, dh.copy())
+        pre = lstm_bptt(p, trace, dh.copy(), [1] * steps)
         assert np.max(np.abs(pre - step_pre)) < 1e-12
         assert np.max(np.abs(p.W_h.grad - step_W_h)) < 1e-12
         assert np.max(np.abs(p.b.grad - step_pre.sum(axis=0))) < 1e-12
+
+
+    def test_bptt_over_live_prefixes_equals_each_row_alone(self):
+        # rows of 3, 2 and 1 live steps in one trace whose padded cells are
+        # NaN, against each row as its own all-live trace
+        rng = make_rng(5)
+        hidden, lengths = 4, (3, 2, 1)
+        p = LstmParams.init("u", hidden, 3, rng, radius=0.8, dtype=np.float64)
+        p.b.value[...] = rng.normal(size=4 * hidden)
+        trace = LstmTrace.zeros(3, 3, hidden, np.float64)
+        for a in (trace.gates, trace.h[1:], trace.c[1:]):
+            a[...] = np.nan
+        alone = [LstmTrace.zeros(n, 1, hidden, np.float64) for n in lengths]
+        for b, n in enumerate(lengths):
+            st = LstmState.zeros(hidden, np.float64)
+            for t in range(n):
+                st, gates = lstm_step(p, rng.normal(size=3), st)
+                for tr, row in ((trace, b), (alone[b], 0)):
+                    tr.gates[t, row], tr.h[t + 1, row], tr.c[t + 1, row] = gates, st.h, st.c
+        counts = [3, 2, 1]
+        dh = rng.normal(size=(sum(counts), hidden))
+        live = [(t, b) for t, n in enumerate(counts) for b in range(n)]  # the packed order
+
+        pre = lstm_bptt(p, trace, dh.copy(), counts)
+        packed = {"W_h": p.W_h.grad.copy(), "b": p.b.grad.copy()}
+        for t in p.fused_tensors():
+            t.zero_grad()
+        for b, n in enumerate(lengths):
+            rows = [k for k, cell in enumerate(live) if cell[1] == b]
+            row_pre = lstm_bptt(p, alone[b], dh[rows].copy(), [1] * n)
+            assert np.max(np.abs(pre[rows] - row_pre)) < 1e-12
+        assert np.max(np.abs(p.W_h.grad - packed["W_h"])) < 1e-12
+        assert np.max(np.abs(p.b.grad - packed["b"])) < 1e-12
+
+    @pytest.mark.parametrize("counts", ([2, 3], [2, 2, 2], [3]))
+    def test_bptt_refuses_counts_that_do_not_fit(self, counts):
+        from scrc.errors import ContractError
+
+        p = tiny_lstm(4, 3)
+        with pytest.raises(ContractError):
+            lstm_bptt(p, LstmTrace.zeros(2, 2, 4, np.float64), np.zeros((sum(counts), 4)),
+                      counts)
 
 
 class TestSgd:
