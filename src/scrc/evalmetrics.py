@@ -4,12 +4,14 @@ proposal boxes with hits at IoU >= 0.5."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .datastore import _atomic_write
 from .errors import InputError
 from .geometry import IOU_HIT_THRESHOLD, iou
 
@@ -109,11 +111,11 @@ def eval_proposal_scenario(results: Sequence[RankedResult]) -> MetricsReport:
 
 
 def write_per_query_csv(results: Sequence[RankedResult], scenario: str, path):
-    """One row per query: rank-1 IoU against ground truth plus hit flags
-    (identity-based for the annotated-box scenario, IoU-based otherwise)."""
+    """One row per query, replacing path only once complete: rank-1 IoU against
+    ground truth plus hit flags (identity for gt_boxes, IoU-based otherwise)."""
     hits, rank1 = _hits(results, scenario)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
+    with _atomic_write(path) as f, io.TextIOWrapper(f, encoding="utf-8", newline="") as text:
+        writer = csv.writer(text)
         writer.writerow(["query", "image_id", "rank1_iou",
                          *(f"hit_at_{k}" for k in RECALL_KS), "hit_any"])
         for r, overlap, *flags in zip(results, rank1.tolist(), *hits.astype(int).tolist()):

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import ConfigError, ContractError, InputError, ShapeError
 from .geometry import SPATIAL_DIM
 from .nncore import (DEFAULT_INIT_RADIUS, LstmParams, LstmState, LstmTrace, ParamTensor,
-                     init_uniform, log_softmax, lstm_bptt, lstm_step, pack_rows,
-                     packed_row_sums)
+                     init_uniform, log_softmax, lstm_bptt, lstm_step, packed_row_sums,
+                     packed_slices)
 from .textproc import BOS_ID, EOS_ID
 
 
@@ -199,10 +199,11 @@ class ForwardTrace:
     <eos> to T + 1 = the longest query length plus 2, and live (T, B) marks
     each row's real steps. With caches, units holds the language, local and
     global units' activations (None for a skipped unit), fixed each row's
-    [box, spatial] and context inputs, and probs (T, B, V) each step's
-    next-word distribution: enough for backprop, which spends them.
-    forward_batch runs the rows longest first, so that each step's live rows
-    are a prefix; its targets and log_probs stay in request order."""
+    [box, spatial] and context inputs, and probs (L, V) each live step's
+    next-word distribution, all in the packed layout of the L live cells:
+    enough for backprop, which spends them. forward_batch runs the rows
+    longest first, so that each step's live rows are a prefix; its targets
+    and log_probs stay in request order."""
 
     targets: list[list[int]]
     log_probs: np.ndarray
@@ -214,10 +215,10 @@ class ForwardTrace:
 
     @property
     def steps(self) -> list[StepRecord]:
-        """Per step, each unit's (B, H) state after it."""
-        return [StepRecord(*(None if u is None else LstmState(u.h[t + 1], u.c[t + 1])
+        """Per step, each unit's state after it on the step's live rows."""
+        return [StepRecord(*(None if u is None else LstmState(u.h[step], u.c[step])
                              for u in self.units))
-                for t in range(len(self.live))]
+                for step in packed_slices(self.units[0].counts)]
 
 
 # A pass of rows is a whole number of blocks of this many columns. BLAS rounds a
@@ -353,16 +354,18 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
     fixed = _fix(params, config, cols, np.cumsum(new) - 1)
     units, probs = (None, None, None), None
     if keep_trace:
-        units = tuple(None if skip else LstmTrace.zeros(steps, rows, config.hidden_dim,
-                                                        params.dtype)
+        counts = live.sum(axis=1).tolist()
+        units = tuple(None if skip else LstmTrace.zeros(counts, config.hidden_dim, params.dtype)
                       for skip in (False, config.caption_mode, config.mask_context))
-        probs = np.zeros((steps, rows, config.vocab_size), dtype=params.dtype)
+        probs = np.zeros((sum(counts), config.vocab_size), dtype=params.dtype)
+        packed = packed_slices(counts)
     total = np.float64(0.0)
     every_query = np.arange(width)
     state = DecoderState(None, None, None)
     block = max(1, MAX_PASS_COLUMNS // width)
     for first in range(0, steps, block):
-        words = params.E.value[:, ids[first:min(first + block, steps)].ravel()]
+        # take's C-ordered copy, unlike E[:, ids]'s F-ordered one, keeps W_x @ words fast
+        words = np.take(params.E.value, ids[first:min(first + block, steps)].ravel(), axis=1)
         for t, logits in enumerate(_block(params, config, words, width, fixed, state, units,
                                           first), first):
             logp = log_softmax(logits)
@@ -370,7 +373,7 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
             picked = logp.reshape(len(logp), width, -1)[ids[t + 1], every_query][:rows]
             total = total + np.where(live[t][:, None], picked, 0.0)
             if keep_trace:
-                probs[t] = np.exp(logp[:, :rows]).T
+                probs[packed[t]] = np.exp(logp[:, :counts[t]]).T
     fixed_rows = (np.concatenate([cols.x_box, cols.x_spatial])[:, :rows].T,
                   cols.x_context[:, :rows].T) if keep_trace else None
     return ForwardTrace([q + [EOS_ID] for q in queries], total, ids[:, :rows], live,
@@ -382,7 +385,7 @@ def forward_batch(params: ScrcParams, config: ScrcConfig, requests: Sequence[Sco
     """One forward pass over the requests, one column per row, with per-row
     log probabilities equal to sequence_log_prob's bit for bit. The rows run
     longest first, in a stable sort, so that each step's live rows are a
-    prefix of the columns: the layout that backward packs. The trace's
+    prefix of the columns, which the trace records packed. The trace's
     targets and log_probs are in request order."""
     if not requests:
         raise InputError("empty batch")
@@ -493,14 +496,13 @@ def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,
              targets: Sequence[list[int]], scale: float = 1.0):
     """Accumulate gradients of scale * (-log-likelihood), summed over the
     trace's rows, into params: one backward pass through time over the
-    packed layout, the L live (step, row) cells in step order, and one
-    matrix product over those L steps per weight gradient. No padded cell
-    of the trace is read.
+    trace's packed layout, the L live (step, row) cells in step order, and
+    one matrix product over those L steps per weight gradient.
 
     Branches disabled by the mode flags receive exactly zero gradient; so
     do the spatial input columns of the local unit when mask_spatial is set.
-    Gradients overwrite the trace's probs and gate buffers, packed in place,
-    which saves their copies; the trace is then spent.
+    Gradients overwrite the trace's probs and gate buffers in place, which
+    saves their copies; the trace is then spent.
     """
     params.check_config(config)
     if list(targets) != trace.targets:
@@ -508,33 +510,31 @@ def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,
     if trace.probs is None:
         raise ContractError("trace lacks per-step caches or backward spent them; use forward_trace")
     live = trace.live
-    counts = live.sum(axis=1)
-    if not np.array_equal(live, np.arange(live.shape[1]) < counts[:, None]):
+    if not np.array_equal(live, np.arange(live.shape[1]) < live.sum(axis=1)[:, None]):
         raise ContractError("trace rows do not run longest first; use forward_batch")
     H = config.hidden_dim
 
-    dlogits = pack_rows(trace.probs, counts)
+    dlogits = trace.probs
     trace.probs = None
     dlogits[np.arange(len(dlogits)), trace.ids[1:][live]] -= 1.0
     if scale != 1.0:
         dlogits *= scale
     params.r.grad += dlogits.sum(axis=0)
     lang, local, glob = trace.units
-    h_lang = lang.h[1:][live]
-    dh_lang = np.zeros_like(h_lang)
+    dh_lang = np.zeros_like(lang.h)
     for unit, W, unit_trace, fixed in ((params.lstm_local, params.W_local, local, trace.fixed[0]),
                                        (params.lstm_global, params.W_global, glob, trace.fixed[1])):
         if unit_trace is None:
             continue
-        W.grad += dlogits.T @ unit_trace.h[1:][live]
-        grads = lstm_bptt(unit, unit_trace, dlogits @ W.value, counts)
-        unit.W_x.grad[:, :H] += grads.T @ h_lang
+        W.grad += dlogits.T @ unit_trace.h
+        grads = lstm_bptt(unit, unit_trace, dlogits @ W.value)
+        unit.W_x.grad[:, :H] += grads.T @ lang.h
         # the fixed inputs are the same at every step of a row
-        unit.W_x.grad[:, H:] += packed_row_sums(grads, counts).T @ fixed
+        unit.W_x.grad[:, H:] += packed_row_sums(grads, unit_trace.counts).T @ fixed
         dh_lang += grads @ unit.W_x.value[:, :H]
         del grads  # one gradient buffer alive at a time keeps the peak memory down
     del dlogits
-    grads = lstm_bptt(params.lstm_language, lang, dh_lang, counts)
+    grads = lstm_bptt(params.lstm_language, lang, dh_lang)
     inputs = trace.ids[:-1][live]
     params.lstm_language.W_x.grad += grads.T @ params.E.value.T[inputs]
     np.add.at(params.E.grad.T, inputs, grads @ params.lstm_language.W_x.value)
@@ -568,8 +568,8 @@ def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_contex
         parents = [b[2] for b in beams]
         state = DecoderState(*(None if s is None else LstmState(s.h[:, parents], s.c[:, parents])
                                for s in vars(state).values()))
-        (logits,) = _block(params, config, params.E.value[:, [b[3] for b in beams]], len(beams),
-                           fixed, state)
+        (logits,) = _block(params, config, np.take(params.E.value, [b[3] for b in beams], axis=1),
+                           len(beams), fixed, state)
         choices = content if len(beams[0][1]) < max_len else np.array([EOS_ID])
         totals = (np.array([b[0] for b in beams])[:, None]
                   + log_softmax(logits).T[:, choices]).ravel()

@@ -228,31 +228,6 @@ def lstm_step_backward(params: LstmParams, x: np.ndarray, prev: LstmState, state
     return params.W_x.value.T @ pre, params.W_h.value.T @ pre, dc_prev
 
 
-@dataclass
-class LstmTrace:
-    """One unit's activations over T steps of B rows: gates (T, B, 4H) holds
-    the activated i, f, o, g, and h and c (T + 1, B, H) the outputs and
-    cells, starting with the zero state."""
-
-    gates: np.ndarray
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, steps: int, rows: int, hidden_dim: int, dtype) -> "LstmTrace":
-        return cls(np.zeros((steps, rows, 4 * hidden_dim), dtype=dtype),
-                   np.zeros((steps + 1, rows, hidden_dim), dtype=dtype),
-                   np.zeros((steps + 1, rows, hidden_dim), dtype=dtype))
-
-    def record(self, t: int, state: LstmState, gates: np.ndarray):
-        """Store step t of a forward pass over columns, of which the first B
-        are the rows: the state and gates lstm_step returned."""
-        rows = self.h.shape[1]
-        self.gates[t] = gates.T[:rows]
-        self.h[t + 1] = state.h.T[:rows]
-        self.c[t + 1] = state.c.T[:rows]
-
-
 def packed_slices(counts) -> list[slice]:
     """Each step's rows in the packed layout of a pass whose step t has
     counts[t] live rows: the live (step, row) cells in step order, so step
@@ -261,16 +236,31 @@ def packed_slices(counts) -> list[slice]:
     return [slice(end - n, end) for end, n in zip(ends, counts)]
 
 
-def pack_rows(a: np.ndarray, counts) -> np.ndarray:
-    """The packed layout of a C-contiguous (T, B, ...) array whose step t has
-    its first counts[t] rows live, as an (L, ...) view: the live rows move to
-    the front of a's buffer, in place, and no padded row is read."""
-    flat = a.reshape(-1, *a.shape[2:])
-    rows = a.shape[1]
-    for t, step in enumerate(packed_slices(counts)):
-        if step.start != t * rows:
-            flat[step] = flat[t * rows:t * rows + step.stop - step.start]
-    return flat[:sum(counts)]
+@dataclass
+class LstmTrace:
+    """One unit's activations over a pass whose step t has its first
+    counts[t] rows live, in the packed layout (packed_slices) of the L live
+    cells: gates (L, 4H) holds the activated i, f, o, g, and h and c (L, H)
+    the outputs and cells. The zero state before step 0 is not stored."""
+
+    counts: list[int]
+    gates: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def zeros(cls, counts, hidden_dim: int, dtype) -> "LstmTrace":
+        cells = sum(counts)
+        return cls(list(counts), *(np.zeros((cells, k * hidden_dim), dtype) for k in (4, 1, 1)))
+
+    def record(self, t: int, state: LstmState, gates: np.ndarray):
+        """Store step t of a forward pass over columns, of which the first
+        counts[t] are its live rows: the state and gates lstm_step returned."""
+        start, rows = sum(self.counts[:t]), self.counts[t]
+        step = slice(start, start + rows)
+        self.gates[step] = gates.T[:rows]
+        self.h[step] = state.h.T[:rows]
+        self.c[step] = state.c.T[:rows]
 
 
 def packed_row_sums(packed: np.ndarray, counts) -> np.ndarray:
@@ -283,42 +273,43 @@ def packed_row_sums(packed: np.ndarray, counts) -> np.ndarray:
     return total
 
 
-def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray, counts) -> np.ndarray:
-    """Backpropagate through time a forward pass over (T, B) steps and rows
-    whose step t has its first counts[t] rows live. The counts never rise
-    from step to step, as when rows run longest first.
+def lstm_bptt(params: LstmParams, trace: LstmTrace, dh: np.ndarray) -> np.ndarray:
+    """Backpropagate through time the forward pass that trace recorded. Its
+    counts never rise from step to step, as when rows run longest first, so
+    step t's h_{t-1} and c_{t-1} are the first counts[t] rows of step t - 1;
+    step 0's are zero.
 
-    The pass runs on the packed layout (packed_slices) of the L live cells,
-    and reads no padded cell of the trace. dh (L, H) is the loss gradient
-    flowing into each live step's h from outside the unit; the pass adds
-    the recurrent gradient into it. Step t's gate gradients and W_h products
-    take its counts[t] rows. W_h and b gradients accumulate into params,
-    each as one product over the live steps; returns the gate pre-activation
-    gradients (L, 4H), from which the caller forms W_x's gradient and the
-    input gradients. The gradients overwrite trace.gates, packed in place.
+    dh (L, H) is the loss gradient flowing into each live step's h from
+    outside the unit; the pass adds the recurrent gradient into it. Step t's
+    gate gradients and W_h products take its counts[t] rows. W_h and b
+    gradients accumulate into params, each as one product over the live
+    steps; returns the gate pre-activation gradients (L, 4H), from which the
+    caller forms W_x's gradient and the input gradients. The gradients
+    overwrite trace.gates in place.
     """
-    steps, rows, gates = trace.gates.shape
-    hidden = gates // 4
-    counts = [int(n) for n in counts]
-    if (len(counts) != steps or sorted(counts, reverse=True) != counts
-            or not rows >= counts[0] >= counts[-1] >= 0 or dh.shape != (sum(counts), hidden)):
-        raise ContractError(f"live rows per step {counts} do not fit a trace of {steps} steps "
-                            f"of {rows} rows and gradients {dh.shape}, or rise from step to step")
-    grads = pack_rows(trace.gates, counts)  # each step's gradients overwrite its activations
+    counts, grads = trace.counts, trace.gates
+    cells, hidden = trace.h.shape
+    if (not counts or sorted(counts, reverse=True) != counts or counts[-1] < 0
+            or sum(counts) != cells or grads.shape != (cells, 4 * hidden)
+            or dh.shape != (cells, hidden)):
+        raise ContractError(f"live rows per step {counts} do not fit a trace of {cells} cells "
+                            f"and gradients {dh.shape}, or rise from step to step")
+    steps = packed_slices(counts)
     dc = np.zeros((counts[0], hidden), dtype=grads.dtype)
     dh_next = np.zeros((0, hidden), dtype=grads.dtype)
-    for t, step in reversed(list(enumerate(packed_slices(counts)))):
-        n = step.stop - step.start
+    for t in reversed(range(len(steps))):
+        step, n = steps[t], counts[t]
+        c_prev = trace.c[steps[t - 1]][:n] if t else np.zeros_like(dc)
         # rows that end at step t take no gradient from step t + 1; their dc rows are still zero
         dh_t = dh[step]
         dh_t[:len(dh_next)] += dh_next
-        grads[step], dc[:n] = lstm_gate_grads(grads[step], trace.c[t, :n],
-                                              np.tanh(trace.c[t + 1, :n]), dh_t, dc[:n])
+        grads[step], dc[:n] = lstm_gate_grads(grads[step], c_prev, np.tanh(trace.c[step]),
+                                              dh_t, dc[:n])
         if t:  # h_{-1} is the zero state, which takes no gradient
             dh_next = grads[step] @ params.W_h.value
-    # the live h_{t-1} of steps 1 on; step 0's is zero and adds nothing
-    live = np.arange(rows) < np.array(counts)[:, None]
-    params.W_h.grad += grads[counts[0]:].T @ trace.h[1:-1][live[1:]]
+    # the h_{t-1} cell of each cell of steps 1 on; step 0's is zero and adds nothing
+    prev = np.arange(counts[0], cells) - np.repeat(np.array(counts[:-1], int), counts[1:])
+    params.W_h.grad += grads[counts[0]:].T @ trace.h[prev]
     params.b.grad += grads.sum(axis=0)
     return grads
 

@@ -12,6 +12,7 @@ per-sequence scorer computes them.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -89,24 +90,19 @@ def _run_sgd(params: ScrcParams, config: ScrcConfig, requests: list[ScoreRequest
     report = TrainReport(phase, cfg.steps, cfg.batch_size)
     window: list[float] = []
     t0 = time.perf_counter()
-    step = 0
-    epoch = 0
-    last_loss = float("nan")
-    while step < cfg.steps:
-        for batch in make_batches(requests, cfg.batch_size, cfg.seed, epoch):
-            trace = forward_batch(params, config, batch)
-            backward(params, config, trace, trace.targets, scale=1.0 / len(batch))
-            last_loss = -sum(trace.log_probs.tolist()) / len(batch)
-            del trace  # its buffers need not outlive the backward pass
-            opt.step()
-            window.append(last_loss)
-            step += 1
-            if step % interval == 0 or step == cfg.steps:
-                report.interval_losses.append(sum(window) / len(window))
-                window = []
-            if step >= cfg.steps:
-                break
-        epoch += 1
+    # each epoch's batches are drawn once the previous epoch's run out
+    batches = itertools.chain.from_iterable(
+        make_batches(requests, cfg.batch_size, cfg.seed, epoch) for epoch in itertools.count())
+    for step, batch in enumerate(itertools.islice(batches, cfg.steps), 1):
+        trace = forward_batch(params, config, batch)
+        backward(params, config, trace, trace.targets, scale=1.0 / len(batch))
+        last_loss = -sum(trace.log_probs.tolist()) / len(batch)
+        del trace  # its buffers need not outlive the backward pass
+        opt.step()
+        window.append(last_loss)
+        if step % interval == 0 or step == cfg.steps:
+            report.interval_losses.append(sum(window) / len(window))
+            window = []
     report.final_loss = last_loss
     report.wall_time_s = time.perf_counter() - t0
     return report

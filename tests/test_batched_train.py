@@ -1,7 +1,5 @@
-"""The batched training core (forward_batch over padded rows, backward over
-their live steps) against B = 1 passes of the same core."""
-
-import copy
+"""The batched training core (forward_batch over padded rows, traced and
+backpropagated over their live steps) against B = 1 passes of the same core."""
 
 import numpy as np
 import pytest
@@ -98,46 +96,42 @@ def test_padded_short_row_gives_the_gradient_it_gives_alone():
     assert max_rel_diff({k: both[k] - alone[k] for k in both}, short_alone) < 1e-12
 
 
-def assert_padding_unread(mode, fill):
-    """The gradients are the same bit for bit whatever fill(shape) writes over
-    every padded cell of the trace: its probs, gates, h and c."""
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
+def test_trace_holds_only_live_cells(mode):
+    """Every unit trace and probs has one row per live (step, row) cell and
+    no padded cell, and each step's states on its live rows are those of each
+    row's lone trace, bit for bit."""
     config = small_config(**mode)
     rng = make_rng(45)
     params = random_params(config, rng)
     requests = mixed_requests(rng, config)
     trace = forward_batch(params, config, requests)
-    assert not trace.live.all()
-    perturbed = copy.deepcopy(trace)  # backward spends the trace it reads
+    cells = int(trace.live.sum())
+    assert cells < trace.live.size
+    assert trace.probs.shape == (cells, config.vocab_size)
+    skipped = (False, config.caption_mode, config.mask_context)
+    assert [unit is None for unit in trace.units] == list(skipped)
+    for unit in trace.units:
+        if unit is not None:
+            assert [len(a) for a in (unit.gates, unit.h, unit.c)] == [cells] * 3
+            assert unit.counts == trace.live.sum(axis=1).tolist()
+
+    order = sorted(range(len(requests)), key=lambda k: -len(requests[k].query))
+    alone = [forward_trace(params, config, requests[k]).steps for k in order]
+    for t, record in enumerate(trace.steps):
+        rows = [steps[t] for steps in alone if t < len(steps)]
+        for name, state in vars(record).items():
+            if state is None:
+                assert all(getattr(r, name) is None for r in rows)
+                continue
+            assert state.h.shape == (len(rows), config.hidden_dim)
+            for got, want in ((state.h, [getattr(r, name).h for r in rows]),
+                              (state.c, [getattr(r, name).c for r in rows])):
+                assert got.tobytes() == np.concatenate(want).tobytes()
+
     params.zero_grads()
     backward(params, config, trace, trace.targets)
-    want = {t.name: t.grad.copy() for t in params.tensors()}
-    assert np.all(params.E.grad[:, EOS_ID] == 0)  # <eos> is only ever a padding input
-
-    pad = ~perturbed.live
-    perturbed.probs[pad] = fill(perturbed.probs[pad].shape)
-    for unit in perturbed.units:
-        if unit is not None:
-            unit.gates[pad] = fill(unit.gates[pad].shape)
-            unit.h[1:][pad] = fill(unit.h[1:][pad].shape)
-            unit.c[1:][pad] = fill(unit.c[1:][pad].shape)
-    params.zero_grads()
-    backward(params, config, perturbed, perturbed.targets)
-    for t in params.tensors():
-        assert np.array_equal(t.grad, want[t.name]), t.name
-
-
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
-def test_padded_steps_add_exactly_zero(mode):
-    """Whatever the padded steps cached, the gradient is the same bit for bit."""
-    rng = make_rng(50)
-    assert_padding_unread(mode, lambda shape: rng.normal(size=shape))
-
-
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
-def test_padded_cells_are_never_read(mode):
-    """NaN in every padded cell reaches no gradient: a padded cell multiplied
-    by a zero gradient would still spread it."""
-    assert_padding_unread(mode, lambda shape: np.full(shape, np.nan))
+    assert np.all(params.E.grad[:, EOS_ID] == 0)  # <eos> is never a live input
 
 
 @pytest.mark.parametrize("dtype", (np.float32, np.float64))

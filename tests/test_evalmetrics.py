@@ -1,8 +1,10 @@
 import csv
+import errno
 
 import numpy as np
 import pytest
 
+from scrc import datastore
 from scrc.errors import InputError
 from scrc.evalmetrics import (RECALL_KS, RankedResult, eval_gt_scenario,
                               eval_proposal_scenario, rank_candidates, write_per_query_csv)
@@ -167,6 +169,75 @@ class TestPerQueryCsv:
         rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[1][3] == "1"
         assert rows[1][2] == "1.000000"  # rank-1 box is the gt box itself
+
+
+class _DiskFullAfter:
+    """A binary file whose writes fail once `writes` of them have gone
+    through; everything else goes to the file."""
+
+    def __init__(self, f, writes):
+        self.f, self.writes = f, writes
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes -= 1
+        if self.writes < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.f.write(data)
+
+
+class TestPerQueryCsvAtomicWrite:
+    """A CSV larger than the text layer's 8 KB chunks reaches the file in
+    several writes; a failure at any of them leaves no partial file."""
+
+    RESULTS = [proposal_result({k % 3}, 12, query=f"query {k}") for k in range(800)]
+
+    @pytest.fixture
+    def disk_full(self, monkeypatch, writes):
+        real_open = open
+        monkeypatch.setattr(datastore, "open",
+                            lambda *a, **kw: _DiskFullAfter(real_open(*a, **kw), writes),
+                            raising=False)
+
+    @pytest.mark.parametrize("writes", [0, 1, 2])
+    def test_failed_write_keeps_old_csv(self, writes, tmp_path, request):
+        path = tmp_path / "q.csv"
+        write_per_query_csv(self.RESULTS[:5], "proposals", path)
+        old = path.read_bytes()
+        request.getfixturevalue("disk_full")
+        with pytest.raises(OSError) as e:
+            write_per_query_csv(self.RESULTS, "proposals", path)
+        assert e.value.errno == errno.ENOSPC
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("writes", [0, 2])
+    def test_failed_new_csv_leaves_nothing(self, writes, tmp_path, disk_full):
+        with pytest.raises(OSError):
+            write_per_query_csv(self.RESULTS, "proposals", tmp_path / "q.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_takes_several_writes(self, tmp_path, monkeypatch):
+        files = []
+        real_open = open
+
+        def counting(*a, **kw):
+            files.append(_DiskFullAfter(real_open(*a, **kw), 10 ** 6))
+            return files[-1]
+
+        monkeypatch.setattr(datastore, "open", counting, raising=False)
+        path = tmp_path / "q.csv"
+        write_per_query_csv(self.RESULTS, "proposals", path)
+        assert 10 ** 6 - files[0].writes >= 3
+        assert len(path.read_text(encoding="utf-8").splitlines()) == len(self.RESULTS) + 1
 
 
 class TestOneIouForAllResults:

@@ -277,7 +277,7 @@ class TestLstmBackward:
         p = LstmParams.init("u", hidden, 3, rng, radius=0.8, dtype=np.float64)
         p.b.value[...] = rng.normal(size=4 * hidden)
         dh = rng.normal(size=(steps, hidden))
-        trace = LstmTrace.zeros(steps, 1, hidden, np.float64)
+        trace = LstmTrace.zeros([1] * steps, hidden, np.float64)
         st, walk = LstmState.zeros(hidden, np.float64), []
         for t in range(steps):
             x, prev = rng.normal(size=3), st
@@ -296,52 +296,51 @@ class TestLstmBackward:
 
         p.W_h.zero_grad()
         p.b.zero_grad()
-        pre = lstm_bptt(p, trace, dh.copy(), [1] * steps)
+        pre = lstm_bptt(p, trace, dh.copy())
         assert np.max(np.abs(pre - step_pre)) < 1e-12
         assert np.max(np.abs(p.W_h.grad - step_W_h)) < 1e-12
         assert np.max(np.abs(p.b.grad - step_pre.sum(axis=0))) < 1e-12
 
 
     def test_bptt_over_live_prefixes_equals_each_row_alone(self):
-        # rows of 3, 2 and 1 live steps in one trace whose padded cells are
-        # NaN, against each row as its own all-live trace
+        # rows of 3, 2 and 1 live steps in one packed trace, against each row
+        # as its own one-row trace
         rng = make_rng(5)
         hidden, lengths = 4, (3, 2, 1)
         p = LstmParams.init("u", hidden, 3, rng, radius=0.8, dtype=np.float64)
         p.b.value[...] = rng.normal(size=4 * hidden)
-        trace = LstmTrace.zeros(3, 3, hidden, np.float64)
-        for a in (trace.gates, trace.h[1:], trace.c[1:]):
-            a[...] = np.nan
-        alone = [LstmTrace.zeros(n, 1, hidden, np.float64) for n in lengths]
+        counts = [3, 2, 1]
+        trace = LstmTrace.zeros(counts, hidden, np.float64)
+        alone = [LstmTrace.zeros([1] * n, hidden, np.float64) for n in lengths]
+        live = [(t, b) for t, n in enumerate(counts) for b in range(n)]  # the packed order
         for b, n in enumerate(lengths):
             st = LstmState.zeros(hidden, np.float64)
             for t in range(n):
                 st, gates = lstm_step(p, rng.normal(size=3), st)
-                for tr, row in ((trace, b), (alone[b], 0)):
-                    tr.gates[t, row], tr.h[t + 1, row], tr.c[t + 1, row] = gates, st.h, st.c
-        counts = [3, 2, 1]
+                for tr, cell in ((trace, live.index((t, b))), (alone[b], t)):
+                    tr.gates[cell], tr.h[cell], tr.c[cell] = gates, st.h, st.c
         dh = rng.normal(size=(sum(counts), hidden))
-        live = [(t, b) for t, n in enumerate(counts) for b in range(n)]  # the packed order
 
-        pre = lstm_bptt(p, trace, dh.copy(), counts)
+        pre = lstm_bptt(p, trace, dh.copy())
         packed = {"W_h": p.W_h.grad.copy(), "b": p.b.grad.copy()}
         for t in p.fused_tensors():
             t.zero_grad()
         for b, n in enumerate(lengths):
             rows = [k for k, cell in enumerate(live) if cell[1] == b]
-            row_pre = lstm_bptt(p, alone[b], dh[rows].copy(), [1] * n)
+            row_pre = lstm_bptt(p, alone[b], dh[rows].copy())
             assert np.max(np.abs(pre[rows] - row_pre)) < 1e-12
         assert np.max(np.abs(p.W_h.grad - packed["W_h"])) < 1e-12
         assert np.max(np.abs(p.b.grad - packed["b"])) < 1e-12
 
-    @pytest.mark.parametrize("counts", ([2, 3], [2, 2, 2], [3]))
+    @pytest.mark.parametrize("counts", ([1, 3], [2, 2, 2], [3]))
     def test_bptt_refuses_counts_that_do_not_fit(self, counts):
+        # a trace of 4 cells whose counts rise or do not sum to 4
         from scrc.errors import ContractError
 
         p = tiny_lstm(4, 3)
+        trace = LstmTrace(counts, np.zeros((4, 16)), np.zeros((4, 4)), np.zeros((4, 4)))
         with pytest.raises(ContractError):
-            lstm_bptt(p, LstmTrace.zeros(2, 2, 4, np.float64), np.zeros((sum(counts), 4)),
-                      counts)
+            lstm_bptt(p, trace, np.zeros((4, 4)))
 
 
 class TestSgd:

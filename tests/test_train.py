@@ -267,6 +267,40 @@ class TestFinetune:
                                     TrainConfig(lr=0.01, steps=1, seed=5, batch_size=4))
         assert report.final_loss == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("ends", ["mid-epoch", "epoch boundary"])
+    def test_steps_run_epoch_after_epoch(self, tmp_path, monkeypatch, ends):
+        """Steps take each epoch's batches in turn, drawing an epoch only
+        when it is needed, and the report windows their losses."""
+        params, config, tuples, region, context = synth_setup(tmp_path, n_images=2)
+        epoch_steps = -(-len(tuples) // 3)
+        assert epoch_steps > 1
+        steps = 2 * epoch_steps + (ends == "mid-epoch")
+        drawn, run = [], []
+
+        def drawing(items, batch_size, seed, epoch):
+            drawn.append((items, epoch))
+            return make_batches(items, batch_size, seed, epoch)
+
+        def running(params, config, batch):
+            run.append((batch, forward_batch(params, config, batch)))
+            return run[-1][1]
+
+        forward_batch = train.forward_batch
+        monkeypatch.setattr(train, "make_batches", drawing)
+        monkeypatch.setattr(train, "forward_batch", running)
+        report = finetune_retrieval(params, config, tuples, region, context,
+                                    TrainConfig(lr=0.01, steps=steps, seed=4, batch_size=3))
+        assert [epoch for _, epoch in drawn] == list(range(2 + (ends == "mid-epoch")))
+        want = [b for items, epoch in drawn for b in make_batches(items, 3, 4, epoch)][:steps]
+        assert [list(map(id, b)) for b, _ in run] == [list(map(id, b)) for b in want]
+        losses = [-sum(t.log_probs.tolist()) / len(b) for b, t in run]
+        interval = max(1, steps // 10)
+        ends_at = [k for k in range(1, steps + 1) if k % interval == 0 or k == steps]
+        assert report.interval_losses == [
+            sum(losses[lo:hi]) / (hi - lo) for lo, hi in zip([0] + ends_at, ends_at)]
+        assert report.final_loss == losses[-1]
+        assert (report.steps, report.batch_size) == (steps, 3)
+
     def test_report_fields(self, tmp_path):
         params, config, tuples, region, context = synth_setup(tmp_path, n_images=2)
         report = finetune_retrieval(params, config, tuples, region, context,
