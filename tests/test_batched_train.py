@@ -1,6 +1,8 @@
 """The batched training core (forward_batch over padded rows, traced and
 backpropagated over their live steps) against B = 1 passes of the same core."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,50 @@ def test_padded_short_row_gives_the_gradient_it_gives_alone():
     alone = batch_grads(params, config, [long])
     short_alone = batch_grads(params, config, [short])
     assert max_rel_diff({k: both[k] - alone[k] for k in both}, short_alone) < 1e-12
+
+
+def assert_padding_unread(mode, fill):
+    """The gradients are the same bit for bit whatever fill(shape) writes over
+    every padded cell of the trace. The packed probs and unit traces hold no
+    padded cell; the ids grid does: the cells after each row's <eos>, which
+    are neither a live step's input nor its target."""
+    config = small_config(**mode)
+    rng = make_rng(45)
+    params = random_params(config, rng)
+    requests = mixed_requests(rng, config)
+    trace = forward_batch(params, config, requests)
+    read = np.zeros(trace.ids.shape, dtype=bool)
+    read[:-1] |= trace.live
+    read[1:] |= trace.live
+    pad = ~read
+    assert pad.any()
+    perturbed = copy.deepcopy(trace)  # backward spends the trace it reads
+    params.zero_grads()
+    backward(params, config, trace, trace.targets)
+    want = {t.name: t.grad.copy() for t in params.tensors()}
+
+    perturbed.ids = perturbed.ids.copy()
+    perturbed.ids[pad] = fill(perturbed.ids[pad].shape)
+    params.zero_grads()
+    backward(params, config, perturbed, perturbed.targets)
+    for t in params.tensors():
+        assert np.array_equal(t.grad, want[t.name]), t.name
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
+def test_padded_steps_add_exactly_zero(mode):
+    """Whatever tokens the padded steps hold, the gradient is the same bit for bit."""
+    config = small_config(**mode)
+    rng = make_rng(50)
+    assert_padding_unread(mode, lambda shape: rng.integers(0, config.vocab_size, size=shape))
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
+def test_padded_cells_are_never_read(mode):
+    """An id past the vocabulary in every padded cell raises nowhere: any
+    gather of a padded cell, even one masked out after, would hit IndexError."""
+    config = small_config(**mode)
+    assert_padding_unread(mode, lambda shape: np.full(shape, config.vocab_size + 7))
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: next(iter(m), "default"))
