@@ -171,8 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path: str):
-    """Raise now the error that writing the checkpoint to path would raise
-    after training: path is empty, in a missing directory, or a directory."""
+    """Raise now the error that writing an output to path would raise after
+    the work: path is empty, in a missing directory, or a directory."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not path or not os.path.isdir(os.path.dirname(path) or "."):
@@ -198,6 +198,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    _check_out(args.out)
     params, config, vocab = datastore.load_checkpoint(args.input)
     if not config.caption_mode:
         raise InputError(f"{args.input}: transfer requires a caption-mode checkpoint")
@@ -293,6 +294,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.per_query is not None:
+        _check_out(args.per_query)
     params, config, vocab, region_store, context_store = _load_scorer(args)
     records = _records(datastore.load_annotations, args.annotations)
 
@@ -370,6 +373,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if not args.out_dir:  # Path("") is the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out_dir)
     _emit(synth.generate_dataset(Path(args.out_dir), args.seed, n_images=args.images))
     return 0
 

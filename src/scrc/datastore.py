@@ -5,10 +5,10 @@ Binary formats (little-endian throughout):
 feature store   magic "SCRCFEAT", u32 version=1, u32 dim, u32 count, then
                 per entry: u16 key byte-length, key bytes (UTF-8), dim*f32.
 
-checkpoint      magic "SCRCCKPT", u32 version=1, u32 header length, header
-                as JSON text (config dict, vocabulary array, format
-                version), u32 tensor count, then per tensor: u16 name
-                length, name bytes, u8 rank, rank*u32 dims, f32 data.
+checkpoint      magic "SCRCCKPT", u32 version=1, u32 header length, header as
+                JSON text (config dict, vocabulary array, format version), u32
+                tensor count, then per tensor in ScrcParams.tensors() order:
+                u16 name length, name bytes, u8 rank, rank*u32 dims, f32 data.
 
 Dataset files are JSON lines, one record per line:
 
@@ -21,7 +21,6 @@ captions     {"image_id":str, "captions":[str,...]}
 from __future__ import annotations
 
 import json
-import math
 import os
 import stat
 import struct
@@ -150,12 +149,6 @@ class _Cursor:
                               f"(needed {n} more, have {self.size - off})")
         raise FormatError(f"{self.what}: truncated at byte {self.f.tell()} "
                           f"(the file shrank while it was read)")
-
-    def skip(self, n: int):
-        if n > self.left():
-            self.fail(self.off, n)
-        self.f.seek(n, os.SEEK_CUR)
-        self.off += n
 
     def take(self, n: int) -> bytes:
         if n > self.left() or len(data := self.f.read(n)) != n:
@@ -547,34 +540,23 @@ def load_checkpoint(path):
                 f"{where}: the header's config needs {need} bytes of tensor data, "
                 f"the file has {cur.left()} left at byte {cur.off}")
         params = ScrcParams(config, dtype=np.float32)
-        expected = {t.name: t for t in params.tensors()}
-        seen: set[str] = set()
-        extra = []
-        for _ in range(count):
+        if count != len(tensors := params.tensors()):
+            raise FormatError(f"{where}: tensor count {count} at byte {16 + hlen}, "
+                              f"expected {len(tensors)}")
+        for t in tensors:
             rec_off = cur.off
             (nlen,) = cur.unpack("<H")
             name = cur.text(nlen)
-            if name in seen:
-                raise FormatError(f"{where}: duplicate tensor {name!r} at byte {rec_off}")
-            seen.add(name)
+            if name != t.name:
+                raise FormatError(f"{where}: tensor {name!r} at byte {rec_off}, "
+                                  f"expected {t.name!r}")
             (rank,) = cur.unpack("<B")
             dims = cur.unpack(f"<{rank}I")
-            t = expected.get(name)
-            if t is None:
-                extra.append(name)
-                cur.skip(4 * math.prod(dims))
-            elif dims != t.value.shape:
+            if dims != t.value.shape:
                 raise FormatError(
                     f"{where}: tensor {name!r} has shape {dims}, expected {t.value.shape}")
-            else:
-                cur.into(t.value)
-                if not np.isfinite(t.value).all():
-                    raise FormatError(f"{where}: tensor {name!r} holds non-finite values")
+            cur.into(t.value)
+            if not np.isfinite(t.value).all():
+                raise FormatError(f"{where}: tensor {name!r} holds non-finite values")
         cur.done()
-
-    missing = set(expected) - seen
-    if missing or extra:
-        raise FormatError(
-            f"{where}: tensor names do not match (missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)})")
     return params, config, vocab

@@ -12,10 +12,11 @@ them covers the queries.
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
-from .datastore import FeatureStore, save_feature_store
+from .datastore import FeatureStore, _atomic_write, save_feature_store
 from .errors import InputError
 from .nncore import make_rng
 
@@ -116,10 +117,10 @@ def generate_dataset(out_dir, seed: int, n_images: int = 16) -> dict:
     for name, rows in (("annotations.jsonl", annotations),
                        ("proposals.jsonl", proposals),
                        ("captions.jsonl", captions)):
-        with open(out / name, "w", encoding="utf-8") as f:
+        with _atomic_write(out / name) as raw, io.TextIOWrapper(raw, encoding="utf-8") as f:
             for row in rows:
                 f.write(json.dumps(row, sort_keys=True) + "\n")
-    with open(out / "config.json", "w", encoding="utf-8") as f:
+    with _atomic_write(out / "config.json") as raw, io.TextIOWrapper(raw, encoding="utf-8") as f:
         json.dump(DEFAULT_CONFIG, f, sort_keys=True, indent=2)
         f.write("\n")
 

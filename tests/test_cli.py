@@ -165,6 +165,42 @@ class TestWriteErrors:
         assert (code, stdout) == (1, "")
         assert err.startswith("error: ") and err.endswith(f": '{out}'\n")
 
+    @pytest.mark.parametrize("out", ["", "directory", "nodir/q.csv"])
+    def test_unwritable_per_query_path_refused_before_scoring(self, synth_dir, finetuned,
+                                                              tmp_path, monkeypatch, out):
+        def decode(*_):
+            raise AssertionError("scored queries for a CSV that cannot be written")
+
+        monkeypatch.setattr("scrc.model._decode", decode)
+        (tmp_path / "directory").mkdir()
+        out = str(tmp_path / out) if out else out
+        code, stdout, err = run_cli(TestEval().eval_args(synth_dir, finetuned, "proposals")
+                                    + ["--per-query", out])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.endswith(f": '{out}'\n")
+
+    @pytest.mark.parametrize("out", ["", "directory", "nodir/x.ckpt"])
+    def test_unwritable_transfer_out_refused_before_loading(self, pretrained, tmp_path,
+                                                            monkeypatch, out):
+        def load(path):
+            raise AssertionError("loaded a checkpoint that cannot be written back")
+
+        monkeypatch.setattr(datastore, "load_checkpoint", load)
+        (tmp_path / "directory").mkdir()
+        out = str(tmp_path / out) if out else out
+        code, stdout, err = run_cli(["transfer", "--in", str(pretrained), "--out", out])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.endswith(f": '{out}'\n")
+
+    def test_empty_synth_out_dir_refused(self, tmp_path, monkeypatch):
+        """Path("") is the working directory; an empty --out-dir is refused
+        as an empty --out is."""
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(["synth", "--out-dir", "", "--images", "1"])
+        assert (code, stdout) == (1, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert os.listdir(tmp_path) == []
+
     def test_feature_store_over_directory(self, tmp_path):
         (tmp_path / "region_features.bin").mkdir()
         code, _, err = run_cli(["synth", "--out-dir", str(tmp_path), "--images", "1"])

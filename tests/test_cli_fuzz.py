@@ -1,21 +1,30 @@
 """CLI fuzzing for the scoring commands, `retrieve`, `eval` and `generate`,
-and the training commands, `finetune` and `pretrain`: each runs on a tiny
-synthetic model or data set with one flag's value replaced. Each call
-returns 0 with JSON on stdout, or 1 with stderr starting "error: ", or is
-refused by argparse (exit 2) for a value that the flag's type or choices
-refuse. Any other exception, exit code or output fails.
+the training commands, `finetune` and `pretrain`, and the utility commands,
+`transfer`, `synth` and `gradcheck`: each runs on a tiny synthetic model or
+data set with one flag's value replaced. Each call returns 0 with JSON on
+stdout, or 1 with stderr starting "error: ", or is refused by argparse
+(exit 2) for a value that the flag's type or choices refuse. Any other
+exception, exit code or output fails.
 
 Huge values are safe to draw for every scoring flag: `--beam` and
 `--max-len` are refused before the search starts, `--top-k` only bounds a
 slice, `--width` and `--height` only scale the boxes, and the rest are
 names. Training's `--steps` is a loop count, so its huge draw is replaced by
 a small one; the model dims are refused before anything of their size is
-allocated, and `--batch-size` only caps a batch."""
+allocated, and `--batch-size` only caps a batch. `synth --images` is
+refused above its bound before anything is built. `gradcheck --seed` gets
+only the values that are refused before the check starts: a valid seed runs
+a check of several seconds.
+
+`transfer --in` also reads mutated checkpoints: cut short, one byte
+changed, or one length or count field changed. Each loads and transfers, or
+is refused with an error that names the file and the checkpoint."""
 
 import contextlib
 import io
 import json
 import os
+import struct
 
 import pytest
 
@@ -23,16 +32,24 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from scrc.cli import main  # noqa: E402
+from scrc.datastore import save_checkpoint  # noqa: E402
+from scrc.model import ScrcConfig, ScrcParams  # noqa: E402
+from scrc.nncore import make_rng  # noqa: E402
+from scrc.textproc import build_vocab  # noqa: E402
+from test_datastore import split_checkpoint  # noqa: E402
+from test_reader_properties import flip  # noqa: E402
 
 # flag -> how argparse converts its value, or the values it allows
 CONVERTED = {"--top-k": int, "--beam": int, "--max-len": int, "--width": float,
              "--height": float, "--scenario": ("gt", "proposals"), "--steps": int,
              "--batch-size": int, "--lr": float, "--momentum": float, "--clip-norm": float,
              "--seed": int, "--min-count": int, "--embed-dim": int, "--hidden-dim": int,
-             "--feat-dim": int}
+             "--feat-dim": int, "--images": int}
 SCORING = ["retrieve", "eval", "generate"]
 TRAINING = ["finetune", "pretrain"]
+UTILITY = ["transfer", "synth"]
 HUGE = str(10 ** 30)
+VALUES = ["0", "-1", HUGE, "nan", "inf", ""]  # then a missing path and a directory
 # flags that set a loop count: a huge value would run for ever, so it draws this
 LOOP_COUNTS = {"--steps": "3"}
 
@@ -48,7 +65,17 @@ def workdir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def commands(workdir):
+def caption_checkpoint(workdir):
+    """The bytes of a small caption-mode checkpoint, which transfer takes."""
+    vocab = build_vocab(["red green left right"])
+    config = ScrcConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=5, feat_dim=3,
+                        caption_mode=True)
+    save_checkpoint(ScrcParams.init(config, make_rng(0)), config, vocab, workdir / "caption.ckpt")
+    return (workdir / "caption.ckpt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def commands(workdir, caption_checkpoint):
     data, model = workdir / "data", str(workdir / "model.ckpt")
     assert run(["synth", "--out-dir", str(data), "--seed", "0", "--images", "2"])[0] == 0
     stores = ["--region-features", str(data / "region_features.bin"),
@@ -76,6 +103,9 @@ def commands(workdir):
         "pretrain": ["pretrain", "--captions", str(data / "captions.jsonl"),
                      "--context-features", str(data / "context_features.bin"), *settings,
                      "--out", str(workdir / "pretrained.ckpt")],
+        "transfer": ["transfer", "--in", str(workdir / "caption.ckpt"),
+                     "--out", str(workdir / "transferred.ckpt")],
+        "synth": ["synth", "--out-dir", str(workdir / "synth"), "--seed", "0", "--images", "2"],
     }
 
 
@@ -101,7 +131,7 @@ def refused_by_argparse(flag, value):
     return False
 
 
-@pytest.mark.parametrize("command", SCORING + TRAINING)
+@pytest.mark.parametrize("command", SCORING + TRAINING + UTILITY)
 def test_base_commands_succeed(commands, command):
     code, out, err = run(commands[command])
     assert (code, err) == (0, "")
@@ -112,13 +142,16 @@ def check_one_mutated_flag(commands, workdir, command, data):
     argv = list(commands[command])
     flag_at = data.draw(st.sampled_from([i for i, a in enumerate(argv)
                                          if a.startswith("--") and a != "--no-transfer-init"]))
-    value = data.draw(st.sampled_from(["0", "-1", HUGE, "nan", "inf", "",
-                                       str(workdir / "missing"), str(workdir)]))
+    value = data.draw(st.sampled_from(VALUES + [str(workdir / "missing"), str(workdir)]))
     if value == HUGE:
         value = LOOP_COUNTS.get(argv[flag_at], value)
     argv[flag_at + 1] = value
+    check_result(argv, argv[flag_at], value)
+
+
+def check_result(argv, flag, value):
     code, out, err = run(argv)
-    if refused_by_argparse(argv[flag_at], value):
+    if refused_by_argparse(flag, value):
         assert (code, out) == (2, ""), err
     elif code == 0:
         json.loads(out)
@@ -139,3 +172,66 @@ def test_one_mutated_flag_is_a_result_or_a_named_error(commands, workdir, comman
 def test_one_mutated_training_flag_is_a_result_or_a_named_error(commands, workdir, command,
                                                                  data):
     check_one_mutated_flag(commands, workdir, command, data)
+
+
+# 40 (command, flag, value) cases, a few ms each; hypothesis stops once it has run them all
+@given(command=st.sampled_from(UTILITY), data=st.data())
+def test_one_mutated_utility_flag_is_a_result_or_a_named_error(commands, workdir, command,
+                                                                data):
+    check_one_mutated_flag(commands, workdir, command, data)
+
+
+@pytest.mark.parametrize("value", [v for v in VALUES if v not in ("0", HUGE)]
+                         + ["missing", "directory"])
+def test_gradcheck_seed_refused_before_the_check(workdir, value):
+    value = {"missing": str(workdir / "missing"), "directory": str(workdir)}.get(value, value)
+    check_result(["gradcheck", "--seed", value], "--seed", value)
+
+
+def length_and_count_fields(data: bytes):
+    """(offset, struct format) of the checkpoint's header length, tensor count,
+    and each tensor's name length, rank and dims."""
+    prefix, records = split_checkpoint(data)
+    fields, off = [(12, "<I"), (len(prefix), "<I")], len(prefix) + 4
+    for record in records:
+        (nlen,) = struct.unpack_from("<H", record)
+        fields += [(off, "<H"), (off + 2 + nlen, "<B")]
+        fields += [(off + 3 + nlen + 4 * k, "<I") for k in range(record[2 + nlen])]
+        off += len(record)
+    return fields
+
+
+class TestTransferMutatedCheckpoint:
+    """The reader property tests' checkpoint mutations, given to `transfer --in`."""
+
+    def transfers_or_names_checkpoint(self, workdir, data: bytes):
+        path = workdir / "mutant.ckpt"
+        path.write_bytes(data)
+        code, out, err = run(["transfer", "--in", str(path),
+                              "--out", str(workdir / "mutant_out.ckpt")])
+        if code == 0:
+            assert err == ""
+            json.loads(out)
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {path}: checkpoint: "), err
+
+    @given(st.data())
+    def test_truncation(self, workdir, caption_checkpoint, data):
+        cut = data.draw(st.integers(0, len(caption_checkpoint) - 1))
+        self.transfers_or_names_checkpoint(workdir, caption_checkpoint[:cut])
+
+    @given(index=st.integers(0, 10 ** 6), mask=st.integers(1, 255))
+    def test_byte_flip(self, workdir, caption_checkpoint, index, mask):
+        self.transfers_or_names_checkpoint(workdir, flip(caption_checkpoint, index, mask))
+
+    @given(st.data())
+    def test_changed_length_or_count_field(self, workdir, caption_checkpoint, data):
+        off, fmt = data.draw(st.sampled_from(length_and_count_fields(caption_checkpoint)))
+        top = 2 ** (8 * struct.calcsize(fmt)) - 1
+        (was,) = struct.unpack_from(fmt, caption_checkpoint, off)
+        value = data.draw(st.one_of(st.integers(0, top),
+                                    st.integers(max(0, was - 3), min(top, was + 3))))
+        mutant = bytearray(caption_checkpoint)
+        struct.pack_into(fmt, mutant, off, value)
+        self.transfers_or_names_checkpoint(workdir, bytes(mutant))

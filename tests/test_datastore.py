@@ -754,17 +754,62 @@ class TestCheckpoint:
                            match=re.escape(f"{path}: checkpoint: header: invalid JSON")):
             load_checkpoint(path)
 
-    def test_unexpected_tensor_between_expected_is_skipped_and_named(self, tmp_path):
+    def test_unexpected_tensor_between_expected_is_named(self, tmp_path):
         params, config, vocab = small_checkpoint_parts()
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, config, vocab, path)
         prefix, records = split_checkpoint(path.read_bytes())
         extra = (struct.pack("<H", 5) + b"extra" + struct.pack("<B3I", 3, 2, 3, 4)
                  + np.full(24, np.nan, "<f4").tobytes())
+        off = len(prefix) + 4 + sum(map(len, records[:3]))
         records.insert(3, extra)
-        path.write_bytes(prefix + struct.pack("<I", len(records)) + b"".join(records))
-        with pytest.raises(FormatError, match=r"missing \[\], unexpected \['extra'\]"):
+        path.write_bytes(prefix + struct.pack("<I", 40) + b"".join(records))
+        with pytest.raises(FormatError) as err:
             load_checkpoint(path)
+        assert str(err.value) == (f"{path}: checkpoint: tensor 'extra' at byte {off}, "
+                                  f"expected 'lstm_language.W_xo'")
+
+    def test_swapped_records_refused_at_the_first(self, tmp_path):
+        """Two records of the same shape, swapped: each would load, but
+        into the other's tensor."""
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        prefix, records = split_checkpoint(path.read_bytes())
+        records[1], records[2] = records[2], records[1]
+        path.write_bytes(prefix + struct.pack("<I", 40) + b"".join(records))
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (
+            f"{path}: checkpoint: tensor 'lstm_language.W_xf' at byte "
+            f"{len(prefix) + 4 + len(records[0])}, expected 'lstm_language.W_xi'")
+
+    def test_renamed_record_refused(self, tmp_path):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        prefix, records = split_checkpoint(path.read_bytes())
+        off = len(prefix) + 4 + sum(map(len, records[:-1]))
+        assert records[-1][:3] == struct.pack("<H", 1) + b"r"
+        records[-1] = records[-1][:2] + b"q" + records[-1][3:]
+        path.write_bytes(prefix + struct.pack("<I", 40) + b"".join(records))
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: checkpoint: tensor 'q' at byte {off}, expected 'r'"
+
+    @pytest.mark.parametrize("count", [39, 41])
+    def test_tensor_count_off_by_one_refused_before_any_record(self, tmp_path, count):
+        params, config, vocab = small_checkpoint_parts()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        data = bytearray(path.read_bytes())
+        count_off = 16 + struct.unpack("<I", bytes(data[12:16]))[0]
+        data[count_off:count_off + 4] = struct.pack("<I", count)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}: checkpoint: tensor count {count} at byte "
+                                  f"{count_off}, expected 40")
 
     def test_oversized_header_dims_rejected_before_allocating(self, tmp_path):
         params, config, vocab = small_checkpoint_parts()
@@ -864,14 +909,14 @@ class TestCheckpoint:
         (lambda d: with_header(d, lambda h: h["config"].update(bogus=1)),
          "unknown config key 'bogus'"),
         (lambda d: d[:16] + b"x" + d[17:], "header: invalid JSON"),
-        (lambda d: with_records(d, lambda r: r.insert(1, r[0])), "duplicate tensor 'E'"),
+        (lambda d: with_records(d, lambda r: r.__setitem__(1, r[0])), "tensor 'E' at byte"),
         (lambda d: with_records(d, lambda r: r.__setitem__(0, r[0][:4] + struct.pack("<I", 1)
                                                           + r[0][8:])),
          "tensor 'E' has shape (1,"),
         (lambda d: with_records(d, lambda r: r.__setitem__(-1, r[-1][:8] + struct.pack("<f", np.nan)
                                                            + r[-1][12:])),
          "tensor 'r' holds non-finite values"),
-        (lambda d: with_records(d, lambda r: r.pop()), "tensor names do not match"),
+        (lambda d: with_records(d, lambda r: r.pop()), "tensor count 39 at byte"),
         (lambda d: with_records(d, lambda r: r.__setitem__(0, r[0][:2] + b"\xff" + r[0][3:])),
          "invalid UTF-8 at byte"),
         (lambda d: d[:-11], "truncated at byte"),

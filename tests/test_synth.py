@@ -1,6 +1,11 @@
+import errno
+import os
+
 import numpy as np
 import pytest
+from test_evalmetrics import _DiskFullAfter
 
+from scrc import datastore
 from scrc.datastore import load_annotations, load_captions, load_feature_store, load_proposals
 from scrc.errors import InputError
 from scrc.geometry import iou
@@ -67,3 +72,47 @@ def test_image_count_beyond_the_bound_refused_before_writing(tmp_path):
                                          f"{MAX_IMAGES + 1}"):
         generate_dataset(out, seed=0, n_images=MAX_IMAGES + 1)
     assert not out.exists()
+
+
+class TestAtomicTextFiles:
+    """An ENOSPC on the n-th write of one of synth's text files keeps that
+    file as it was and leaves no temp file; each other file is whole, either
+    the old one or the new one."""
+
+    IMAGES = 40  # annotations.jsonl and proposals.jsonl then span several 8 KB text chunks
+
+    @pytest.fixture
+    def disk_full(self, monkeypatch, name, writes):
+        real_open = open
+
+        def opener(file, *args, **kwargs):
+            f = real_open(file, *args, **kwargs)
+            temp_of_name = os.path.basename(file).startswith(f".{name}.")
+            return _DiskFullAfter(f, writes) if temp_of_name else f
+
+        monkeypatch.setattr(datastore, "open", opener, raising=False)
+
+    @pytest.mark.parametrize("name, writes", [
+        ("annotations.jsonl", 0), ("annotations.jsonl", 1), ("annotations.jsonl", 2),
+        ("proposals.jsonl", 0), ("proposals.jsonl", 1), ("captions.jsonl", 0),
+        ("config.json", 0)])
+    def test_failed_write_keeps_old_file(self, tmp_path, request, name, writes):
+        new_dir, out = tmp_path / "new", tmp_path / "out"
+        generate_dataset(new_dir, seed=2, n_images=self.IMAGES)
+        generate_dataset(out, seed=1, n_images=self.IMAGES)
+        old = {path.name: path.read_bytes() for path in out.iterdir()}
+        request.getfixturevalue("disk_full")
+        with pytest.raises(OSError) as e:
+            generate_dataset(out, seed=2, n_images=self.IMAGES)
+        assert e.value.errno == errno.ENOSPC
+        assert (out / name).read_bytes() == old[name]
+        assert sorted(os.listdir(out)) == sorted(old)
+        for path in out.iterdir():
+            assert path.read_bytes() in (old[path.name], (new_dir / path.name).read_bytes())
+
+    @pytest.mark.parametrize("name, writes", [("annotations.jsonl", 1), ("config.json", 0)])
+    def test_failed_new_file_leaves_no_temp_file(self, tmp_path, disk_full, name, writes):
+        with pytest.raises(OSError):
+            generate_dataset(tmp_path, seed=2, n_images=self.IMAGES)
+        assert name not in os.listdir(tmp_path)
+        assert not [f for f in os.listdir(tmp_path) if f.startswith(".")]
