@@ -22,7 +22,8 @@ from . import datastore, evalmetrics, synth
 from .errors import ConfigError, InputError, ScrcError
 from .geometry import BoundingBox, ImageSize, encode_spatial
 from .gradcheck import DEFAULT_CHECK_SEED, finite_difference_check
-from .model import ScrcConfig, ScrcParams, generate_description, score_image, score_images
+from .model import (ScrcConfig, ScrcParams, check_beam, generate_description, score_image,
+                    score_images)
 from .nncore import make_rng
 from .textproc import build_vocab, decode, encode_nonempty
 from .train import TrainConfig, finetune_retrieval, pretrain_captioning, transfer_weights
@@ -261,7 +262,7 @@ def _candidate_inputs(pset: datastore.ProposalSet, img: ImageSize, region_store,
     if not len(pset.coords):
         raise InputError(f"image {pset.image_id!r} has an empty proposal set")
     x_context = context_store.get(pset.image_id)
-    rows = np.stack([region_store.get(key) for key in pset.region_keys])
+    rows = np.array([region_store.get(key) for key in pset.region_keys])
     try:
         return rows, encode_spatial(pset.coords, img), x_context
     except InputError as e:
@@ -275,9 +276,9 @@ def _note_truncation(pset: datastore.ProposalSet):
 
 
 def _cmd_retrieve(args) -> int:
-    params, config, vocab, region_store, context_store = _load_scorer(args)
     if args.top_k < 1:
         raise InputError(f"--top-k must be >= 1, got {args.top_k}")
+    params, config, vocab, region_store, context_store = _load_scorer(args)
     pset = {p.image_id: p for p in datastore.load_proposals(args.proposals)}.get(args.image_id)
     if pset is None:
         raise InputError(f"{args.proposals}: no proposals for image {args.image_id!r}")
@@ -296,18 +297,19 @@ def _cmd_retrieve(args) -> int:
 def _cmd_eval(args) -> int:
     if args.per_query is not None:
         _check_out(args.per_query)
+    if args.scenario == "proposals" and not args.proposals:
+        raise ConfigError("--proposals is required for the proposals scenario")
     params, config, vocab, region_store, context_store = _load_scorer(args)
     records = _records(datastore.load_annotations, args.annotations)
+    encode = functools.cache(lambda text: encode_nonempty(vocab, text, "query"))
 
     by_image: dict[str, list[datastore.AnnotationRecord]] = {}
     for rec in records:
         by_image.setdefault(rec.image_id, []).append(rec)
 
     if args.scenario == "proposals":
-        if not args.proposals:
-            raise ConfigError("--proposals is required for the proposals scenario")
         by_pset = {p.image_id: p for p in datastore.load_proposals(args.proposals)}
-    scored = []  # id, candidates, (record, description) pairs of each image pulled so far
+    scored = []  # per image pulled so far: id, boxes, descriptions, ground-truth rows
 
     def images():
         for image_id, recs in by_image.items():
@@ -326,13 +328,16 @@ def _cmd_eval(args) -> int:
                 cands = by_pset[image_id]
                 _note_truncation(cands)
             inputs = _candidate_inputs(cands, img, region_store, context_store)
-            scored.append((image_id, cands, [(rec, d) for rec in recs for d in rec.descriptions]))
-            yield [encode_nonempty(vocab, d, "query") for _, d in scored[-1][2]], *inputs
+            descs = [d for rec in recs for d in rec.descriptions]
+            gts = np.array([rec.box.as_list() for rec in recs for _ in rec.descriptions])
+            scored.append((image_id, cands.coords, descs, gts))
+            yield [encode(d) for d in descs], *inputs
 
-    results = [evalmetrics.RankedResult.build(desc, image_id, cands.coords, row, rec.box)
-               for scores, (image_id, cands, queries) in zip(score_images(params, config,
-                                                                          images()), scored)
-               for (rec, desc), row in zip(queries, scores.tolist())]
+    # an image's (Q, N) scores rank in one call; its queries' ranked boxes are views
+    results = [evalmetrics.RankedResult(desc, image_id, ranked, gt)
+               for scores, (image_id, coords, descs, gts)
+               in zip(score_images(params, config, images()), scored)
+               for desc, ranked, gt in zip(descs, coords[evalmetrics.rank_rows(scores)], gts)]
     report = (evalmetrics.eval_gt_scenario(results) if args.scenario == "gt"
               else evalmetrics.eval_proposal_scenario(results))
 
@@ -343,15 +348,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    params, config, vocab, region_store, context_store = _load_scorer(args)
     try:
         coords = [float(v) for v in args.box.split(",")]
     except ValueError:
         raise InputError(f"--box must be X1,Y1,X2,Y2, got {args.box!r}") from None
     if len(coords) != 4:
         raise InputError(f"--box must have 4 coordinates, got {len(coords)}")
-    box = BoundingBox(*coords)
-    x_spatial = encode_spatial(box, ImageSize(args.width, args.height))
+    x_spatial = encode_spatial(BoundingBox(*coords), ImageSize(args.width, args.height))
+    check_beam(args.beam, args.max_len)
+    params, config, vocab, region_store, context_store = _load_scorer(args)
     tokens, log_prob = generate_description(
         params, config, region_store.get(args.region_key),
         context_store.get(args.image_id), x_spatial, args.beam, args.max_len)
@@ -398,6 +403,9 @@ def main(argv=None) -> int:
     except (ScrcError, OSError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # the shell's code for SIGINT
 
 
 def entrypoint():

@@ -301,7 +301,7 @@ def json_object(text, where: str, error=FormatError) -> dict:
 def json_value(value, kind, what: str, error=FormatError):
     """A parsed JSON value checked against kind: bool, int, float, str, list
     or dict. bool is never a number, and an int is taken as a float."""
-    if type(value) is kind:  # the common case, and the JSON-lines loaders' hot path
+    if type(value) is kind:  # the common case: every value of a record that loads
         return value
     types = (int, float) if kind is float else kind
     if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
@@ -374,25 +374,56 @@ def _parse_box(raw, where: str, lineno: Optional[int] = None) -> BoundingBox:
         raise FormatError(f"{place}: {e}") from None
 
 
+def _column(objs: list, name: str, *kinds) -> list:
+    """Field name of every record; FormatError unless each has one of a type in
+    kinds (a missing field reads as None, which is never one)."""
+    if not set(map(type, values := [obj.get(name) for obj in objs])) <= set(kinds):
+        raise FormatError(f"field {name!r}")  # a column refusal: the per-record read names it
+    return values
+
+
+def _box_array(raw_boxes: list) -> np.ndarray:
+    """Boxes as (n, 4) float64 rows, checked as a whole as BoundingBox checks each
+    (a bool is neither an int nor a float): FormatError if one is refused,
+    OverflowError for an integer beyond float64's range."""
+    if (set(map(type, raw_boxes)) <= {list} and set(map(len, raw_boxes)) <= {4}
+            and set(map(type, flat := list(chain.from_iterable(raw_boxes)))) <= {int, float}
+            and np.isfinite(coords := np.array(flat, dtype=np.float64).reshape(-1, 4)).all()
+            and (coords[:, 2:] > coords[:, :2]).all()):
+        return coords
+    raise FormatError("box")
+
+
 def _parse_boxes(raw_boxes: list, where: str) -> np.ndarray:
     """A record's boxes as an (n, 4) float64 array. They are checked as a
     whole; if that finds a bad box, they are checked one by one, which names
     the first."""
-    if set(map(type, raw_boxes)) <= {list} and set(map(len, raw_boxes)) <= {4}:
-        flat = list(chain.from_iterable(raw_boxes))
-        if set(map(type, flat)) <= {int, float}:  # bool is neither
-            try:
-                coords = np.array(flat, dtype=np.float64).reshape(-1, 4)
-            except OverflowError:  # an integer beyond float64's range
-                pass
-            else:
-                if np.isfinite(coords).all() and (coords[:, 2:] > coords[:, :2]).all():
-                    return coords
-    boxes = [_parse_box(raw, f"{where}: box {k}") for k, raw in enumerate(raw_boxes)]
-    return np.array([b.as_list() for b in boxes], dtype=np.float64)
+    try:
+        return _box_array(raw_boxes)
+    except (FormatError, OverflowError):
+        boxes = [_parse_box(raw, f"{where}: box {k}") for k, raw in enumerate(raw_boxes)]
+        return np.array([b.as_list() for b in boxes], dtype=np.float64)
 
 
 def load_annotations(path) -> list[AnnotationRecord]:
+    """Every field is checked once per column. If a line or a check is refused,
+    the file is read again record by record, which names the first refusal."""
+    try:
+        objs = [obj for _, obj in _iter_jsonl(path)]
+        sizes = np.array([_column(objs, "width", int, float),
+                          _column(objs, "height", int, float)], dtype=np.float64)
+        coords = _box_array(_column(objs, "box", list))
+        texts = _column(objs, "descriptions", list)
+        # a box inside the image makes its size positive, and NaN fails every comparison
+        if not (all(texts) and set(map(type, chain.from_iterable(texts))) <= {str}
+                and (sizes < np.inf).all()
+                and (coords[:, :2] >= 0).all() and (coords[:, 2:] <= sizes.T).all()):
+            raise FormatError("annotation")
+        return [AnnotationRecord(i, w, h, BoundingBox(*box), k, list(t)) for i, w, h, box, k, t
+                in zip(_column(objs, "image_id", str), *sizes.tolist(), coords.tolist(),
+                       _column(objs, "region_key", str), texts)]
+    except (FormatError, OverflowError):
+        pass
     records = []
     for lineno, obj in _iter_jsonl(path):
         image_id = _field(obj, "image_id", str, path, lineno)
@@ -410,6 +441,19 @@ def load_annotations(path) -> list[AnnotationRecord]:
 
 
 def load_proposals(path) -> list[ProposalSet]:
+    """Checked once per column, as load_annotations is."""
+    try:
+        objs = [obj for _, obj in _iter_jsonl(path)]
+        ids, raw = _column(objs, "image_id", str), _column(objs, "boxes", list)
+        keys, lengths = _column(objs, "region_keys", list), list(map(len, raw))
+        if (len(set(ids)) < len(ids) or lengths != list(map(len, keys))
+                or not set(map(type, chain.from_iterable(keys))) <= {str}):
+            raise FormatError("proposals")
+        coords = np.split(_box_array(list(chain.from_iterable(raw))), np.cumsum(lengths)[:-1])
+        return [ProposalSet(i, c[:MAX_PROPOSALS], k[:MAX_PROPOSALS], len(c))
+                for i, c, k in zip(ids, coords, keys)]
+    except (FormatError, OverflowError):
+        pass
     sets = []
     first_line: dict[str, int] = {}
     for lineno, obj in _iter_jsonl(path):

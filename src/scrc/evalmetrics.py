@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,12 +17,18 @@ from .geometry import IOU_HIT_THRESHOLD, iou
 RECALL_KS = (1, 10)  # the paper's R@1 and R@10
 
 
+def rank_rows(scores: np.ndarray) -> np.ndarray:
+    """The ranking rule: each row's candidate indices by score descending,
+    equal scores in input order (a stable sort of -scores). The first
+    non-finite score, in row order, is refused by its candidate index."""
+    if not (finite := np.isfinite(scores)).all():
+        raise InputError(f"non-finite score at candidate {np.argmin(finite) % scores.shape[-1]}")
+    return np.argsort(-scores, axis=-1, kind="stable")
+
+
 def rank_candidates(scores: Sequence[float]) -> list[int]:
     """Indices sorted by score descending; equal scores keep input order."""
-    for idx, s in enumerate(scores):
-        if not math.isfinite(s):
-            raise InputError(f"non-finite score at candidate {idx}")
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return rank_rows(np.asarray(scores, dtype=np.float64)).tolist()
 
 
 @dataclass

@@ -18,6 +18,8 @@ SPATIAL_DIM = 8
 
 IOU_HIT_THRESHOLD = 0.5
 
+_CORNER_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # x_min, y_min kept, x_max, y_max negated
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -27,10 +29,12 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self):
-        vals = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(v) for v in vals):
-            raise InputError(f"box coordinates must be finite, got {vals}")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+        # one chained comparison per axis; NaN fails every comparison
+        if not (-math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.y_min < self.y_max < math.inf):
+            vals = (self.x_min, self.y_min, self.x_max, self.y_max)
+            if not all(math.isfinite(v) for v in vals):
+                raise InputError(f"box coordinates must be finite, got {vals}")
             raise InputError(f"degenerate box {vals}: max corner must exceed min corner")
 
     def as_list(self) -> list[float]:
@@ -54,18 +58,17 @@ class ImageSize:
     def check(self, box):
         """Refuse a BoundingBox, or the first row of (n, 4) box coordinates,
         that the image does not contain; a row is named by its index."""
-        x0, y0, x1, y1 = corners = _corners(box)
-        inside = (x0 >= 0) & (y0 >= 0) & (x1 <= self.width) & (y1 <= self.height)
-        if inside is not True and not np.all(inside):
-            k = int(np.argmin(inside))
-            raise InputError(f"{'' if isinstance(box, BoundingBox) else f'box {k}: '}box "
-                             f"{np.reshape(corners, (4, -1))[:, k].tolist()} not contained in "
-                             f"{self.width}x{self.height} image")
-
-
-def _corners(box):
-    """A BoundingBox's x_min, y_min, x_max, y_max, or the (n, 4) rows' columns."""
-    return box.as_list() if isinstance(box, BoundingBox) else np.transpose(box)
+        if one := isinstance(box, BoundingBox):  # in Python floats: cheaper than numpy for one box
+            if (box.x_min >= 0 and box.y_min >= 0 and box.x_max <= self.width
+                    and box.y_max <= self.height):
+                return
+        rows = np.reshape(box.as_list() if one else box, (-1, 4))
+        # every corner in one comparison: 0 <= x_min, and x_max <= width as -x_max >= -width
+        inside = rows * _CORNER_SIGNS >= (0, 0, -self.width, -self.height)
+        if not inside.all():
+            k = int(np.argmin(inside.all(axis=1)))
+            raise InputError(f"{'' if one else f'box {k}: '}box {rows[k].tolist()} not "
+                             f"contained in {self.width}x{self.height} image")
 
 
 def encode_spatial(box, img: ImageSize) -> np.ndarray:
@@ -73,22 +76,20 @@ def encode_spatial(box, img: ImageSize) -> np.ndarray:
     in image-centered coordinates where both image sides span [-1, 1]: (8,)
     for a BoundingBox, or (n, 8) for (n, 4) box coordinates."""
     img.check(box)
-    x_min, y_min, x_max, y_max = _corners(box)
+    scale = (img.width, img.height) * 2
     # dividing first keeps 2.0 * x from overflowing; doubling is exact either way
-    x0 = 2.0 * (x_min / img.width) - 1.0
-    y0 = 2.0 * (y_min / img.height) - 1.0
-    x1 = 2.0 * (x_max / img.width) - 1.0
-    y1 = 2.0 * (y_max / img.height) - 1.0
-    return np.array([x0, y0, x1, y1,
-                     (x0 + x1) / 2.0, (y0 + y1) / 2.0,
-                     x1 - x0, y1 - y0], dtype=np.float64).T
+    if isinstance(box, BoundingBox):  # in Python floats: cheaper than numpy for one box
+        x0, y0, x1, y1 = (2.0 * (v / s) - 1.0 for v, s in zip(box.as_list(), scale))
+        return np.array([x0, y0, x1, y1, (x0 + x1) / 2.0, (y0 + y1) / 2.0, x1 - x0, y1 - y0])
+    c = 2.0 * (np.asarray(box, dtype=np.float64) / scale) - 1.0
+    return np.concatenate((c, (c[:, :2] + c[:, 2:]) / 2.0, c[:, 2:] - c[:, :2]), axis=1)
 
 
 def iou(a, b):
     """IoU of two BoundingBoxes, or row by row of (n, 4) box coordinates. Each
     pair is first scaled by the power of two that brings its largest coordinate
     into [0.5, 1): exact, and its areas can then neither overflow nor underflow."""
-    corners = np.array(np.broadcast_arrays(*_corners(a), *_corners(b)))
+    corners = np.array(np.broadcast_arrays(*np.transpose(a), *np.transpose(b)))
     _, exp = np.frexp(np.abs(corners).max(axis=0))
     ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 = np.ldexp(corners, -exp)
     inter = (np.maximum(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0.0)

@@ -540,6 +540,14 @@ def backward(params: ScrcParams, config: ScrcConfig, trace: ForwardTrace,
     np.add.at(params.E.grad.T, inputs, grads @ params.lstm_language.W_x.value)
 
 
+def check_beam(beam_width: int, max_len: int):
+    """Refuse a beam width or description length that generate_description cannot run."""
+    if not 1 <= beam_width <= MAX_PASS_COLUMNS:
+        raise InputError(f"beam_width must be from 1 to {MAX_PASS_COLUMNS}, got {beam_width}")
+    if not 1 <= max_len <= MAX_GENERATE_LEN:
+        raise InputError(f"max_len must be from 1 to {MAX_GENERATE_LEN}, got {max_len}")
+
+
 def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_context,
                          x_spatial, beam_width: int, max_len: int):
     """Beam-search for the most likely token sequence given the features.
@@ -552,16 +560,13 @@ def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_contex
     Live beams advance as one batch; each round sorts only the extensions
     at or above the beam_width-th best, which hold all a full sort would pick.
     """
-    if not 1 <= beam_width <= MAX_PASS_COLUMNS:
-        raise InputError(f"beam_width must be from 1 to {MAX_PASS_COLUMNS}, got {beam_width}")
-    if not 1 <= max_len <= MAX_GENERATE_LEN:
-        raise InputError(f"max_len must be from 1 to {MAX_GENERATE_LEN}, got {max_len}")
+    check_beam(beam_width, max_len)
     params.check_config(config)
     feats = prepare_features(config, x_box, x_context, x_spatial, dtype=params.dtype)
     fixed = _fix(params, config, PreparedFeatures(feats.x_box[:, None], feats.x_spatial[:, None],
                                                   feats.x_context[:, None]))
     state = DecoderState(None, None, None)
-    content = np.array([t for t in range(config.vocab_size) if t != BOS_ID])
+    content = np.delete(np.arange(config.vocab_size), BOS_ID)
     beams = [(0.0, (), 0, BOS_ID)]  # (log-prob, tokens, parent column, last token)
     finished: list[tuple[float, tuple[int, ...]]] = []
     while beams:

@@ -103,6 +103,98 @@ def finetuned(transferred, synth_dir, tmp_path_factory):
     return path
 
 
+def scorer_args(synth_dir, model, command):
+    """A retrieve or generate command line that loads model and both stores."""
+    stores = ["--region-features", str(synth_dir / "region_features.bin"),
+              "--context-features", str(synth_dir / "context_features.bin")]
+    if command == "retrieve":
+        return ["retrieve", "--model", str(model), "--query", "red left", "--image-id",
+                "img00", "--proposals", str(synth_dir / "proposals.jsonl"), *stores,
+                "--width", "320", "--height", "240"]
+    return ["generate", "--model", str(model), "--region-key", "img00:left",
+            "--image-id", "img00", "--width", "320", "--height", "240", *stores]
+
+
+class TestFlagsRefusedBeforeLoading:
+    """A flag that the command would refuse is refused before the checkpoint
+    and the stores are read, with the message it had after them."""
+
+    @pytest.fixture(autouse=True)
+    def no_loading(self, monkeypatch):
+        def load(path):
+            raise AssertionError("loaded a checkpoint for a command that its flags refuse")
+
+        monkeypatch.setattr(datastore, "load_checkpoint", load)
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("retrieve", ["--top-k", "0"], "--top-k must be >= 1, got 0"),
+        ("retrieve", ["--top-k", "-3"], "--top-k must be >= 1, got -3"),
+        ("generate", ["--box", "a,b,c,d"], "--box must be X1,Y1,X2,Y2, got 'a,b,c,d'"),
+        ("generate", ["--box", "1,2,3"], "--box must have 4 coordinates, got 3"),
+        ("generate", ["--box", "0,0,500,10"],
+         "box [0.0, 0.0, 500.0, 10.0] not contained in 320.0x240.0 image"),
+        ("generate", ["--box", "5,5,1,1"],
+         "degenerate box (5.0, 5.0, 1.0, 1.0): max corner must exceed min corner"),
+        ("generate", ["--box", "1,1,nan,5"],
+         "box coordinates must be finite, got (1.0, 1.0, nan, 5.0)"),
+        ("generate", ["--box", "1,2,3,4", "--beam", "0"],
+         "beam_width must be from 1 to 1024, got 0"),
+        ("generate", ["--box", "1,2,3,4", "--beam", "1025"],
+         "beam_width must be from 1 to 1024, got 1025"),
+        ("generate", ["--box", "1,2,3,4", "--max-len", "0"],
+         "max_len must be from 1 to 1024, got 0"),
+        ("generate", ["--box", "1,2,3,4", "--max-len", "1025"],
+         "max_len must be from 1 to 1024, got 1025"),
+    ], ids=["top-k-0", "top-k-negative", "box-text", "box-three", "box-outside",
+            "box-degenerate", "box-nan", "beam-0", "beam-1025", "max-len-0", "max-len-1025"])
+    def test_scorer_flag(self, synth_dir, tmp_path, command, flags, message):
+        code, stdout, err = run_cli(scorer_args(synth_dir, tmp_path / "m.ckpt", command)
+                                    + flags)
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+
+    def test_proposals_scenario_without_proposals(self, synth_dir, tmp_path):
+        args = TestEval().eval_args(synth_dir, tmp_path / "m.ckpt", "gt")
+        args[args.index("gt")] = "proposals"
+        code, stdout, err = run_cli(args)
+        assert (code, stdout) == (1, "")
+        assert err == "error: --proposals is required for the proposals scenario\n"
+
+
+def test_interrupt_is_a_named_error_with_exit_130(synth_dir, tmp_path, monkeypatch):
+    """Ctrl-C ends a command with exit 130, the shell's code for SIGINT, and
+    a one-line message; the checkpoint it was training is not written."""
+    def train(*_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "pretrain_captioning", train)
+    out = tmp_path / "out" / "pre.ckpt"
+    out.parent.mkdir()
+    code, stdout, err = run_cli([
+        "pretrain", "--captions", str(synth_dir / "captions.jsonl"),
+        "--context-features", str(synth_dir / "context_features.bin"),
+        "--config", str(synth_dir / "config.json"), "--out", str(out), "--steps", "1"])
+    assert (code, stdout, err) == (130, "", "error: interrupted\n")
+    assert os.listdir(out.parent) == []
+
+
+def test_closed_stdout_is_a_named_error(tmp_path):
+    """The JSON written to a pipe whose read end is closed fails as an
+    OSError with exit 1. Python is run unbuffered, so the write fails inside
+    the command; a buffered stdout fails only as the interpreter exits."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(scrc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "scrc.cli", "synth", "--out-dir",
+                               str(tmp_path / "d"), "--images", "1"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+
 class TestSynth:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -4,7 +4,9 @@ one byte changed either loads, or raises a ScrcError that names a byte offset
 or a line. A checkpoint mutated the same way, or with a length or count field
 changed, either loads or raises a ScrcError. A training config file mutated
 the same way either loads or raises a ConfigError that names the file. Any
-other exception fails."""
+other exception fails. The annotation and proposal loaders check each field
+once per column; on every mutation they must also return the records, or
+raise the error, of the record-by-record oracles kept here."""
 
 import json
 import math
@@ -17,12 +19,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from scrc import datastore  # noqa: E402
 from scrc.cli import _load_config_file  # noqa: E402
-from scrc.datastore import (FeatureStore, _parse_box, _parse_boxes,  # noqa: E402
+from scrc.datastore import (AnnotationRecord, FeatureStore, ProposalSet, _field,  # noqa: E402
+                            _iter_jsonl, _parse_box, _parse_boxes, _strings,
                             load_annotations, load_captions, load_checkpoint,
                             load_feature_store, load_proposals, save_checkpoint,
                             save_feature_store)
-from scrc.errors import ConfigError, FormatError, ScrcError  # noqa: E402
+from scrc.errors import ConfigError, FormatError, InputError, ScrcError  # noqa: E402
+from scrc.geometry import ImageSize  # noqa: E402
 from scrc.model import ScrcConfig, ScrcParams  # noqa: E402
 from scrc.nncore import make_rng  # noqa: E402
 from scrc.textproc import build_vocab  # noqa: E402
@@ -115,12 +120,72 @@ def checkpoint_fields(checkpoint_bytes):
     return fields
 
 
-def loads_or_names_place(loader, path, data: bytes, place=NAMES_A_PLACE):
+def per_record_annotations(path) -> list[AnnotationRecord]:
+    """The oracle for load_annotations: every field of every record checked on
+    its own, line by line as the file is read."""
+    records = []
+    for lineno, obj in _iter_jsonl(path):
+        image_id = _field(obj, "image_id", str, path, lineno)
+        width = _field(obj, "width", float, path, lineno)
+        height = _field(obj, "height", float, path, lineno)
+        box = _parse_box(_field(obj, "box", list, path, lineno), path, lineno)
+        region_key = _field(obj, "region_key", str, path, lineno)
+        descriptions = _strings(obj, "descriptions", path, lineno)
+        try:
+            ImageSize(width, height).check(box)
+        except InputError as e:
+            raise FormatError(f"{path}: line {lineno}: {e}") from None
+        records.append(AnnotationRecord(image_id, width, height, box, region_key, descriptions))
+    return records
+
+
+def per_record_proposals(path) -> list[ProposalSet]:
+    """The oracle for load_proposals: each record, and each of its boxes,
+    checked on its own, line by line as the file is read."""
+    sets = []
+    first_line: dict[str, int] = {}
+    for lineno, obj in _iter_jsonl(path):
+        image_id = _field(obj, "image_id", str, path, lineno)
+        if image_id in first_line:
+            raise FormatError(f"{path}: line {lineno}: duplicate image_id {image_id!r} "
+                              f"(first on line {first_line[image_id]})")
+        first_line[image_id] = lineno
+        raw_boxes = _field(obj, "boxes", list, path, lineno)
+        keys = _field(obj, "region_keys", list, path, lineno)
+        if len(raw_boxes) != len(keys):
+            raise FormatError(
+                f"{path}: line {lineno}: boxes ({len(raw_boxes)}) and region_keys "
+                f"({len(keys)}) differ in length")
+        if not all(isinstance(k, str) for k in keys):
+            raise FormatError(f"{path}: line {lineno}: region_keys must be strings")
+        coords = np.array([_parse_box(raw, f"{path}: line {lineno}: box {k}").as_list()
+                           for k, raw in enumerate(raw_boxes)], dtype=np.float64).reshape(-1, 4)
+        keep = datastore.MAX_PROPOSALS
+        sets.append(ProposalSet(image_id, coords[:keep], keys[:keep], len(coords)))
+    return sets
+
+
+def outcome(loader, path):
+    """What loader makes of path: its records in a form that compares every
+    value's type and bits, or its error's type and message."""
+    try:
+        records = loader(path)
+    except ScrcError as e:
+        return type(e).__name__, str(e)
+    return [repr(r) if isinstance(r, AnnotationRecord) else
+            (r.image_id, r.coords.dtype.str, r.coords.shape, r.coords.tobytes(),
+             r.region_keys, r.listed) for r in records]
+
+
+def loads_or_names_place(loader, path, data: bytes, place=NAMES_A_PLACE, oracle=None):
+    """With oracle, the records loaded or the error raised must also be the oracle's."""
     path.write_bytes(data)
     try:
         loader(path)
     except ScrcError as e:
         assert place.search(str(e)), f"{type(e).__name__} names no {place.pattern}: {e}"
+    if oracle is not None:
+        assert outcome(loader, path) == outcome(oracle, path)
 
 
 def flip(data: bytes, index: int, mask: int) -> bytes:
@@ -152,12 +217,13 @@ class TestProposalMutations:
     @given(st.data())
     def test_truncation(self, scratch, proposal_bytes, data):
         cut = data.draw(st.integers(0, len(proposal_bytes) - 1))
-        loads_or_names_place(load_proposals, scratch / "p.jsonl", proposal_bytes[:cut])
+        loads_or_names_place(load_proposals, scratch / "p.jsonl", proposal_bytes[:cut],
+                             oracle=per_record_proposals)
 
     @given(index=st.integers(0, 10 ** 6), mask=st.integers(1, 255))
     def test_byte_flip(self, scratch, proposal_bytes, index, mask):
         loads_or_names_place(load_proposals, scratch / "p.jsonl",
-                             flip(proposal_bytes, index, mask))
+                             flip(proposal_bytes, index, mask), oracle=per_record_proposals)
 
 
 def boxes():
@@ -203,12 +269,137 @@ class TestAnnotationMutations:
     def test_truncation(self, scratch, annotation_bytes, data):
         cut = data.draw(st.integers(0, len(annotation_bytes) - 1))
         loads_or_names_place(load_annotations, scratch / "a.jsonl", annotation_bytes[:cut],
-                             NAMES_A_LINE)
+                             NAMES_A_LINE, per_record_annotations)
 
     @given(index=st.integers(0, 10 ** 6), mask=st.integers(1, 255))
     def test_byte_flip(self, scratch, annotation_bytes, index, mask):
         loads_or_names_place(load_annotations, scratch / "a.jsonl",
-                             flip(annotation_bytes, index, mask), NAMES_A_LINE)
+                             flip(annotation_bytes, index, mask), NAMES_A_LINE,
+                             per_record_annotations)
+
+
+def loads_as_per_record(loader, oracle, path, data: bytes):
+    path.write_bytes(data)
+    assert outcome(loader, path) == outcome(oracle, path)
+
+
+ODD_VALUES = st.one_of(
+    st.booleans(), st.none(), st.integers(-3, 400), st.floats(-3, 400), st.text(max_size=3),
+    st.sampled_from([-0.0, 10 ** 400, float("nan"), float("inf"), -float("inf"), [], {},
+                     ["red box"], ["red", 3], [0, 0, 5, 5], [[0, 0, 5, 5]]]))
+GARBAGE_LINES = st.sampled_from(["{oops", "[1, 2]", "", "   ", '"text"', "{}"])
+
+
+@st.composite
+def mutated_rows(draw, rows, values: dict):
+    """rows as JSON lines after one to three mutations: a field set to a value
+    drawn from values (or an odd one), a field deleted, a line replaced by one
+    that is not a record, or a row repeated."""
+    rows = [dict(r) for r in rows]
+    lines = {}
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(rows) - 1))
+        field = draw(st.sampled_from(sorted(values)))
+        op = draw(st.sampled_from(["set", "set", "set", "delete", "garbage", "repeat"]))
+        if op == "set":
+            rows[k][field] = draw(st.one_of(values[field], values[field], ODD_VALUES))
+        elif op == "delete":
+            rows[k].pop(field, None)
+        elif op == "garbage":
+            lines[k] = draw(GARBAGE_LINES)
+        else:
+            rows.insert(k, dict(rows[k]))
+    text = [lines.get(k, json.dumps(r, ensure_ascii=False)) for k, r in enumerate(rows)]
+    return "".join(line + "\n" for line in text).encode("utf-8")
+
+
+def box_values():
+    """A box that may fall outside the image on any side, or a spoiled one."""
+    corner = st.one_of(st.integers(-20, 20), st.integers(-20, 400), st.floats(-20, 400))
+    side = st.one_of(st.integers(1, 100), st.floats(0.5, 100))
+    return st.one_of(st.tuples(corner, corner, side, side).map(
+        lambda t: [t[0], t[1], t[0] + t[2], t[1] + t[3]]),
+        boxes().filter(bool).map(lambda b: b[0]))
+
+
+SIZES = st.one_of(st.integers(-1, 400), st.floats(-1, 400), st.sampled_from(
+    [0, -0.0, float("inf"), float("nan"), 10 ** 400, True]))
+ANNOTATION_VALUES = {
+    "image_id": st.sampled_from(["img1", "img2", "é"]),
+    "width": SIZES,
+    "height": SIZES,
+    "box": box_values(),
+    "region_key": st.text(max_size=3),
+    "descriptions": st.lists(st.one_of(st.text(max_size=3), ODD_VALUES), max_size=3)}
+PROPOSAL_VALUES = {
+    "image_id": st.sampled_from(["img1", "img2", "é"]),
+    "boxes": boxes(),
+    "region_keys": st.lists(st.one_of(st.text(max_size=3), ODD_VALUES), max_size=6)}
+
+
+INF, NAN = float("inf"), float("nan")
+# (row, field, value): each edge of a column check, set on one row of the
+# fixture's records; None as the value deletes the field
+ANNOTATION_EDGES = [
+    *[(1, field, v) for field in ("width", "height")
+      for v in (INF, -INF, NAN, 0, -0.0, -1, 10 ** 400, True, "320", None)],
+    *[(1, "box", v) for v in (
+        [-1, 0, 5, 5], [0, -0.5, 5, 5], [0, 0, 320.5, 5], [0, 0, 5, 241], [0, 0, 320, 240.5],
+        [-0.0, 0.0, 5, 5], [0, 0, INF, 5], [-INF, 0, 5, 5], [NAN, 0, 5, 5], [0, 0, 5, 5, 1],
+        [0, 0, 5], [True, 0, 5, 5], [0, 0, 10 ** 400, 5], [5, 0, 5, 5], "box", None)],
+    *[(1, "descriptions", v) for v in ([], [""], ["a", 1], "abc", None)],
+    (0, "image_id", 3), (2, "image_id", None), (1, "region_key", None), (1, "region_key", [])]
+PROPOSAL_EDGES = [
+    *[(1, "boxes", v) for v in (
+        [[0, 0, INF, 5]], [[-INF, 0, 5, 5]], [[NAN, 0, 5, 5]], [[0, 0, 5, 5, 1]], [[True, 0, 5, 5]],
+        [[0, 0, 10 ** 400, 5]], [[-5, -5, -1, -1]], [], [[0, 0, 5, 5], [0, 0, 5, 5]], None)],
+    *[(0, "region_keys", v) for v in (["a", 3], ["a"], ["a", "b", "c"], "ab", None)],
+    (2, "image_id", "img1"), (2, "image_id", 7), (0, "image_id", None)]
+
+
+def edge_params(edges):
+    return [pytest.param(*edge, id=f"{edge[1]}-{k}") for k, edge in enumerate(edges)]
+
+
+def edge_rows(data: bytes, row: int, field: str, value) -> bytes:
+    rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+    if value is None:
+        del rows[row][field]
+    else:
+        rows[row][field] = value
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode("utf-8")
+
+
+class TestLoadersMatchPerRecordChecks:
+    """load_annotations and load_proposals check each field once per column;
+    with any field set to an edge value, deleted, or its line spoiled, they
+    return the records, or raise the error, that the record-by-record oracle
+    does."""
+
+    @pytest.mark.parametrize("row, field, value", edge_params(ANNOTATION_EDGES))
+    def test_annotation_edge(self, scratch, annotation_bytes, row, field, value):
+        loads_as_per_record(load_annotations, per_record_annotations, scratch / "a.jsonl",
+                            edge_rows(annotation_bytes, row, field, value))
+
+    @pytest.mark.parametrize("row, field, value", edge_params(PROPOSAL_EDGES))
+    def test_proposal_edge(self, scratch, proposal_bytes, row, field, value):
+        loads_as_per_record(load_proposals, per_record_proposals, scratch / "p.jsonl",
+                            edge_rows(proposal_bytes, row, field, value))
+
+    @given(st.data())
+    def test_annotation_fields(self, scratch, annotation_bytes, data):
+        rows = [json.loads(line) for line in annotation_bytes.decode("utf-8").splitlines()]
+        loads_as_per_record(load_annotations, per_record_annotations, scratch / "a.jsonl",
+                            data.draw(mutated_rows(rows, ANNOTATION_VALUES)))
+
+    @given(st.data(), st.sampled_from([100, 1]))
+    def test_proposal_fields(self, scratch, proposal_bytes, data, max_boxes):
+        rows = [json.loads(line) for line in proposal_bytes.decode("utf-8").splitlines()]
+        mutant = data.draw(mutated_rows(rows, PROPOSAL_VALUES))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(datastore, "MAX_PROPOSALS", max_boxes)
+            loads_as_per_record(load_proposals, per_record_proposals, scratch / "p.jsonl",
+                                mutant)
 
 
 class TestCaptionMutations:
