@@ -256,17 +256,19 @@ def _load_scorer(args):
     return (params, config, vocab, *stores)
 
 
-def _candidate_inputs(pset: datastore.ProposalSet, img: ImageSize, region_store, context_store):
+def _candidate_inputs(pset: datastore.ProposalSet, img: ImageSize, region_store, context_store,
+                      where):
     """An image's candidates as score_image takes them: region feature rows,
-    spatial codes and the context vector."""
+    spatial codes and the context vector. A refused set names where, the
+    file its boxes came from."""
     if not len(pset.coords):
-        raise InputError(f"image {pset.image_id!r} has an empty proposal set")
+        raise InputError(f"{where}: image {pset.image_id!r} has an empty proposal set")
     x_context = context_store.get(pset.image_id)
     rows = np.array([region_store.get(key) for key in pset.region_keys])
     try:
         return rows, encode_spatial(pset.coords, img), x_context
     except InputError as e:
-        raise InputError(f"image {pset.image_id!r}: {e}") from None
+        raise InputError(f"{where}: image {pset.image_id!r}: {e}") from None
 
 
 def _note_truncation(pset: datastore.ProposalSet):
@@ -285,7 +287,7 @@ def _cmd_retrieve(args) -> int:
     _note_truncation(pset)
     query_ids = encode_nonempty(vocab, args.query, "query")
     inputs = _candidate_inputs(pset, ImageSize(args.width, args.height), region_store,
-                               context_store)
+                               context_store, args.proposals)
     scores = score_image(params, config, [query_ids], *inputs)[0].tolist()
     order = evalmetrics.rank_candidates(scores)
     ranked = [{"box": pset.coords[i].tolist(), "region_key": pset.region_keys[i],
@@ -301,7 +303,8 @@ def _cmd_eval(args) -> int:
         raise ConfigError("--proposals is required for the proposals scenario")
     params, config, vocab, region_store, context_store = _load_scorer(args)
     records = _records(datastore.load_annotations, args.annotations)
-    encode = functools.cache(lambda text: encode_nonempty(vocab, text, "query"))
+    encode = functools.cache(
+        lambda text: encode_nonempty(vocab, text, f"{args.annotations}: description"))
 
     by_image: dict[str, list[datastore.AnnotationRecord]] = {}
     for rec in records:
@@ -317,8 +320,9 @@ def _cmd_eval(args) -> int:
             for rec in recs[1:]:
                 if (rec.width, rec.height) != (img.width, img.height):
                     raise InputError(
-                        f"image {image_id!r}: annotation records disagree on its size, "
-                        f"{img.width:g}x{img.height:g} and {rec.width:g}x{rec.height:g}")
+                        f"{args.annotations}: image {image_id!r}: annotation records "
+                        f"disagree on its size, {img.width:g}x{img.height:g} and "
+                        f"{rec.width:g}x{rec.height:g}")
             if args.scenario == "gt":
                 cands = datastore.ProposalSet(image_id, np.array([r.box.as_list() for r in recs]),
                                               [r.region_key for r in recs])
@@ -327,7 +331,9 @@ def _cmd_eval(args) -> int:
             else:
                 cands = by_pset[image_id]
                 _note_truncation(cands)
-            inputs = _candidate_inputs(cands, img, region_store, context_store)
+            inputs = _candidate_inputs(cands, img, region_store, context_store,
+                                       args.annotations if args.scenario == "gt"
+                                       else args.proposals)
             descs = [d for rec in recs for d in rec.descriptions]
             gts = np.array([rec.box.as_list() for rec in recs for _ in rec.descriptions])
             scored.append((image_id, cands.coords, descs, gts))
@@ -396,11 +402,28 @@ _COMMANDS = {
 }
 
 
+def _discard_stdout():
+    """Point fd 1 at devnull after stdout's reader has gone, so that the flush
+    at interpreter exit has nowhere to fail (the SIGPIPE note of Python's
+    signal docs). A stdout with no fd, as under redirect_stdout, is left."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except (ScrcError, OSError, MemoryError) as e:
+        if isinstance(e, BrokenPipeError):
+            _discard_stdout()
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

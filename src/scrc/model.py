@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -221,27 +221,63 @@ class ForwardTrace:
                 for step in packed_slices(self.units[0].counts)]
 
 
-# A pass of rows is a whole number of blocks of this many columns. BLAS rounds a
-# product's column by where it falls in its kernel's blocking; whole blocks make
-# each row's bits the same in any batch (pinned in tests/test_decoder_core.py).
+# A pass of rows is a whole number of blocks of this many columns at each step.
+# BLAS rounds a product's column by where it falls in its kernel's blocking;
+# whole blocks make each row's bits the same in any batch (pinned in
+# tests/test_decoder_core.py).
 ROW_BLOCK = 16
 
 
-def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures, image=()):
+class Nodes(NamedTuple):
+    """One step's columns of a decoder pass, one per node: the column of
+    the previous step's state that each one follows (None: that step's
+    columns in order), and the image of the fixed inputs that each one
+    takes (None: the fixed inputs as they are). A slice is a prefix of
+    columns, taken as a view."""
+
+    count: int
+    parents: Union[np.ndarray, slice, None] = None
+    images: Union[np.ndarray, slice, None] = None
+
+
+def _prefix(index: np.ndarray):
+    """index, or slice(k) when it is 0, 1, ..., k - 1."""
+    return slice(len(index)) if np.array_equal(index, np.arange(len(index))) else index
+
+
+def _follow(state: Optional[LstmState], parents, per: int) -> Optional[LstmState]:
+    """The columns of state, per of them to a node, of the parent nodes."""
+    if state is None or parents is None:
+        return state
+    if isinstance(parents, slice):
+        return LstmState(state.h[:, :parents.stop * per], state.c[:, :parents.stop * per])
+    if per == 1:  # fancy indexing is the faster gather of a few columns
+        return LstmState(state.h[:, parents], state.c[:, parents])
+    return LstmState(*(np.take(a.reshape(len(a), -1, per), parents, axis=1).reshape(len(a), -1)
+                       for a in (state.h, state.c)))
+
+
+def _at(fixed: Optional[np.ndarray], images):
+    """The (4H, G, .) fixed inputs of the nodes' images; one image broadcasts."""
+    if fixed is None or images is None or fixed.shape[1] == 1:
+        return fixed
+    return fixed[:, images] if isinstance(images, slice) else np.take(fixed, images, axis=1)
+
+
+def _fix(params: ScrcParams, config: ScrcConfig, feats: PreparedFeatures):
     """lstm_step's x_proj for the local and global units (None if skipped):
     one matrix product each over a pass's G images, feats holding N candidates
-    each, (dim, G * N), and one x_context each, (dim, G), expanded by image,
-    each query column's image, to (4H, Q, N) and (4H, Q, 1); and r as a column."""
+    each, (dim, G * N), giving (4H, G, N), and one x_context each, (dim, G),
+    giving (4H, G, 1); and r as a column. Each step takes its nodes' images."""
     H, count = config.hidden_dim, feats.x_context.shape[1]
-    expand = image if len(image) > count > 1 else slice(None)
     local = glob = None
     if not config.caption_mode:
         unit = params.lstm_local
         local = (unit.W_x.value[:, H:] @ np.concatenate([feats.x_box, feats.x_spatial])
-                 + unit.b.value[:, None]).reshape(4 * H, count, -1)[:, expand]
+                 + unit.b.value[:, None]).reshape(4 * H, count, -1)
     if not config.mask_context:
         unit = params.lstm_global
-        glob = (unit.W_x.value[:, H:] @ feats.x_context + unit.b.value[:, None])[:, expand, None]
+        glob = (unit.W_x.value[:, H:] @ feats.x_context + unit.b.value[:, None])[:, :, None]
     return local, glob, params.r.value[:, None]
 
 
@@ -255,7 +291,7 @@ def step_logits(params: ScrcParams, config: ScrcConfig, x_word: np.ndarray,
 
     fixed = _fix(params, config, PreparedFeatures(*map(row, vars(feats).values())))
     state = DecoderState(*(LstmState(row(s.h), row(s.c)) for s in vars(state).values()))
-    (logits,) = _block(params, config, row(x_word), ROW_BLOCK, fixed, state)
+    (logits,) = _block(params, config, row(x_word), [Nodes(ROW_BLOCK)], fixed, state)
     return logits[:, 0], DecoderState(*(LstmState(s.h[:, 0], s.c[:, 0])
                                         for s in vars(state).values()))
 
@@ -270,76 +306,128 @@ def _check_query(config: ScrcConfig, query: Sequence[int]) -> list[int]:
     return ids
 
 
-def _token_grid(queries: list[list[int]], width: int):
-    """(T + 1, width) token ids, <bos> + query + <eos> down the first B
-    columns and <eos> elsewhere; and the (T, B) mask of each row's real steps."""
+def _token_grid(queries: list[list[int]]):
+    """(T + 1, Q) token ids, <bos> + query + <eos> down each column and <eos>
+    after it; and the (T, Q) mask of the steps each query runs."""
     lengths = np.array([len(q) + 1 for q in queries])
-    ids = np.full((lengths.max() + 1, width), EOS_ID)
+    ids = np.full((lengths.max() + 1, len(queries)), EOS_ID)
     ids[0] = BOS_ID
     for b, q in enumerate(queries):
         ids[1:len(q) + 1, b] = q
     return ids, np.arange(len(ids) - 1)[:, None] < lengths
 
 
+def _trie(ids: np.ndarray, live: np.ndarray, image: np.ndarray, vocab: int, rows: bool):
+    """The prefix trie of a pass's queries, with ids and live from _token_grid
+    and each query's image. Step t's nodes are the distinct (image, <bos> +
+    first t tokens) prefixes of the queries that run step t, ordered by
+    parent and word. Rows, an image each, share no prefix: one node per
+    running row, in row order, the count rounded up to whole ROW_BLOCKs with
+    dummy nodes that feed <eos> and follow the column of their own index.
+    Returns each step's Nodes, its nodes' input words, and its picks: the
+    queries that run it, their nodes and their target words."""
+    steps, words, picks = [], [], []
+    node = image.copy()
+    for t, running in enumerate(live):
+        run = slice(None) if running.all() else np.flatnonzero(running)
+        if rows:
+            parents, word = node[run], ids[t, run]
+            at = np.arange(len(parents))
+            count = len(at) + -len(at) % ROW_BLOCK
+            parents = np.concatenate([parents, np.arange(len(at), count)])
+            word = np.concatenate([word, np.full(count - len(at), EOS_ID)])
+        else:
+            keys, at = np.unique(node[run] * vocab + ids[t, run], return_inverse=True)
+            parents, word = np.divmod(keys, vocab)
+            count = len(keys)
+        images = parents if t == 0 else images[parents]
+        steps.append(Nodes(count, _prefix(parents) if t else None, _prefix(images)))
+        words.append(word)
+        picks.append((run, at, ids[t + 1, run]))
+        node[run] = at
+    return steps, words, picks
+
+
 def _recur(unit: LstmParams, inputs: np.ndarray, prev: Optional[LstmState], fixed,
-           cols: list[slice], trace: Optional[LstmTrace], first: int):
+           steps: Sequence[Nodes], cols: list[slice], trace: Optional[LstmTrace], first: int):
     """Run a unit over a block of steps from their input products (4H, .),
     step k's at columns cols[k]: the last state, and every step's h at its
     columns. trace records step first + k."""
     h = np.empty((unit.hidden_dim, inputs.shape[1]), inputs.dtype)
-    for t, step in enumerate(cols, first):
-        prev, gates = lstm_step(unit, inputs[:, step], prev, fixed)
+    for t, (nodes, step) in enumerate(zip(steps, cols), first):
+        prev, gates = lstm_step(unit, inputs[:, step], _follow(prev, nodes.parents, 1),
+                                _at(fixed, nodes.images))
         h[:, step] = prev.h
         if trace is not None:
             trace.record(t, prev, gates)
     return prev, h
 
 
-def _block(params: ScrcParams, config: ScrcConfig, words: np.ndarray, width: int,
+def _block(params: ScrcParams, config: ScrcConfig, words: np.ndarray, steps: Sequence[Nodes],
            fixed: tuple, state: DecoderState, units=(None,) * 3, first: int = 0):
-    """Run a block of steps from their embedded words (E, k * width), step
-    k's at columns k * width onward: one column per query, row or beam. Yield
-    each step's logits, (V, width * N) with N candidates per query when
-    scoring, or (V, width) without the local unit. state, whose None fields
-    are zero states, advances in place; units' traces record steps first on.
-    Each unit's input products over the block are one matrix product, as is
-    W_global h_global + r; the local unit and the W_local head run step by
-    step, so no (Q * N)-column array outlives its step."""
+    """Run a block of steps from their embedded words (E, C), one column per
+    node, step k's steps[k].count columns after step k - 1's: a query
+    prefix, a row or a beam. Yield each step's logits, (V, count * N) with
+    N candidates per node when scoring, or (V, count) without the local
+    unit. state, whose None fields are zero states, advances in place: each
+    node follows its parent's columns. units' traces record steps first on.
+    Each unit's input products over the block are one matrix product over
+    its ragged step slices, as is W_global h_global + r; the local unit and
+    the W_local head run step by step, so no (nodes * N)-column array
+    outlives its step."""
     fixed_local, fixed_glob, r = fixed
     H = config.hidden_dim
-    cols = [slice(k * width, (k + 1) * width) for k in range(words.shape[1] // width)]
+    cols = packed_slices([nodes.count for nodes in steps])
     state.lang, h_lang = _recur(params.lstm_language, params.lstm_language.W_x.value @ words,
-                                state.lang, None, cols, units[0], first)
+                                state.lang, None, steps, cols, units[0], first)
     context = np.broadcast_to(r, (len(r), h_lang.shape[1]))
     if not config.mask_context:
         state.glob, h_glob = _recur(params.lstm_global,
                                     params.lstm_global.W_x.value[:, :H] @ h_lang, state.glob,
-                                    fixed_glob, cols, units[2], first)
+                                    fixed_glob, steps, cols, units[2], first)
         context = params.W_global.value @ h_glob + r
     local_in = None if config.caption_mode else params.lstm_local.W_x.value[:, :H] @ h_lang
-    for t, step in enumerate(cols, first):
+    for t, (nodes, step) in enumerate(zip(steps, cols), first):
         logits = context[:, step]
         if local_in is not None:
-            state.local, gates = lstm_step(params.lstm_local, local_in[:, step], state.local,
-                                           fixed_local)
+            state.local, gates = lstm_step(
+                params.lstm_local, local_in[:, step],
+                _follow(state.local, nodes.parents, fixed_local.shape[2]),
+                _at(fixed_local, nodes.images))
             if units[1] is not None:
                 units[1].record(t, state.local, gates)
-            # a query's context column broadcasts over its candidates
+            # a node's context column broadcasts over its candidates
             logits = params.W_local.value @ state.local.h
-            logits.reshape(len(logits), width, -1)[...] += context[:, step, None]
+            logits.reshape(len(logits), nodes.count, -1)[...] += context[:, step, None]
         yield logits
+
+
+def _blocks(counts: list[int]) -> Iterator[tuple[int, int]]:
+    """(first, stop) of each block of consecutive steps whose columns fit
+    MAX_PASS_COLUMNS, or of one step."""
+    first, used = 0, 0
+    for t, count in enumerate(counts):
+        if t > first and used + count > MAX_PASS_COLUMNS:
+            yield first, t
+            first, used = t, 0
+        used += count
+    yield first, len(counts)
 
 
 def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
             feats: Sequence[PreparedFeatures], keep_trace: bool = False) -> ForwardTrace:
     """Sum the target log-probs of <bos> + query + <eos> in float64, in step
-    order, the queries padded to the longest and masked: (Q, N). feats[q] is
-    query q's image, x_box and x_spatial rows of its N candidates (the same N
-    for all) and x_context; consecutive queries with the same feats share it.
-    One-candidate images run as rows, one per query, with zero dummy rows up
-    to whole ROW_BLOCKs, which feed <eos> and count in no sum and no trace.
-    The steps run in _blocks whose query columns fit MAX_PASS_COLUMNS, from
-    the zero state."""
+    order: (Q, N). feats[q] is query q's image, x_box and x_spatial rows of
+    its N candidates (the same N for all) and x_context; consecutive queries
+    with the same feats share it. The pass steps each node of its prefix
+    trie once (_trie): step t's columns are its depth-t nodes, so queries of
+    an image share the columns of their common prefix, and a query picks
+    its target's log-prob from its node's log_softmax column at each step.
+    One-candidate images run as rows: one image per query, so no shared
+    prefix, and each step's live rows rounded up to whole ROW_BLOCKs, with
+    zero dummy images at step 0; the dummy columns count in no sum and no
+    trace. The steps run in _blocks whose node columns fit MAX_PASS_COLUMNS,
+    from the zero state."""
     single = len(np.atleast_2d(feats[0].x_box)) == 1
     new = [single or k == 0 or f is not feats[k - 1] for k, f in enumerate(feats)]
     images = [f for f, first in zip(feats, new) if first]
@@ -348,10 +436,10 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
         np.concatenate([*map(np.atleast_2d, field), np.zeros((pad, field[0].shape[-1]),
                                                                params.dtype)]).T
         for field in zip(*(vars(f).values() for f in images))))
-    width = len(queries) + pad
-    ids, live = _token_grid(queries, width)
-    steps, rows = live.shape
-    fixed = _fix(params, config, cols, np.cumsum(new) - 1)
+    ids, live = _token_grid(queries)
+    steps, words, picks = _trie(ids, live, np.cumsum(new) - 1, config.vocab_size, single)
+    fixed = _fix(params, config, cols)
+    rows, count = len(queries), cols.x_box.shape[1] // cols.x_context.shape[1]
     units, probs = (None, None, None), None
     if keep_trace:
         counts = live.sum(axis=1).tolist()
@@ -359,24 +447,21 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
                       for skip in (False, config.caption_mode, config.mask_context))
         probs = np.zeros((sum(counts), config.vocab_size), dtype=params.dtype)
         packed = packed_slices(counts)
-    total = np.float64(0.0)
-    every_query = np.arange(width)
+    total = np.zeros((rows, count))
     state = DecoderState(None, None, None)
-    block = max(1, MAX_PASS_COLUMNS // width)
-    for first in range(0, steps, block):
+    for first, stop in _blocks([nodes.count for nodes in steps]):
         # take's C-ordered copy, unlike E[:, ids]'s F-ordered one, keeps W_x @ words fast
-        words = np.take(params.E.value, ids[first:min(first + block, steps)].ravel(), axis=1)
-        for t, logits in enumerate(_block(params, config, words, width, fixed, state, units,
-                                          first), first):
+        embedded = np.take(params.E.value, np.concatenate(words[first:stop]), axis=1)
+        for t, logits in enumerate(_block(params, config, embedded, steps[first:stop], fixed,
+                                          state, units, first), first):
             logp = log_softmax(logits)
-            # query q's targets are row ids[t + 1, q] of its columns
-            picked = logp.reshape(len(logp), width, -1)[ids[t + 1], every_query][:rows]
-            total = total + np.where(live[t][:, None], picked, 0.0)
+            run, at, targets = picks[t]
+            total[run] += logp.reshape(len(logp), steps[t].count, -1)[targets, at]
             if keep_trace:
                 probs[packed[t]] = np.exp(logp[:, :counts[t]]).T
     fixed_rows = (np.concatenate([cols.x_box, cols.x_spatial])[:, :rows].T,
                   cols.x_context[:, :rows].T) if keep_trace else None
-    return ForwardTrace([q + [EOS_ID] for q in queries], total, ids[:, :rows], live,
+    return ForwardTrace([q + [EOS_ID] for q in queries], total, ids, live,
                         units if keep_trace else None, fixed_rows, probs)
 
 
@@ -412,9 +497,10 @@ def forward_trace(params: ScrcParams, config: ScrcConfig, request: ScoreRequest)
     return forward_batch(params, config, [request], keep_trace=True)
 
 
-# Columns of one decoder pass: queries x candidates when scoring, beams when
-# generating. An image with more is scored in query chunks, so memory does not
-# grow with its query count; a wider beam is refused.
+# Columns of one decoder pass: queries x candidates when scoring, so at most
+# this many trie nodes x candidates at any step, and beams when generating. An
+# image with more is scored in query chunks, so memory does not grow with its
+# query count; a wider beam is refused.
 MAX_PASS_COLUMNS = 1024
 # Tokens of a generated description before the forced <eos>: each is a decoder
 # step, so an unbounded max_len could run without end.
@@ -463,7 +549,10 @@ def score_images(params: ScrcParams, config: ScrcConfig, images) -> Iterator[np.
     """score_image over an iterable of (queries, x_boxes, x_spatials, x_context),
     yielding each image's scores in turn. A decoder pass takes consecutive
     queries of images with the same N, MAX_PASS_COLUMNS // N of them or one; a
-    new N starts the next, so memory is bounded by one pass and its images."""
+    new N starts the next, so memory is bounded by one pass and its images.
+    Within a pass, each image's queries share the nodes of their common
+    prefixes (_decode); an image split across two passes shares none across
+    them."""
     params.check_config(config)
     waiting, batch = [], []  # unyielded images' scores; the pass: (query, feats, scores, row)
 
@@ -570,11 +659,8 @@ def generate_description(params: ScrcParams, config: ScrcConfig, x_box, x_contex
     beams = [(0.0, (), 0, BOS_ID)]  # (log-prob, tokens, parent column, last token)
     finished: list[tuple[float, tuple[int, ...]]] = []
     while beams:
-        parents = [b[2] for b in beams]
-        state = DecoderState(*(None if s is None else LstmState(s.h[:, parents], s.c[:, parents])
-                               for s in vars(state).values()))
         (logits,) = _block(params, config, np.take(params.E.value, [b[3] for b in beams], axis=1),
-                           len(beams), fixed, state)
+                           [Nodes(len(beams), np.array([b[2] for b in beams]))], fixed, state)
         choices = content if len(beams[0][1]) < max_len else np.array([EOS_ID])
         totals = (np.array([b[0] for b in beams])[:, None]
                   + log_softmax(logits).T[:, choices]).ravel()

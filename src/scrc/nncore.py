@@ -7,6 +7,7 @@ precision; gradient verification runs everything in float64.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -186,8 +187,12 @@ def lstm_step(params: LstmParams, x: np.ndarray, prev: Optional[LstmState],
     sigmoid(ifo, ifo)
     np.tanh(g, g)
     i, f, o = ifo[:hidden], ifo[hidden:2 * hidden], ifo[2 * hidden:]
-    c = i * g if prev is None else f * prev.c + i * g
-    h = o * np.tanh(c)
+    # each product and sum as in f * c + i * g and o * tanh(c), with fewer temporaries
+    c = i * g
+    if prev is not None:
+        c += f * prev.c
+    h = np.tanh(c)
+    h *= o
     return LstmState(h, c), gates
 
 
@@ -232,7 +237,7 @@ def packed_slices(counts) -> list[slice]:
     """Each step's rows in the packed layout of a pass whose step t has
     counts[t] live rows: the live (step, row) cells in step order, so step
     t's rows follow step t - 1's."""
-    ends = np.cumsum(counts).tolist()
+    ends = itertools.accumulate(counts)
     return [slice(end - n, end) for end, n in zip(ends, counts)]
 
 

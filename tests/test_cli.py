@@ -179,20 +179,22 @@ def test_interrupt_is_a_named_error_with_exit_130(synth_dir, tmp_path, monkeypat
 
 def test_closed_stdout_is_a_named_error(tmp_path):
     """The JSON written to a pipe whose read end is closed fails as an
-    OSError with exit 1. Python is run unbuffered, so the write fails inside
-    the command; a buffered stdout fails only as the interpreter exits."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    OSError with exit 1, and nothing fails at interpreter exit. Unbuffered,
+    the write fails inside the command; buffered, main's flush fails."""
     src = str(Path(scrc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    try:
-        proc = subprocess.run([sys.executable, "-m", "scrc.cli", "synth", "--out-dir",
-                               str(tmp_path / "d"), "--images", "1"], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for run, unbuffered in enumerate(({"PYTHONUNBUFFERED": "1"}, {})):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "scrc.cli", "synth", "--out-dir",
+                                   str(tmp_path / str(run)), "--images", "1"], stdout=write_end,
+                                  stderr=subprocess.PIPE, env={**env, **unbuffered}, text=True,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n"), unbuffered
 
 
 class TestSynth:

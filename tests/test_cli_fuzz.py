@@ -18,13 +18,18 @@ a check of several seconds.
 
 `transfer --in` also reads mutated checkpoints: cut short, one byte
 changed, or one length or count field changed. Each loads and transfers, or
-is refused with an error that names the file and the checkpoint."""
+is refused with an error that names the file and the checkpoint.
+
+`eval` reads each of its five input files mutated the same way, and its
+JSON-lines files also with one line cut short. Each case scores, or is
+refused with an error that names one of its input files."""
 
 import contextlib
 import io
 import json
 import os
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +240,105 @@ class TestTransferMutatedCheckpoint:
         mutant = bytearray(caption_checkpoint)
         struct.pack_into(fmt, mutant, off, value)
         self.transfers_or_names_checkpoint(workdir, bytes(mutant))
+
+
+EVAL_INPUTS = ["--model", "--annotations", "--proposals", "--region-features",
+               "--context-features"]
+JSON_LINES = ["--annotations", "--proposals"]
+
+
+def feature_store_fields(data: bytes):
+    """(offset, struct format) of a feature store's dim and count, and of each
+    entry's key length."""
+    dim, count = struct.unpack_from("<II", data, 12)
+    fields, off = [(12, "<I"), (16, "<I")], 20
+    for _ in range(count):
+        fields.append((off, "<H"))
+        off += 2 + struct.unpack_from("<H", data, off)[0] + 4 * dim
+    assert off == len(data)
+    return fields
+
+
+class TestEvalMutatedInputs:
+    """The reader property tests' mutations, given to each of `eval`'s input files."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, commands):
+        argv = commands["eval"]
+        return {flag: Path(argv[argv.index(flag) + 1]).read_bytes() for flag in EVAL_INPUTS}
+
+    @staticmethod
+    def mutant(flag: str) -> str:
+        return "mutant" + flag.replace("-", "_")
+
+    def scores_or_names_an_input(self, commands, workdir, flag, data: bytes):
+        argv = list(commands["eval"])
+        path = workdir / self.mutant(flag)
+        path.write_bytes(data)
+        argv[argv.index(flag) + 1] = str(path)
+        code, out, err = run(argv)
+        if code == 0:
+            json.loads(out)
+            return
+        assert (code, out) == (1, "")
+        named = [argv[argv.index(f) + 1] for f in EVAL_INPUTS]
+        assert any(err.startswith(f"error: {p}: ") for p in named), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @settings(max_examples=250)
+    @given(flag=st.sampled_from(EVAL_INPUTS), data=st.data())
+    def test_truncation(self, commands, workdir, originals, flag, data):
+        cut = data.draw(st.integers(0, len(originals[flag]) - 1))
+        self.scores_or_names_an_input(commands, workdir, flag, originals[flag][:cut])
+
+    @settings(max_examples=500)
+    @given(flag=st.sampled_from(EVAL_INPUTS), index=st.integers(0, 10 ** 6),
+           mask=st.integers(1, 255))
+    def test_byte_flip(self, commands, workdir, originals, flag, index, mask):
+        self.scores_or_names_an_input(commands, workdir, flag,
+                                      flip(originals[flag], index, mask))
+
+    @settings(max_examples=300)
+    @given(flag=st.sampled_from(["--model", "--region-features", "--context-features"]),
+           data=st.data())
+    def test_changed_length_or_count_field(self, commands, workdir, originals, flag, data):
+        fields = (length_and_count_fields if flag == "--model" else feature_store_fields)
+        off, fmt = data.draw(st.sampled_from(fields(originals[flag])))
+        top = 2 ** (8 * struct.calcsize(fmt)) - 1
+        (was,) = struct.unpack_from(fmt, originals[flag], off)
+        value = data.draw(st.one_of(st.integers(0, top),
+                                    st.integers(max(0, was - 3), min(top, was + 3))))
+        mutant = bytearray(originals[flag])
+        struct.pack_into(fmt, mutant, off, value)
+        self.scores_or_names_an_input(commands, workdir, flag, bytes(mutant))
+
+    @settings(max_examples=200)
+    @given(flag=st.sampled_from(JSON_LINES), data=st.data())
+    def test_cut_json_line(self, commands, workdir, originals, flag, data):
+        lines = originals[flag].split(b"\n")
+        row = data.draw(st.integers(0, len(lines) - 2))  # the last split is after the last newline
+        lines[row] = lines[row][:data.draw(st.integers(0, len(lines[row])))]
+        self.scores_or_names_an_input(commands, workdir, flag, b"\n".join(lines))
+
+    @pytest.mark.parametrize("flag, old, new", [
+        # one flipped digit of a later record's width: the image's records disagree on its size
+        ("--annotations", b'"img00:right", "width": 320', b'"img00:right", "width": 330'),
+        # one flipped digit of a proposal's x2 puts the box outside the image
+        ("--proposals", b"[214.0, 95.0, 294.0, 155.0]", b"[214.0, 95.0, 994.0, 155.0]"),
+        # a description of no tokens, which the annotations reader admits
+        ("--annotations", b'"descriptions": ["blue right"]', b'"descriptions": [""]'),
+    ], ids=["image size", "box outside image", "empty description"])
+    def test_refusal_names_the_file_at_fault(self, commands, workdir, originals, flag, old,
+                                             new):
+        assert originals[flag].count(old) == 1
+        err = self.scores_or_names_an_input(commands, workdir, flag,
+                                            originals[flag].replace(old, new))
+        assert err.startswith(f"error: {workdir / self.mutant(flag)}: "), err
+
+    def test_empty_proposal_set_names_the_proposals_file(self, commands, workdir, originals):
+        lines = originals["--proposals"].split(b"\n")
+        lines[0] = json.dumps(dict(json.loads(lines[0]), boxes=[], region_keys=[])).encode()
+        err = self.scores_or_names_an_input(commands, workdir, "--proposals",
+                                            b"\n".join(lines))
+        assert err.startswith(f"error: {workdir / self.mutant('--proposals')}: "), err
