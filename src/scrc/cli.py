@@ -192,7 +192,8 @@ def _cmd_pretrain(args) -> int:
     _check_feat_dim(config, context_store)
     params = ScrcParams.init(config, make_rng(values["seed"]))
     report = pretrain_captioning(params, config, captions, context_store, vocab,
-                                 TrainConfig(**_fields(TrainConfig, values)))
+                                 TrainConfig(**_fields(TrainConfig, values)),
+                                 f"{args.captions}: caption")
     datastore.save_checkpoint(params, config, vocab, args.out)
     _emit(report.to_dict())
     return 0
@@ -233,14 +234,14 @@ def _cmd_finetune(args) -> int:
                 f"{args.input}: checkpoint is still in caption mode; run transfer first")
         for key in _DIM_KEYS:
             if key in explicit and values[key] != getattr(config, key):
-                raise ConfigError(
-                    f"{key}={values[key]} conflicts with checkpoint value "
-                    f"{getattr(config, key)}")
+                raise ConfigError(f"{args.input}: {key}={values[key]} conflicts with "
+                                  f"checkpoint value {getattr(config, key)}")
         config = config.replace(mask_spatial=values["mask_spatial"],
                                 mask_context=values["mask_context"])
 
     _check_feat_dim(config, region_store, context_store)
-    tuples = datastore.build_training_tuples(records, region_store, context_store, vocab)
+    tuples = datastore.build_training_tuples(records, region_store, context_store, vocab,
+                                             f"{args.annotations}: description")
     report = finetune_retrieval(params, config, tuples, region_store, context_store,
                                 TrainConfig(**_fields(TrainConfig, values)))
     datastore.save_checkpoint(params, config, vocab, args.out)

@@ -394,17 +394,6 @@ def _box_array(raw_boxes: list) -> np.ndarray:
     raise FormatError("box")
 
 
-def _parse_boxes(raw_boxes: list, where: str) -> np.ndarray:
-    """A record's boxes as an (n, 4) float64 array. They are checked as a
-    whole; if that finds a bad box, they are checked one by one, which names
-    the first."""
-    try:
-        return _box_array(raw_boxes)
-    except (FormatError, OverflowError):
-        boxes = [_parse_box(raw, f"{where}: box {k}") for k, raw in enumerate(raw_boxes)]
-        return np.array([b.as_list() for b in boxes], dtype=np.float64)
-
-
 def load_annotations(path) -> list[AnnotationRecord]:
     """Every field is checked once per column. If a line or a check is refused,
     the file is read again record by record, which names the first refusal."""
@@ -470,7 +459,9 @@ def load_proposals(path) -> list[ProposalSet]:
                 f"({len(keys)}) differ in length")
         if not all(isinstance(k, str) for k in keys):
             raise FormatError(f"{path}: line {lineno}: region_keys must be strings")
-        coords = _parse_boxes(raw_boxes, f"{path}: line {lineno}")
+        boxes = [_parse_box(raw, f"{path}: line {lineno}: box {k}").as_list()
+                 for k, raw in enumerate(raw_boxes)]
+        coords = np.array(boxes, dtype=np.float64).reshape(-1, 4)
         sets.append(ProposalSet(image_id, coords[:MAX_PROPOSALS], keys[:MAX_PROPOSALS],
                                 len(coords)))
     return sets
@@ -495,16 +486,18 @@ class TrainingTuple:
 
 
 def build_training_tuples(records: Sequence[AnnotationRecord], region_store: FeatureStore,
-                          context_store: FeatureStore, vocab: Vocabulary) -> list[TrainingTuple]:
+                          context_store: FeatureStore, vocab: Vocabulary,
+                          noun: str = "description") -> list[TrainingTuple]:
     """Expand records into one tuple per (object, description) pair; a store
-    lacking a record's key refuses it."""
+    lacking a record's key refuses it, and noun names a description that
+    tokenizes to nothing, as encode_nonempty's does."""
     tuples = []
     for rec in records:
         region_store.get(rec.region_key)
         context_store.get(rec.image_id)
         spatial = encode_spatial(rec.box, ImageSize(rec.width, rec.height))
         for desc in rec.descriptions:
-            ids = encode_nonempty(vocab, desc, "description")
+            ids = encode_nonempty(vocab, desc, noun)
             tuples.append(TrainingTuple(rec.region_key, rec.image_id, spatial, ids))
     return tuples
 

@@ -32,15 +32,6 @@ def sigmoid(x, out=None):
     return np.multiply(0.5, np.add(1.0, out, out), out)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits)
-    if logits.ndim != 1 or logits.size == 0:
-        raise ShapeError(f"softmax expects a non-empty vector, got shape {logits.shape}")
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities of a logit vector, or of each column of a (V, N) matrix."""
     logits = np.asarray(logits)
@@ -99,12 +90,13 @@ class LstmParams:
         self.W_x = ParamTensor.zeros(f"{prefix}.W_x", (gates, input_dim), dtype)
         self.W_h = ParamTensor.zeros(f"{prefix}.W_h", (gates, hidden_dim), dtype)
         self.b = ParamTensor.zeros(f"{prefix}.b", (gates,), dtype)
-        for k, gate in enumerate("ifog"):
-            rows = slice(k * hidden_dim, (k + 1) * hidden_dim)
-            for whole, name in ((self.W_x, f"W_x{gate}"), (self.W_h, f"W_h{gate}"),
-                                (self.b, f"b_{gate}")):
-                setattr(self, name, ParamTensor(f"{prefix}.{name}", whole.value[rows],
-                                                whole.grad[rows]))
+        self._views = []  # W_xi ... W_xg, W_hi ... W_hg, b_i ... b_g: the checkpoint's order
+        for whole, stem in ((self.W_x, "W_x"), (self.W_h, "W_h"), (self.b, "b_")):
+            for k, gate in enumerate("ifog"):
+                rows = slice(k * hidden_dim, (k + 1) * hidden_dim)
+                view = ParamTensor(f"{prefix}.{stem}{gate}", whole.value[rows], whole.grad[rows])
+                setattr(self, stem + gate, view)
+                self._views.append(view)
 
     @classmethod
     def init(cls, prefix: str, hidden_dim: int, input_dim: int, rng: np.random.Generator,
@@ -129,9 +121,8 @@ class LstmParams:
         return [self.W_x, self.W_h, self.b]
 
     def tensors(self) -> list[ParamTensor]:
-        return [self.W_xi, self.W_xf, self.W_xo, self.W_xg,
-                self.W_hi, self.W_hf, self.W_ho, self.W_hg,
-                self.b_i, self.b_f, self.b_o, self.b_g]
+        """The 12 per-gate views, in the order checkpoints write them."""
+        return self._views
 
 
 @dataclass
@@ -146,41 +137,38 @@ class LstmState:
 
 def lstm_step(params: LstmParams, x: np.ndarray, prev: Optional[LstmState],
               x_proj: Optional[np.ndarray] = None):
-    """One forward step; returns the new state and the activated gates
-    (4H, ...), fused i, f, o, g along axis 0 as the weights are. prev None
-    is the zero state: the step then skips W_h @ h and f * c, which would
-    add exactly zero.
+    """One forward step over query-major columns; returns the new state and
+    the activated gates (4H, Q * N), fused i, f, o, g along axis 0 as the
+    weights are. prev None is the zero state: the step then skips W_h @ h
+    and f * c, which would add exactly zero.
 
-    Vectors: x is the input (input,) and the state (H,). Query-major
-    columns: x is the step's input product (4H, Q), W_x's leading columns @
-    the input, and the state is (H, Q * N), query q's N columns taking x's
+    x is the step's input product (4H, Q), W_x's leading columns @ the
+    input, and the state is (H, Q * N), query q's N columns taking x's
     column q. x_proj, by default b, is the rest of the pre-activation, for
     inputs fixed over a sequence: W_x's other columns @ those inputs + b,
-    (4H, 1 or Q, 1 or N), broadcast over the gates viewed as (4H, Q, N).
+    (4H, 1 or Q, 1 or N), broadcast over the gates viewed as (4H, Q, N). An
+    input vector (input,) with an (H,) state is the one-column case.
     """
     hidden, input_dim = params.hidden_dim, params.input_dim
-    vector = x.shape == (input_dim,)
-    if not vector and not (x.ndim == 2 and len(x) == 4 * hidden):
+    if x.shape == (input_dim,):
+        column = None if prev is None else LstmState(prev.h[:, None], prev.c[:, None])
+        state, gates = lstm_step(params, (params.W_x.value @ x)[:, None], column)
+        return LstmState(state.h[:, 0], state.c[:, 0]), gates[:, 0]
+    if not (x.ndim == 2 and len(x) == 4 * hidden):
         raise ShapeError(f"lstm input: expected ({input_dim},) or ({4 * hidden}, Q), "
                          f"got {x.shape}")
-    if prev is not None and (prev.h.ndim != x.ndim or len(prev.h) != hidden
-                             or prev.c.shape != prev.h.shape
-                             or (x.ndim == 2 and prev.h.shape[1] % x.shape[1])):
-        raise ShapeError(
-            f"lstm state: expected ({hidden},), got h {prev.h.shape} c {prev.c.shape}")
-    if vector:
-        x, x_proj = params.W_x.value @ x, params.b.value
-    else:
-        x = x[:, :, None]
-        x_proj = params.b.value[:, None, None] if x_proj is None else x_proj
+    if prev is not None and (prev.h.ndim != 2 or len(prev.h) != hidden
+                             or prev.c.shape != prev.h.shape or prev.h.shape[1] % x.shape[1]):
+        raise ShapeError(f"lstm state: expected ({hidden}, Q * N) for Q = {x.shape[1]}, "
+                         f"got h {prev.h.shape} c {prev.c.shape}")
+    x = x[:, :, None]
+    x_proj = params.b.value[:, None, None] if x_proj is None else x_proj
     if prev is None:
-        gates = x + x_proj
-        if not vector:
-            gates = gates.reshape(len(gates), -1)
+        gates = (x + x_proj).reshape(len(x), -1)
     else:
         gates = params.W_h.value @ prev.h
         # a view of gates, which the matrix product made C-contiguous
-        view = gates if vector else gates.reshape(len(gates), x.shape[1], -1)
+        view = gates.reshape(len(gates), x.shape[1], -1)
         view += x
         view += x_proj
     ifo, g = gates[:3 * hidden], gates[3 * hidden:]

@@ -51,12 +51,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self._tokens == other._tokens
-
     def lookup(self, token: str) -> int:
         """Token id, falling back to the <unk> id for unknown tokens."""
         return self._index.get(token, UNK_ID)

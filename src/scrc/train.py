@@ -21,7 +21,7 @@ import numpy as np
 
 from .datastore import CaptionRecord, FeatureStore, TrainingTuple
 from .errors import ConfigError, InputError
-from .model import ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch, sequence_log_prob
+from .model import ScoreRequest, ScrcConfig, ScrcParams, backward, forward_batch
 from .nncore import SgdOptimizer, check_sgd_settings
 from .textproc import Vocabulary, encode_nonempty
 
@@ -72,14 +72,6 @@ def make_batches(items: Sequence, batch_size: int, seed: int, epoch: int) -> lis
             for lo in range(0, len(items), batch_size)]
 
 
-def mean_loss(params: ScrcParams, config: ScrcConfig,
-              requests: Sequence[ScoreRequest]) -> float:
-    """Mean negative log-likelihood over the requests (no gradients)."""
-    if not requests:
-        raise InputError("no requests to evaluate")
-    return -sum(sequence_log_prob(params, config, r) for r in requests) / len(requests)
-
-
 def _run_sgd(params: ScrcParams, config: ScrcConfig, requests: list[ScoreRequest],
              cfg: TrainConfig, phase: str) -> TrainReport:
     if not requests:
@@ -109,8 +101,9 @@ def _run_sgd(params: ScrcParams, config: ScrcConfig, requests: list[ScoreRequest
 
 
 def caption_requests(captions: Sequence[CaptionRecord], context_store: FeatureStore,
-                     vocab: Vocabulary) -> list[ScoreRequest]:
-    return [ScoreRequest(encode_nonempty(vocab, caption, "caption"), None,
+                     vocab: Vocabulary, noun: str = "caption") -> list[ScoreRequest]:
+    """noun names a caption that tokenizes to nothing, as encode_nonempty's does."""
+    return [ScoreRequest(encode_nonempty(vocab, caption, noun), None,
                          context_store.get(rec.image_id), None)
             for rec in captions for caption in rec.captions]
 
@@ -124,12 +117,13 @@ def tuple_requests(tuples: Sequence[TrainingTuple], region_store: FeatureStore,
 
 def pretrain_captioning(params: ScrcParams, config: ScrcConfig,
                         captions: Sequence[CaptionRecord], context_store: FeatureStore,
-                        vocab: Vocabulary, cfg: TrainConfig) -> TrainReport:
+                        vocab: Vocabulary, cfg: TrainConfig,
+                        noun: str = "caption") -> TrainReport:
     """Maximize caption likelihood given context features. The local branch
-    receives no gradient and keeps its initialization bit for bit."""
+    receives no gradient and keeps its initialization bit for bit; noun is caption_requests'."""
     if not config.caption_mode:
         raise ConfigError("pretraining requires caption_mode")
-    return _run_sgd(params, config, caption_requests(captions, context_store, vocab), cfg,
+    return _run_sgd(params, config, caption_requests(captions, context_store, vocab, noun), cfg,
                     "pretrain")
 
 

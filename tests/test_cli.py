@@ -4,9 +4,11 @@ import json
 import os
 import re
 import resource
+import signal
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +40,18 @@ def run_json(argv):
     return json.loads(out)
 
 
+def python_env() -> dict:
+    """The environment of a child python that imports the package under test."""
+    src = str(Path(scrc.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_python(args, preexec_fn=None):
     """Run python with args, the package under test importable; returns the
     CompletedProcess. preexec_fn runs in the child before python starts."""
-    src = str(Path(scrc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120, preexec_fn=preexec_fn)
+    return subprocess.run([sys.executable, *args], env=python_env(), capture_output=True,
+                          text=True, timeout=120, preexec_fn=preexec_fn)
 
 
 def run_cli_subprocess(argv, preexec_fn=None):
@@ -174,6 +180,53 @@ def test_interrupt_is_a_named_error_with_exit_130(synth_dir, tmp_path, monkeypat
         "--context-features", str(synth_dir / "context_features.bin"),
         "--config", str(synth_dir / "config.json"), "--out", str(out), "--steps", "1"])
     assert (code, stdout, err) == (130, "", "error: interrupted\n")
+    assert os.listdir(out.parent) == []
+
+
+# main under python -c, saying "stepped" on stderr once the first optimizer step has returned
+ANNOUNCE_FIRST_STEP = """
+import signal, sys
+from scrc import nncore
+from scrc.cli import main
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # a background job may ignore it
+step = nncore.SgdOptimizer.step
+
+def first_step(self):
+    step(self)
+    nncore.SgdOptimizer.step = step
+    print("stepped", file=sys.stderr, flush=True)
+
+nncore.SgdOptimizer.step = first_step
+sys.exit(main())
+"""
+
+
+def test_sigint_during_pretrain_is_a_named_error(synth_dir, tmp_path):
+    """A real SIGINT, sent after pretrain's first step, ends it with exit 130
+    and one line, and leaves neither a checkpoint nor a temp file."""
+    out = tmp_path / "out" / "pre.ckpt"
+    out.parent.mkdir()
+    proc = subprocess.Popen([
+        sys.executable, "-c", ANNOUNCE_FIRST_STEP, "pretrain",
+        "--captions", str(synth_dir / "captions.jsonl"),
+        "--context-features", str(synth_dir / "context_features.bin"),
+        "--config", str(synth_dir / "config.json"), "--out", str(out), "--steps", "1000000"],
+        env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        first = []
+        reader = threading.Thread(target=lambda: first.append(proc.stderr.readline()))
+        reader.start()
+        reader.join(timeout=120)
+        assert first == ["stepped\n"], "no step finished"
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert (proc.returncode, stdout) == (130, "")
+    assert stderr.endswith("error: interrupted\n") and "Traceback" not in stderr, stderr
     assert os.listdir(out.parent) == []
 
 
@@ -366,6 +419,17 @@ class TestPretrain:
         assert_error_exit(proc, f"{bad}: line 2: invalid JSON")
         assert not (tmp_path / "o.ckpt").exists()
 
+    def test_caption_without_tokens_names_the_captions_file(self, synth_dir, tmp_path):
+        captions = tmp_path / "captions.jsonl"
+        captions.write_text(json.dumps({"image_id": "img00", "captions": ["red left", "!!!"]})
+                            + "\n")
+        code, _, err = run_cli([
+            "pretrain", "--captions", str(captions),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--config", str(synth_dir / "config.json"),
+            "--out", str(tmp_path / "o.ckpt"), "--steps", "1"])
+        assert (code, err) == (1, f"error: {captions}: caption tokenizes to nothing: '!!!'\n")
+
 
 class TestTransfer:
     def test_caption_scores_unchanged(self, pretrained, transferred):
@@ -493,6 +557,34 @@ class TestFinetune:
             "--steps", "1", "--hidden-dim", "99"])
         assert code == 1
         assert "hidden_dim" in err
+
+    def test_dim_conflict_names_the_checkpoint(self, synth_dir, transferred, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(json.loads((synth_dir / "config.json").read_text()),
+                                          embed_dim=36)))
+        code, _, err = run_cli([
+            "finetune", "--annotations", str(synth_dir / "annotations.jsonl"),
+            "--region-features", str(synth_dir / "region_features.bin"),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--in", str(transferred), "--config", str(config),
+            "--out", str(tmp_path / "x.ckpt"), "--steps", "1"])
+        assert (code, err) == (
+            1, f"error: {transferred}: embed_dim=36 conflicts with checkpoint value 16\n")
+
+    def test_description_without_tokens_names_the_annotations_file(self, synth_dir,
+                                                                   transferred, tmp_path):
+        lines = (synth_dir / "annotations.jsonl").read_text().splitlines(keepends=True)
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text("".join(
+            [json.dumps(dict(json.loads(lines[0]), descriptions=["..."])) + "\n", *lines[1:]]))
+        code, _, err = run_cli([
+            "finetune", "--annotations", str(annotations),
+            "--region-features", str(synth_dir / "region_features.bin"),
+            "--context-features", str(synth_dir / "context_features.bin"),
+            "--in", str(transferred), "--config", str(synth_dir / "config.json"),
+            "--out", str(tmp_path / "x.ckpt"), "--steps", "1"])
+        assert (code, err) == (
+            1, f"error: {annotations}: description tokenizes to nothing: '...'\n")
 
 
 class TestRetrieve:

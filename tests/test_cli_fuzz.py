@@ -22,7 +22,10 @@ is refused with an error that names the file and the checkpoint.
 
 `eval` reads each of its five input files mutated the same way, and its
 JSON-lines files also with one line cut short. Each case scores, or is
-refused with an error that names one of its input files."""
+refused with one line that names one of its input files. So do the input
+files of `retrieve`, `generate`, `pretrain` and `finetune`; the training
+commands also take every setting as a flag, so a mutated `--config` is
+refused only for its syntax, keys and types."""
 
 import contextlib
 import io
@@ -242,9 +245,16 @@ class TestTransferMutatedCheckpoint:
         self.transfers_or_names_checkpoint(workdir, bytes(mutant))
 
 
-EVAL_INPUTS = ["--model", "--annotations", "--proposals", "--region-features",
-               "--context-features"]
-JSON_LINES = ["--annotations", "--proposals"]
+STORES = ["--region-features", "--context-features"]
+# command -> the flags that name its input files
+INPUTS = {"eval": ["--model", "--annotations", "--proposals", *STORES],
+          "retrieve": ["--model", "--proposals", *STORES],
+          "generate": ["--model", *STORES],
+          "pretrain": ["--captions", "--context-features", "--config"],
+          "finetune": ["--annotations", *STORES, "--in", "--config"]}
+EVAL_INPUTS = INPUTS["eval"]
+JSON_LINES = ["--annotations", "--proposals", "--captions"]
+BINARY = ["--model", "--in", *STORES]
 
 
 def feature_store_fields(data: bytes):
@@ -259,6 +269,50 @@ def feature_store_fields(data: bytes):
     return fields
 
 
+def changed_field(data, original: bytes, flag: str) -> bytes:
+    """original with one length or count field set to a drawn value."""
+    fields = length_and_count_fields if flag in ("--model", "--in") else feature_store_fields
+    off, fmt = data.draw(st.sampled_from(fields(original)))
+    top = 2 ** (8 * struct.calcsize(fmt)) - 1
+    (was,) = struct.unpack_from(fmt, original, off)
+    value = data.draw(st.one_of(st.integers(0, top),
+                                st.integers(max(0, was - 3), min(top, was + 3))))
+    mutant = bytearray(original)
+    struct.pack_into(fmt, mutant, off, value)
+    return bytes(mutant)
+
+
+def cut_line(data, original: bytes) -> bytes:
+    """original with one line cut short."""
+    lines = original.split(b"\n")
+    row = data.draw(st.integers(0, len(lines) - 2))  # the last split is after the last newline
+    lines[row] = lines[row][:data.draw(st.integers(0, len(lines[row])))]
+    return b"\n".join(lines)
+
+
+def mutant(flag: str) -> str:
+    """The name of the file that holds flag's mutated input."""
+    return "mutant" + flag.replace("-", "_")
+
+
+def runs_or_names_an_input(argv: list, flag: str, path: Path, data: bytes, inputs: list):
+    """argv run with flag's file replaced by data, written at path: exit 0 with
+    JSON, or exit 1 with one line that names the file of one of the flags in
+    inputs. Returns the refusal's stderr."""
+    path.write_bytes(data)
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = str(path)
+    code, out, err = run(argv)
+    if code == 0:
+        json.loads(out)
+        return
+    assert (code, out) == (1, "")
+    named = [argv[argv.index(f) + 1] for f in inputs]
+    assert any(err.startswith(f"error: {p}: ") for p in named), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
 class TestEvalMutatedInputs:
     """The reader property tests' mutations, given to each of `eval`'s input files."""
 
@@ -267,24 +321,9 @@ class TestEvalMutatedInputs:
         argv = commands["eval"]
         return {flag: Path(argv[argv.index(flag) + 1]).read_bytes() for flag in EVAL_INPUTS}
 
-    @staticmethod
-    def mutant(flag: str) -> str:
-        return "mutant" + flag.replace("-", "_")
-
     def scores_or_names_an_input(self, commands, workdir, flag, data: bytes):
-        argv = list(commands["eval"])
-        path = workdir / self.mutant(flag)
-        path.write_bytes(data)
-        argv[argv.index(flag) + 1] = str(path)
-        code, out, err = run(argv)
-        if code == 0:
-            json.loads(out)
-            return
-        assert (code, out) == (1, "")
-        named = [argv[argv.index(f) + 1] for f in EVAL_INPUTS]
-        assert any(err.startswith(f"error: {p}: ") for p in named), err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        return err
+        return runs_or_names_an_input(commands["eval"], flag, workdir / mutant(flag), data,
+                                      EVAL_INPUTS)
 
     @settings(max_examples=250)
     @given(flag=st.sampled_from(EVAL_INPUTS), data=st.data())
@@ -303,23 +342,13 @@ class TestEvalMutatedInputs:
     @given(flag=st.sampled_from(["--model", "--region-features", "--context-features"]),
            data=st.data())
     def test_changed_length_or_count_field(self, commands, workdir, originals, flag, data):
-        fields = (length_and_count_fields if flag == "--model" else feature_store_fields)
-        off, fmt = data.draw(st.sampled_from(fields(originals[flag])))
-        top = 2 ** (8 * struct.calcsize(fmt)) - 1
-        (was,) = struct.unpack_from(fmt, originals[flag], off)
-        value = data.draw(st.one_of(st.integers(0, top),
-                                    st.integers(max(0, was - 3), min(top, was + 3))))
-        mutant = bytearray(originals[flag])
-        struct.pack_into(fmt, mutant, off, value)
-        self.scores_or_names_an_input(commands, workdir, flag, bytes(mutant))
+        self.scores_or_names_an_input(commands, workdir, flag,
+                                      changed_field(data, originals[flag], flag))
 
     @settings(max_examples=200)
-    @given(flag=st.sampled_from(JSON_LINES), data=st.data())
+    @given(flag=st.sampled_from(["--annotations", "--proposals"]), data=st.data())
     def test_cut_json_line(self, commands, workdir, originals, flag, data):
-        lines = originals[flag].split(b"\n")
-        row = data.draw(st.integers(0, len(lines) - 2))  # the last split is after the last newline
-        lines[row] = lines[row][:data.draw(st.integers(0, len(lines[row])))]
-        self.scores_or_names_an_input(commands, workdir, flag, b"\n".join(lines))
+        self.scores_or_names_an_input(commands, workdir, flag, cut_line(data, originals[flag]))
 
     @pytest.mark.parametrize("flag, old, new", [
         # one flipped digit of a later record's width: the image's records disagree on its size
@@ -334,11 +363,63 @@ class TestEvalMutatedInputs:
         assert originals[flag].count(old) == 1
         err = self.scores_or_names_an_input(commands, workdir, flag,
                                             originals[flag].replace(old, new))
-        assert err.startswith(f"error: {workdir / self.mutant(flag)}: "), err
+        assert err.startswith(f"error: {workdir / mutant(flag)}: "), err
 
     def test_empty_proposal_set_names_the_proposals_file(self, commands, workdir, originals):
         lines = originals["--proposals"].split(b"\n")
         lines[0] = json.dumps(dict(json.loads(lines[0]), boxes=[], region_keys=[])).encode()
         err = self.scores_or_names_an_input(commands, workdir, "--proposals",
                                             b"\n".join(lines))
-        assert err.startswith(f"error: {workdir / self.mutant('--proposals')}: "), err
+        assert err.startswith(f"error: {workdir / mutant('--proposals')}: "), err
+
+
+# (command, input flag) for every command but eval, which has its own class above
+OTHER_INPUTS = [(c, f) for c in ("retrieve", "generate", "pretrain", "finetune") for f in INPUTS[c]]
+
+
+class TestOtherCommandsMutatedInputs:
+    """The same mutations, given to each input file of the other commands that
+    read one. finetune starts from the scoring commands' model, so that --in
+    is read too."""
+
+    @pytest.fixture(scope="class")
+    def argvs(self, commands, workdir):
+        finetune = [a for a in commands["finetune"] if a != "--no-transfer-init"]
+        finetune[-2:-2] = ["--in", str(workdir / "model.ckpt")]
+        code, _, err = run(finetune)
+        assert code == 0, err
+        return {**commands, "finetune": finetune}
+
+    @pytest.fixture(scope="class")
+    def originals(self, argvs):
+        return {(c, f): Path(argvs[c][argvs[c].index(f) + 1]).read_bytes()
+                for c, f in OTHER_INPUTS}
+
+    @staticmethod
+    def runs_or_names_an_input(argvs, workdir, command, flag, data: bytes):
+        return runs_or_names_an_input(argvs[command], flag, workdir / mutant(flag), data,
+                                      INPUTS[command])
+
+    @settings(max_examples=200)
+    @given(pair=st.sampled_from(OTHER_INPUTS), data=st.data())
+    def test_truncation(self, argvs, workdir, originals, pair, data):
+        cut = data.draw(st.integers(0, len(originals[pair]) - 1))
+        self.runs_or_names_an_input(argvs, workdir, *pair, originals[pair][:cut])
+
+    @settings(max_examples=400)
+    @given(pair=st.sampled_from(OTHER_INPUTS), index=st.integers(0, 10 ** 6),
+           mask=st.integers(1, 255))
+    def test_byte_flip(self, argvs, workdir, originals, pair, index, mask):
+        self.runs_or_names_an_input(argvs, workdir, *pair, flip(originals[pair], index, mask))
+
+    @settings(max_examples=200)
+    @given(pair=st.sampled_from([p for p in OTHER_INPUTS if p[1] in BINARY]), data=st.data())
+    def test_changed_length_or_count_field(self, argvs, workdir, originals, pair, data):
+        self.runs_or_names_an_input(argvs, workdir, *pair,
+                                    changed_field(data, originals[pair], pair[1]))
+
+    @settings(max_examples=150)
+    @given(pair=st.sampled_from([p for p in OTHER_INPUTS if p[1] in JSON_LINES + ["--config"]]),
+           data=st.data())
+    def test_cut_json_line(self, argvs, workdir, originals, pair, data):
+        self.runs_or_names_an_input(argvs, workdir, *pair, cut_line(data, originals[pair]))

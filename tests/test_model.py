@@ -8,8 +8,10 @@ from scrc.model import (MAX_GENERATE_LEN, MAX_PASS_COLUMNS, ScoreRequest, ScrcCo
                         ScrcParams, backward, forward_batch, forward_trace, generate_description,
                         initial_state, prepare_features, score_candidates, sequence_log_prob,
                         step_logits)
-from scrc.nncore import log_softmax, make_rng, softmax
+from scrc.nncore import log_softmax, make_rng
 from scrc.textproc import BOS_ID, EOS_ID
+
+from oracles import softmax
 
 
 def tiny_config(**kw):

@@ -9,7 +9,9 @@ from scrc.model import ScoreRequest, ScrcConfig, ScrcParams, forward_trace, sequ
 from scrc.nncore import make_rng
 from scrc.textproc import build_vocab
 from scrc.train import (TrainConfig, caption_requests, finetune_retrieval, make_batches,
-                        mean_loss, pretrain_captioning, transfer_weights, tuple_requests)
+                        pretrain_captioning, transfer_weights, tuple_requests)
+
+from oracles import mean_loss
 
 
 def snapshot(params):
