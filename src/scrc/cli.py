@@ -57,20 +57,20 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve_config(args, phase: str):
-    """Merge defaults, config file and flags; returns (values, explicit keys)."""
-    values = {key: default for key, (_, default) in _SETTINGS.items()}
-    values.update(_PHASE_DEFAULTS[phase])
-    explicit = set()
+    """Merge defaults, config file and flags; returns (values, explicit keys).
+    The file's values, merged over the defaults, are range-checked by each
+    rule's owner, so that a refusal names the file."""
+    values = {key: default for key, (_, default) in _SETTINGS.items()} | _PHASE_DEFAULTS[phase]
+    given = {key: flag for key in _SETTINGS if (flag := getattr(args, key, None)) is not None}
     if getattr(args, "config", None) is not None:
-        file_vals = _load_config_file(args.config)
-        values.update(file_vals)
-        explicit.update(file_vals)
-    for key in _SETTINGS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-            explicit.add(key)
-    return values, explicit
+        values.update(file_vals := _load_config_file(args.config))
+        given = file_vals | given
+        try:
+            TrainConfig(**_fields(TrainConfig, values))
+            ScrcConfig(len(build_vocab((), values["min_count"])), **_fields(ScrcConfig, values))
+        except (ConfigError, InputError) as e:
+            raise type(e)(f"{args.config}: {e}") from None
+    return values | given, set(given)
 
 
 def _records(loader, path) -> list:

@@ -79,9 +79,6 @@ class FeatureStore:
         except KeyError:
             raise InputError(f"{self.where}: key {key!r} not found") from None
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @contextmanager
 def _atomic_write(path):
@@ -395,8 +392,8 @@ def _box_array(raw_boxes: list) -> np.ndarray:
 
 
 def load_annotations(path) -> list[AnnotationRecord]:
-    """Every field is checked once per column. If a line or a check is refused,
-    the file is read again record by record, which names the first refusal."""
+    """Records are built only once every column is checked. If a line or a check
+    is refused, the file is read again record by record to name the first refusal."""
     try:
         objs = [obj for _, obj in _iter_jsonl(path)]
         sizes = np.array([_column(objs, "width", int, float),
@@ -411,22 +408,20 @@ def load_annotations(path) -> list[AnnotationRecord]:
         return [AnnotationRecord(i, w, h, BoundingBox(*box), k, list(t)) for i, w, h, box, k, t
                 in zip(_column(objs, "image_id", str), *sizes.tolist(), coords.tolist(),
                        _column(objs, "region_key", str), texts)]
-    except (FormatError, OverflowError):
-        pass
-    records = []
+    except (FormatError, OverflowError) as e:
+        refused = e
     for lineno, obj in _iter_jsonl(path):
-        image_id = _field(obj, "image_id", str, path, lineno)
+        _field(obj, "image_id", str, path, lineno)
         width = _field(obj, "width", float, path, lineno)
         height = _field(obj, "height", float, path, lineno)
         box = _parse_box(_field(obj, "box", list, path, lineno), path, lineno)
-        region_key = _field(obj, "region_key", str, path, lineno)
-        descriptions = _strings(obj, "descriptions", path, lineno)
+        _field(obj, "region_key", str, path, lineno)
+        _strings(obj, "descriptions", path, lineno)
         try:
             ImageSize(width, height).check(box)
         except InputError as e:
             raise FormatError(f"{path}: line {lineno}: {e}") from None
-        records.append(AnnotationRecord(image_id, width, height, box, region_key, descriptions))
-    return records
+    raise FormatError(f"{path}: {refused}")
 
 
 def load_proposals(path) -> list[ProposalSet]:
@@ -441,9 +436,8 @@ def load_proposals(path) -> list[ProposalSet]:
         coords = np.split(_box_array(list(chain.from_iterable(raw))), np.cumsum(lengths)[:-1])
         return [ProposalSet(i, c[:MAX_PROPOSALS], k[:MAX_PROPOSALS], len(c))
                 for i, c, k in zip(ids, coords, keys)]
-    except (FormatError, OverflowError):
-        pass
-    sets = []
+    except (FormatError, OverflowError) as e:
+        refused = e
     first_line: dict[str, int] = {}
     for lineno, obj in _iter_jsonl(path):
         image_id = _field(obj, "image_id", str, path, lineno)
@@ -459,12 +453,9 @@ def load_proposals(path) -> list[ProposalSet]:
                 f"({len(keys)}) differ in length")
         if not all(isinstance(k, str) for k in keys):
             raise FormatError(f"{path}: line {lineno}: region_keys must be strings")
-        boxes = [_parse_box(raw, f"{path}: line {lineno}: box {k}").as_list()
-                 for k, raw in enumerate(raw_boxes)]
-        coords = np.array(boxes, dtype=np.float64).reshape(-1, 4)
-        sets.append(ProposalSet(image_id, coords[:MAX_PROPOSALS], keys[:MAX_PROPOSALS],
-                                len(coords)))
-    return sets
+        for k, raw in enumerate(raw_boxes):
+            _parse_box(raw, f"{path}: line {lineno}: box {k}")
+    raise FormatError(f"{path}: {refused}")
 
 
 def load_captions(path) -> list[CaptionRecord]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,14 +63,8 @@ class MetricsReport:
     oracle: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {"scenario": self.scenario, "query_count": self.query_count}
-        if self.p_at_1 is not None:
-            out["p_at_1"] = self.p_at_1
-        if self.r_at_k is not None:
-            for k, v in sorted(self.r_at_k.items()):
-                out[f"r_at_{k}"] = v
-        if self.oracle is not None:
-            out["oracle"] = self.oracle
+        out = {key: v for key, v in asdict(self).items() if v is not None}
+        out.update((f"r_at_{k}", v) for k, v in out.pop("r_at_k", {}).items())
         return out
 
 

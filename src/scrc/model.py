@@ -205,7 +205,7 @@ class ForwardTrace:
     longest first, so that each step's live rows are a prefix; its targets
     and log_probs stay in request order."""
 
-    targets: list[list[int]]
+    targets: Optional[list[list[int]]]  # forward_batch's; None from a scoring pass
     log_probs: np.ndarray
     ids: np.ndarray
     live: np.ndarray
@@ -461,8 +461,7 @@ def _decode(params: ScrcParams, config: ScrcConfig, queries: list[list[int]],
                 probs[packed[t]] = np.exp(logp[:, :counts[t]]).T
     fixed_rows = (np.concatenate([cols.x_box, cols.x_spatial])[:, :rows].T,
                   cols.x_context[:, :rows].T) if keep_trace else None
-    return ForwardTrace([q + [EOS_ID] for q in queries], total, ids, live,
-                        units if keep_trace else None, fixed_rows, probs)
+    return ForwardTrace(None, total, ids, live, units if keep_trace else None, fixed_rows, probs)
 
 
 def forward_batch(params: ScrcParams, config: ScrcConfig, requests: Sequence[ScoreRequest],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -55,9 +55,7 @@ class TrainReport:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {"phase": self.phase, "steps": self.steps, "batch_size": self.batch_size,
-                "interval_losses": self.interval_losses, "final_loss": self.final_loss,
-                "wall_time_s": self.wall_time_s}
+        return asdict(self)
 
 
 def make_batches(items: Sequence, batch_size: int, seed: int, epoch: int) -> list[list]:

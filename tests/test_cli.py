@@ -1023,6 +1023,26 @@ class TestSettings:
         assert code == 0, err
         assert json.loads(out)["steps"] == 2
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("momentum", 1.9, "momentum must be in [0, 1), got 1.9"),
+        ("embed_dim", -6, "embed_dim must be positive, got -6"),
+        ("min_count", 0, "min_count must be >= 1, got 0"),
+    ], ids=["train-config", "model-dims", "vocabulary"])
+    def test_out_of_range_value_names_config_file(self, synth_dir, tmp_path, key, value,
+                                                  message):
+        code, out, err = self.pretrain(synth_dir, tmp_path, {key: value})
+        assert (code, out, err) == (1, "", f"error: {tmp_path / 'cfg.json'}: {message}\n")
+        assert not (tmp_path / "o.ckpt").exists()
+
+    def test_file_value_checked_under_a_flag(self, synth_dir, tmp_path):
+        """A file's value is range-checked even where a flag overrides it; the
+        flag's own value is refused as before, without a file name."""
+        code, _, err = self.pretrain(synth_dir, tmp_path, {"momentum": 1.9}, "--momentum", "0.5")
+        assert (code, err) == (1, f"error: {tmp_path / 'cfg.json'}: "
+                                  "momentum must be in [0, 1), got 1.9\n")
+        code, _, err = self.pretrain(synth_dir, tmp_path, {}, "--momentum", "1.9")
+        assert (code, err) == (1, "error: momentum must be in [0, 1), got 1.9\n")
+
     def test_empty_config_path_exit_1(self, synth_dir, tmp_path):
         code, out, err = run_cli(["pretrain", "--captions", str(synth_dir / "captions.jsonl"),
                                   "--context-features", str(synth_dir / "context_features.bin"),

@@ -73,7 +73,7 @@ class TestFeatureStore:
         save_feature_store(FeatureStore(4), path)
         loaded = load_feature_store(path)
         assert loaded.dim == 4
-        assert len(loaded) == 0
+        assert len(loaded.entries) == 0
 
     def test_single_entry_roundtrip_bit_exact(self, tmp_path):
         store = FeatureStore(4)

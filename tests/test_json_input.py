@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import scrc
+from scrc import datastore, synth
 from scrc.cli import _load_config_file
-from scrc.datastore import _field, _iter_jsonl, load_checkpoint, save_checkpoint
+from scrc.datastore import (_field, _iter_jsonl, load_annotations, load_checkpoint,
+                            load_proposals, save_checkpoint)
 from scrc.errors import ConfigError, FormatError
 from scrc.model import ScrcConfig, ScrcParams
 from scrc.nncore import make_rng
@@ -109,3 +111,19 @@ def test_checkpoint_header_refuses(tmp_path, value, kind, refusal):
     with pytest.raises(ConfigError,
                        match=re.escape(f"{path}: checkpoint: config key {key!r} {refusal}")):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("loader, name", [(load_annotations, "annotations.jsonl"),
+                                          (load_proposals, "proposals.jsonl")])
+def test_loader_builds_records_only_in_its_column_path(tmp_path, monkeypatch, loader, name):
+    """A refused column check sends a loader to its record-by-record pass,
+    which only names a refusal: where every record passes there, the column
+    refusal is raised, naming the file, and no record is built."""
+    synth.generate_dataset(tmp_path, seed=0, n_images=2)
+
+    def refuse(objs, field, *kinds):
+        raise FormatError(f"field {field!r}")
+
+    monkeypatch.setattr(datastore, "_column", refuse)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(tmp_path / name))}: field "):
+        loader(tmp_path / name)
