@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Optional, Sequence, get_type_hints
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -267,8 +267,8 @@ class ProposalSet:
 
     @cached_property
     def boxes(self) -> list[BoundingBox]:
-        """The rows of coords as boxes, built on first use: only the sets that
-        are ranked need them."""
+        """The rows of coords as boxes, built on first use. eval and retrieve
+        rank coordinate rows and never build them."""
         return [BoundingBox(*row) for row in self.coords.tolist()]
 
 
@@ -298,8 +298,6 @@ def json_object(text, where: str, error=FormatError) -> dict:
 def json_value(value, kind, what: str, error=FormatError):
     """A parsed JSON value checked against kind: bool, int, float, str, list
     or dict. bool is never a number, and an int is taken as a float."""
-    if type(value) is kind:  # the common case: every value of a record that loads
-        return value
     types = (int, float) if kind is float else kind
     if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
         raise error(f"{what} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
@@ -341,8 +339,8 @@ def _iter_jsonl(path):
 
 
 def _field(obj, name, kind, path, lineno):
-    """obj[name] checked as kind. Every field of every record comes through
-    here, so the file and line go into a message only once it is refused."""
+    """obj[name] checked as kind; the file and line go into a message only
+    once it is refused, as load_captions reads every record through here."""
     if name not in obj:
         raise FormatError(f"{path}: line {lineno}: missing field {name!r}")
     try:
@@ -359,16 +357,14 @@ def _strings(obj, name, path, lineno) -> list[str]:
     return list(items)
 
 
-def _parse_box(raw, where: str, lineno: Optional[int] = None) -> BoundingBox:
-    """A box from its JSON value. where, and the line if given, go into a
-    message only once the box is refused."""
+def _parse_box(raw, where: str) -> BoundingBox:
+    """A box from its JSON value; where names it once it is refused."""
     try:
         if not isinstance(raw, list) or len(raw) != 4:
             raise FormatError("box must be [x1, y1, x2, y2]")
         return BoundingBox(*(json_value(v, float, "box coordinate") for v in raw))
     except (FormatError, InputError) as e:
-        place = where if lineno is None else f"{where}: line {lineno}"
-        raise FormatError(f"{place}: {e}") from None
+        raise FormatError(f"{where}: {e}") from None
 
 
 def _column(objs: list, name: str, *kinds) -> list:
@@ -414,7 +410,7 @@ def load_annotations(path) -> list[AnnotationRecord]:
         _field(obj, "image_id", str, path, lineno)
         width = _field(obj, "width", float, path, lineno)
         height = _field(obj, "height", float, path, lineno)
-        box = _parse_box(_field(obj, "box", list, path, lineno), path, lineno)
+        box = _parse_box(_field(obj, "box", list, path, lineno), f"{path}: line {lineno}")
         _field(obj, "region_key", str, path, lineno)
         _strings(obj, "descriptions", path, lineno)
         try:

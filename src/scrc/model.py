@@ -321,27 +321,23 @@ def _trie(ids: np.ndarray, live: np.ndarray, image: np.ndarray, vocab: int, rows
     """The prefix trie of a pass's queries, with ids and live from _token_grid
     and each query's image. Step t's nodes are the distinct (image, <bos> +
     first t tokens) prefixes of the queries that run step t, ordered by
-    parent and word. Rows, an image each, share no prefix: one node per
-    running row, in row order, the count rounded up to whole ROW_BLOCKs with
-    dummy nodes that feed <eos> and follow the column of their own index.
-    Returns each step's Nodes, its nodes' input words, and its picks: the
-    queries that run it, their nodes and their target words."""
+    parent and word. Rows are this rule with one image per query, so one node
+    per running row in row order, then padded: the count rounded up to whole
+    ROW_BLOCKs with dummy nodes that feed <eos> and follow the column of their
+    own index. Returns each step's Nodes, its nodes' input words, and its
+    picks: the queries that run it, their nodes and their target words."""
     steps, words, picks = [], [], []
     node = image.copy()
     for t, running in enumerate(live):
-        run = slice(None) if running.all() else np.flatnonzero(running)
+        run = np.flatnonzero(running)
+        keys, at = np.unique(node[run] * vocab + ids[t, run], return_inverse=True)
+        parents, word = np.divmod(keys, vocab)
         if rows:
-            parents, word = node[run], ids[t, run]
-            at = np.arange(len(parents))
-            count = len(at) + -len(at) % ROW_BLOCK
-            parents = np.concatenate([parents, np.arange(len(at), count)])
-            word = np.concatenate([word, np.full(count - len(at), EOS_ID)])
-        else:
-            keys, at = np.unique(node[run] * vocab + ids[t, run], return_inverse=True)
-            parents, word = np.divmod(keys, vocab)
-            count = len(keys)
+            dummies = np.arange(len(keys), len(keys) + -len(keys) % ROW_BLOCK)
+            parents = np.concatenate([parents, dummies])
+            word = np.concatenate([word, np.full(len(dummies), EOS_ID)])
         images = parents if t == 0 else images[parents]
-        steps.append(Nodes(count, _prefix(parents) if t else None, _prefix(images)))
+        steps.append(Nodes(len(parents), _prefix(parents) if t else None, _prefix(images)))
         words.append(word)
         picks.append((run, at, ids[t + 1, run]))
         node[run] = at

@@ -18,6 +18,7 @@ from scrc.cli import _load_config_file
 from scrc.errors import ConfigError, FormatError, InputError
 from scrc.model import ScrcConfig, ScrcParams
 from scrc.nncore import make_rng
+from scrc.synth import generate_dataset
 from scrc.textproc import build_vocab
 
 
@@ -530,6 +531,18 @@ class TestProposalsAndCaptions:
         write_jsonl(path, [{"image_id": "img1", "captions": []}])
         with pytest.raises(FormatError, match="line 1"):
             load_captions(path)
+
+
+def test_valid_files_load_without_json_value(tmp_path, monkeypatch):
+    """Annotations and proposals that load are checked per column: json_value
+    runs only in the record-by-record pass that names a refusal."""
+    generate_dataset(tmp_path, seed=1, n_images=8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json_value called while loading a valid file")
+    monkeypatch.setattr(datastore, "json_value", refuse)
+    assert len(load_annotations(tmp_path / "annotations.jsonl")) > 0
+    assert len(load_proposals(tmp_path / "proposals.jsonl")) == 8
 
 
 class TestSurrogateEscapes:

@@ -128,7 +128,7 @@ def per_record_annotations(path) -> list[AnnotationRecord]:
         image_id = _field(obj, "image_id", str, path, lineno)
         width = _field(obj, "width", float, path, lineno)
         height = _field(obj, "height", float, path, lineno)
-        box = _parse_box(_field(obj, "box", list, path, lineno), path, lineno)
+        box = _parse_box(_field(obj, "box", list, path, lineno), f"{path}: line {lineno}")
         region_key = _field(obj, "region_key", str, path, lineno)
         descriptions = _strings(obj, "descriptions", path, lineno)
         try:

@@ -3,8 +3,8 @@
 A pass's step t runs one column per depth-t node of each image's prefix
 trie, times N candidates for the local unit. Scores must equal each query
 scored on its own, and each unit's step must take exactly the trie's
-columns. One-candidate images run as rows instead: one node per live query,
-rounded up to whole ROW_BLOCKs."""
+columns. One-candidate images run as rows: the same rule with one image per
+query, so one node per live query, padded to whole ROW_BLOCKs."""
 
 from collections import defaultdict
 
@@ -13,7 +13,7 @@ import pytest
 
 import scrc.model
 from scrc.model import (MAX_PASS_COLUMNS, ROW_BLOCK, ScoreRequest, forward_batch, score_image,
-                        score_images)
+                        score_images, sequence_log_prob)
 from scrc.nncore import make_rng
 
 from test_score_image import MODES, random_params, small_config
@@ -85,6 +85,10 @@ def test_scores_equal_each_query_alone(monkeypatch, mode, candidates, dtype, tol
             assert np.max(np.abs(row - alone)) < tolerance
             assert np.array_equal(np.argsort(-row, kind="stable"),
                                   np.argsort(-alone, kind="stable"))
+            if candidates == 1:  # a row: N = 1, running queries not a prefix of the columns
+                x_box, x_spatial, x_context = candidate_inputs
+                request = ScoreRequest(query, x_box[0], x_context, x_spatial[0])
+                assert row.tolist() == [sequence_log_prob(params, config, request)]
     # the first image's identical queries share every node, so they share every bit
     assert got[0][0].tobytes() == got[0][1].tobytes()
 
