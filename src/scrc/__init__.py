@@ -1,20 +1,3 @@
 """scrc: score candidate image regions by the likelihood of a text query
 under a recurrent model of words, region features, spatial layout and
 scene context; train it end to end and evaluate retrieval quality."""
-
-from .errors import (ConfigError, ContractError, FormatError, InputError, ScrcError,
-                     ShapeError, TrainingError)
-from .geometry import BoundingBox, ImageSize, encode_spatial, iou, is_hit
-from .model import (ScoreRequest, ScrcConfig, ScrcParams, generate_description,
-                    score_candidates, sequence_log_prob)
-from .textproc import Vocabulary, build_vocab, decode, encode, tokenize
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BoundingBox", "ConfigError", "ContractError", "FormatError", "ImageSize",
-    "InputError", "ScoreRequest", "ScrcConfig", "ScrcError", "ScrcParams", "ShapeError",
-    "TrainingError", "Vocabulary", "build_vocab", "decode", "encode", "encode_spatial",
-    "generate_description", "iou", "is_hit", "score_candidates", "sequence_log_prob",
-    "tokenize",
-]

@@ -30,12 +30,13 @@ from .train import TrainConfig, finetune_retrieval, pretrain_captioning, transfe
 
 GRADCHECK_THRESHOLD = 1e-4
 
-# key -> (type, default); lr and steps take their defaults from the phase
+# key -> (type, default); lr and steps default per phase, the optimizer and batch per TrainConfig
 _SETTINGS = {
     "embed_dim": (int, 1000), "hidden_dim": (int, 1000), "feat_dim": (int, 1000),
-    "min_count": (int, 1), "lr": (float, None), "momentum": (float, 0.9),
-    "clip_norm": (float, 10.0), "steps": (int, None), "batch_size": (int, 16),
-    "seed": (int, 0), "mask_spatial": (bool, False), "mask_context": (bool, False),
+    "min_count": (int, 1), "lr": (float, None), "momentum": (float, TrainConfig.momentum),
+    "clip_norm": (float, TrainConfig.clip_norm), "steps": (int, None),
+    "batch_size": (int, TrainConfig.batch_size), "seed": (int, 0),
+    "mask_spatial": (bool, False), "mask_context": (bool, False),
 }
 
 _PHASE_DEFAULTS = {

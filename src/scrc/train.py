@@ -59,12 +59,8 @@ class TrainReport:
 
 
 def make_batches(items: Sequence, batch_size: int, seed: int, epoch: int) -> list[list]:
-    """Deterministic per-(seed, epoch) shuffled partition; the last batch may
-    be short; every item appears exactly once."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if seed < 0 or epoch < 0:
-        raise ConfigError("seed and epoch must be non-negative")
+    """Deterministic per-(seed, epoch) shuffled partition, for a TrainConfig's
+    batch_size and seed; the last batch may be short; every item appears once."""
     perm = np.random.default_rng([seed, epoch]).permutation(len(items))
     return [[items[i] for i in perm[lo:lo + batch_size]]
             for lo in range(0, len(items), batch_size)]

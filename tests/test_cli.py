@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -746,6 +747,27 @@ class TestEval:
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 33  # header + one row per query
         assert lines[0].startswith("query,image_id,rank1_iou")
+
+    def test_per_query_rows_group_by_first_record(self, synth_dir, finetuned, tmp_path):
+        """Rows group by image, in order of each image's first record, and
+        follow file order within an image, however the file interleaves them."""
+        rows = [json.loads(line) for line in
+                (synth_dir / "annotations.jsonl").read_text().splitlines()]
+        first01 = next(i for i, r in enumerate(rows) if r["image_id"] == "img01")
+        rows.insert(first01, rows.pop(0))  # img00's first record after img01's first
+        last02 = max(i for i, r in enumerate(rows) if r["image_id"] == "img02")
+        rows.insert(0, rows.pop(last02))  # and img02's last record first of all
+        interleaved = tmp_path / "annotations.jsonl"
+        interleaved.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        order = list(dict.fromkeys(r["image_id"] for r in rows))
+        assert order[:3] == ["img02", "img00", "img01"]
+        args = self.eval_args(synth_dir, finetuned, "gt") + ["--per-query",
+                                                              str(tmp_path / "q.csv")]
+        args[args.index("--annotations") + 1] = str(interleaved)
+        run_json(args)
+        got = [row[:2] for row in csv.reader((tmp_path / "q.csv").read_text().splitlines()[1:])]
+        assert got == [[d, image_id] for image_id in order
+                       for r in rows if r["image_id"] == image_id for d in r["descriptions"]]
 
     def test_empty_per_query_path_exit_1(self, synth_dir, finetuned):
         code, out, err = run_cli(self.eval_args(synth_dir, finetuned, "gt") + ["--per-query", ""])

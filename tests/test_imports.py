@@ -1,6 +1,6 @@
 """Every name that a module of the package imports is used in that module,
-and every function and class that a module defines is named by the package,
-the acceptance tests, the benchmark or the project file."""
+and every function, class and method that a module defines is named by the
+package, the acceptance tests, the benchmark or the project file."""
 
 import ast
 import re
@@ -41,32 +41,47 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def statement_names(tree) -> list[tuple[ast.stmt, set[str]]]:
-    """Each top-level statement with the names its code reads or imports."""
+def read_names(node, skip=()) -> set[str]:
+    """The names that node's code reads or imports, outside the subtrees in skip."""
+    names, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        stack.extend(child for child in ast.iter_child_nodes(node) if child not in skip)
+    return names
+
+
+def code_units(tree) -> list[tuple[ast.stmt, ast.stmt, set[str]]]:
+    """Each top-level statement as (owner, unit, names): a class body's
+    non-dunder methods are units of their own, and the rest of the class one."""
     out = []
     for top in tree.body:
-        names = set()
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-        out.append((top, names))
+        methods = [m for m in top.body if isinstance(m, ast.FunctionDef)
+                   and not m.name.startswith("__")] if isinstance(top, ast.ClassDef) else []
+        out.append((top, top, read_names(top, skip=methods)))
+        out.extend((top, m, read_names(m)) for m in methods)
     return out
 
 
 def unnamed_definitions(sources: list[str], outside: str) -> list[str]:
-    """The top-level functions and classes of the sources that no code names
-    outside their own definition, and no word of outside (the text of the
-    acceptance tests, the benchmark and the project file) names either."""
-    statements = [pair for source in sources for pair in statement_names(ast.parse(source))]
-    total = Counter(name for _, names in statements for name in names)
+    """The top-level functions and classes of the sources, and the non-dunder
+    methods of their classes, that no code names outside their own
+    definition, and no word of outside (the text of the acceptance tests, the
+    benchmark and the project file) names either."""
+    units = [unit for source in sources for unit in code_units(ast.parse(source))]
+    total = Counter(name for _, _, names in units for name in names)
     words = set(re.findall(r"\w+", outside))
-    return sorted(top.name for top, names in statements
-                  if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name not in words
-                  and total[top.name] == (top.name in names))
+    definitions = [unit for _, unit, _ in units
+                   if isinstance(unit, (ast.FunctionDef, ast.ClassDef))]
+    # a function's own unit is itself; a class's are its body and its methods
+    return sorted(d.name for d in definitions if d.name not in words
+                  and total[d.name] == sum(d.name in names for owner, unit, names in units
+                                           if d in (owner, unit)))
 
 
 def test_finds_an_unnamed_definition():
@@ -75,9 +90,17 @@ def test_finds_an_unnamed_definition():
     assert unnamed_definitions(sources, "tested") == ["Orphan", "helper"]
 
 
+def test_finds_an_unnamed_method():
+    source = ("class Box:\n    def __init__(self):\n        self.grow()\n\n"
+              "    def grow(self):\n        return Box()\n\n"
+              "    def shrink(self):\n        return self.shrink()\n\n"
+              "    def tested(self):\n        pass\n\n\nBox().grow()\n")
+    assert unnamed_definitions([source], "tested") == ["shrink"]
+
+
 def test_every_definition_is_named():
-    """A helper left without callers, as a refactor can leave one, fails here,
-    and so does one that only unit tests call: those belong in tests/."""
+    """A helper or method left without callers, as a refactor can leave one,
+    fails here, and so does one that only unit tests call: those belong in tests/."""
     outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py")),
                ROOT / "pyproject.toml"]
     sources = [p.read_text(encoding="utf-8") for p in MODULES + [Path(scrc.__file__)]]

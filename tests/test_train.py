@@ -57,10 +57,6 @@ class TestMakeBatches:
         flat1 = [x for b in make_batches(items, 50, 1, 1) for x in b]
         assert flat0 != flat1
 
-    def test_bad_batch_size(self):
-        with pytest.raises(ConfigError):
-            make_batches([1], 0, 0, 0)
-
 
 class TestTrainConfig:
     @pytest.mark.parametrize("settings, message", [
@@ -70,6 +66,9 @@ class TestTrainConfig:
         ({"momentum": float("nan")}, "momentum"),
         ({"clip_norm": float("nan")}, "clip norm"),
         ({"lr": -0.1}, "learning rate"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"steps": 0}, "steps must be >= 1, got 0"),
     ])
     def test_bad_optimizer_settings_rejected(self, settings, message):
         with pytest.raises(ConfigError, match=message):
